@@ -82,7 +82,8 @@ mod run {
                 ("1H s=25%", "onehash", Representation::OneHash),
             ] {
                 let pg = ProbGraph::build_dag(&dag, dag_bytes, &PgConfig::new(rep, 0.25));
-                let cost = wire_cost(pg.params(), pg.bf_estimator(), pg.seed());
+                let sp = pg.resolved_params();
+                let cost = wire_cost(sp, pg.bf_estimator(), pg.seed());
                 let mut cells = Vec::new();
                 for parts in PARTS {
                     let assignment = random_partition(n, parts, PARTITION_SEED);
@@ -114,7 +115,7 @@ mod run {
 
                     // Gate 2: the corrected model predicts the socket.
                     let (m_sketch, m_exact) =
-                        model_pair_bytes(&dag, &assignment, parts, &cost, chunk_sets);
+                        model_pair_bytes(&dag, &assignment, parts, sp, &cost, chunk_sets);
                     let model_sketch: u64 = m_sketch.iter().flatten().sum();
                     let model_exact: u64 = m_exact.iter().flatten().sum();
                     let measured_sketch = report.sketch_total();

@@ -22,6 +22,10 @@
 //!    now **derived from `snapshot_to_bytes` itself** ([`wire_cost`]), so
 //!    they cannot drift from the serializer.
 //!
+//! Prices are per stratum: a shipped vertex pays its own stratum's bytes.
+//! A uniform store is the one-stratum table — it serializes to the uniform
+//! bytes, so its probes return the uniform coefficients.
+//!
 //! The model mirrors the exchange protocol term for term: per ordered
 //! pair, ship-set rows are chunked, each chunk pays one frame header plus
 //! the snapshot's fixed overhead, and an empty ship set still costs its
@@ -73,83 +77,26 @@ pub fn random_partition(n: usize, p: usize, seed: u64) -> Vec<u32> {
 }
 
 /// Wire-format cost coefficients of one snapshot payload, **probed from
-/// the serializer**: a payload of `s` sets holding `e` stored elements in
-/// total costs `fixed_per_payload + per_set·s + per_elem·e` bytes.
-#[derive(Clone, Copy, Debug)]
-pub struct WireCost {
-    /// Header + section table + trailer of an empty snapshot.
-    pub fixed_per_payload: u64,
-    /// Marginal bytes per additional (empty) set.
-    pub per_set: u64,
-    /// Marginal bytes per stored element (0 for fixed-size sketches).
-    pub per_elem: u64,
-    /// Stored elements cap per set (`k` for bottom-k/KMV, 0 = none).
-    pub elem_cap: usize,
-}
-
-impl WireCost {
-    /// Payload bytes for `sets` rows storing `elems` elements in total
-    /// (already capped by [`WireCost::capped_elems`]).
-    pub fn payload_bytes(&self, sets: u64, elems: u64) -> u64 {
-        self.fixed_per_payload + self.per_set * sets + self.per_elem * elems
-    }
-
-    /// Stored elements for a row of `degree` neighbors under this
-    /// representation's cap.
-    pub fn capped_elems(&self, degree: usize) -> u64 {
-        if self.per_elem == 0 {
-            0
-        } else {
-            degree.min(self.elem_cap) as u64
-        }
-    }
-}
-
-/// Derives the [`WireCost`] of `params` by serializing three micro
-/// snapshots (0 sets; 1 empty set; 1 single-element set) through the same
-/// `build_rows` + `snapshot_to_bytes` path the exchange workers use. The
-/// coefficients therefore cannot drift from the wire format — if the
-/// snapshot layout changes, so does the model.
-pub fn wire_cost(params: SketchParams, est: BfEstimator, seed: u64) -> WireCost {
-    fn snap_len(params: SketchParams, est: BfEstimator, seed: u64, rows: &[&[u32]]) -> u64 {
-        let pg = ProbGraph::build_rows(rows.len(), params, est, seed, |i| rows[i]);
-        pg.snapshot_to_bytes().len() as u64
-    }
-    let b00 = snap_len(params, est, seed, &[]);
-    let b10 = snap_len(params, est, seed, &[&[]]);
-    let b11 = snap_len(params, est, seed, &[&[7]]);
-    let elem_cap = match params {
-        SketchParams::OneHash { k } | SketchParams::Kmv { k } => k,
-        _ => 0,
-    };
-    WireCost {
-        fixed_per_payload: b00,
-        per_set: b10 - b00,
-        per_elem: b11 - b10,
-        elem_cap,
-    }
-}
-
-/// Wire-format cost coefficients of one **stratified** snapshot payload:
-/// the fixed overhead covers the per-payload stratum parameter table, and
-/// the per-set/per-element marginals are **per stratum** — a shipped
-/// vertex is charged its own stratum's bytes, not a uniform average.
-/// Probed from the serializer exactly like [`WireCost`].
+/// the serializer**, per stratum: a payload holding `s_j` sets of stratum
+/// `j` with `e_j` stored elements between them costs
+/// `fixed_per_payload + Σ_j per_set[j]·s_j + per_elem[j]·e_j` bytes.
 #[derive(Clone, Debug)]
-pub struct StratifiedWireCost {
-    /// Header + section table + stratum parameter table of an empty
-    /// stratified snapshot.
+pub struct WireCost {
+    /// Header + section table (+ stratum parameter table) of an empty
+    /// snapshot.
     pub fixed_per_payload: u64,
-    /// Marginal bytes per additional empty set, by stratum (includes the
-    /// set's assignment byte).
+    /// Marginal bytes per additional empty set, by stratum (including a
+    /// stratified set's assignment byte).
     pub per_set: Vec<u64>,
-    /// Marginal bytes per stored element, by stratum.
+    /// Marginal bytes per stored element, by stratum (0 for fixed-size
+    /// sketches).
     pub per_elem: Vec<u64>,
-    /// Stored elements cap per set, by stratum (0 = none).
+    /// Stored elements cap per set, by stratum (`k` for bottom-k/KMV,
+    /// 0 = none).
     pub elem_cap: Vec<usize>,
 }
 
-impl StratifiedWireCost {
+impl WireCost {
     /// Stored elements for a row of `degree` neighbors in stratum `j`.
     pub fn capped_elems(&self, j: usize, degree: usize) -> u64 {
         if self.per_elem[j] == 0 {
@@ -160,140 +107,53 @@ impl StratifiedWireCost {
     }
 }
 
-/// Derives the [`StratifiedWireCost`] of a resolved per-set geometry by
-/// serializing micro snapshots through `build_rows_stratified` +
-/// `snapshot_to_bytes` — one (empty set, single-element set) probe pair
-/// per stratum against the zero-set baseline, so every stratum's marginal
-/// comes from the real wire format of the full stratum table.
-pub fn stratified_wire_cost(
-    sp: &StratifiedParams,
-    est: BfEstimator,
-    seed: u64,
-) -> StratifiedWireCost {
+/// Derives the [`WireCost`] of a resolved parameter table by serializing
+/// micro snapshots through the same `build_rows_stratified` +
+/// `snapshot_to_bytes` path the exchange workers use: a zero-set baseline,
+/// then one (empty set, single-element set) probe pair per stratum. The
+/// coefficients therefore cannot drift from the wire format — if the
+/// snapshot layout changes, so does the model.
+pub fn wire_cost(sp: &StratifiedParams, est: BfEstimator, seed: u64) -> WireCost {
     let snap_len = |assign: Vec<u8>, rows: &[&[u32]]| -> u64 {
         let sub = StratifiedParams::new(sp.strata().to_vec(), assign);
         let pg = ProbGraph::build_rows_stratified(rows.len(), sub, est, seed, |i| rows[i]);
         pg.snapshot_to_bytes().len() as u64
     };
     let b00 = snap_len(Vec::new(), &[]);
-    let n_strata = sp.n_strata();
-    let mut per_set = Vec::with_capacity(n_strata);
-    let mut per_elem = Vec::with_capacity(n_strata);
-    let mut elem_cap = Vec::with_capacity(n_strata);
-    for j in 0..n_strata {
+    let mut cost = WireCost {
+        fixed_per_payload: b00,
+        per_set: Vec::new(),
+        per_elem: Vec::new(),
+        elem_cap: Vec::new(),
+    };
+    for (j, p) in sp.strata().iter().enumerate() {
         let bj0 = snap_len(vec![j as u8], &[&[]]);
         let bj1 = snap_len(vec![j as u8], &[&[7]]);
-        per_set.push(bj0 - b00);
-        per_elem.push(bj1 - bj0);
-        elem_cap.push(match sp.strata()[j] {
+        cost.per_set.push(bj0 - b00);
+        cost.per_elem.push(bj1 - bj0);
+        cost.elem_cap.push(match *p {
             SketchParams::OneHash { k } | SketchParams::Kmv { k } => k,
             _ => 0,
         });
     }
-    StratifiedWireCost {
-        fixed_per_payload: b00,
-        per_set,
-        per_elem,
-        elem_cap,
-    }
-}
-
-/// Per-pair ship-set statistics: the deduplicated boundary rows `q` must
-/// send `r` and their degree mass.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShipStat {
-    /// `|S(q→r)|` — boundary vertices, counted once per remote part.
-    pub sets: u64,
-    /// Total out-degree of those vertices (exact-payload elements).
-    pub elems_raw: u64,
-    /// Total stored sketch elements after the per-set cap.
-    pub elems_capped: u64,
-}
-
-/// Computes [`ShipStat`] for every ordered part pair with the same
-/// dedupe rule as the exchange: `out[q][r]` covers the distinct vertices
-/// owned by `q` that appear in the `N⁺` row of at least one vertex owned
-/// by `r`.
-pub fn ship_stats(
-    dag: &OrientedDag,
-    parts: &[u32],
-    p: usize,
-    cost: &WireCost,
-) -> Vec<Vec<ShipStat>> {
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); p * p];
-    for v in 0..dag.num_vertices() {
-        let r = parts[v] as usize;
-        for &u in dag.neighbors_plus(v as VertexId) {
-            let q = parts[u as usize] as usize;
-            if q != r {
-                buckets[q * p + r].push(u);
-            }
-        }
-    }
-    let mut out = vec![vec![ShipStat::default(); p]; p];
-    for (idx, b) in buckets.iter_mut().enumerate() {
-        b.sort_unstable();
-        b.dedup();
-        let stat = &mut out[idx / p][idx % p];
-        stat.sets = b.len() as u64;
-        for &u in b.iter() {
-            let d = dag.out_degree(u);
-            stat.elems_raw += d as u64;
-            stat.elems_capped += cost.capped_elems(d);
-        }
-    }
-    out
+    cost
 }
 
 /// Predicted bytes per ordered part pair `(sketch, exact)`, mirroring the
-/// exchange protocol exactly: ship sets are chunked into `chunk_sets`-row
-/// payloads, each payload pays one [`FRAME_OVERHEAD`] header plus the
-/// format's fixed cost, and an empty ship set still costs one handshake
-/// frame. Diagonal entries are zero.
+/// exchange protocol exactly: ship sets — the distinct vertices owned by
+/// `q` that appear in the `N⁺` row of at least one vertex owned by `r` —
+/// are chunked into `chunk_sets`-row payloads, each payload pays one
+/// [`FRAME_OVERHEAD`] header plus the format's fixed cost, each shipped
+/// vertex pays **its own stratum's** per-set and per-element bytes
+/// (`sp.stratum_of(u)`), and an empty ship set still costs one handshake
+/// frame. The exact baseline ships 4 bytes per row and per element.
+/// Diagonal entries are zero.
 pub fn model_pair_bytes(
     dag: &OrientedDag,
     parts: &[u32],
     p: usize,
-    cost: &WireCost,
-    chunk_sets: usize,
-) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    let chunk = chunk_sets.max(1) as u64;
-    let stats = ship_stats(dag, parts, p, cost);
-    let mut sketch = vec![vec![0u64; p]; p];
-    let mut exact = vec![vec![0u64; p]; p];
-    for q in 0..p {
-        for r in 0..p {
-            if q == r {
-                continue;
-            }
-            let s = stats[q][r];
-            if s.sets == 0 {
-                sketch[q][r] = FRAME_OVERHEAD;
-                exact[q][r] = FRAME_OVERHEAD;
-                continue;
-            }
-            let n_chunks = s.sets.div_ceil(chunk);
-            sketch[q][r] = n_chunks * (FRAME_OVERHEAD + cost.fixed_per_payload)
-                + cost.per_set * s.sets
-                + cost.per_elem * s.elems_capped;
-            exact[q][r] =
-                n_chunks * (FRAME_OVERHEAD + EXACT_PAYLOAD_FIXED) + 4 * s.sets + 4 * s.elems_raw;
-        }
-    }
-    (sketch, exact)
-}
-
-/// Stratified sibling of [`model_pair_bytes`]: each shipped vertex is
-/// charged **its own stratum's** per-set and per-element wire bytes
-/// (`sp.assign()[u]` picks the stratum), mirroring the heterogeneous
-/// payloads the exchange actually serializes. The exact baseline is
-/// unchanged — stratification only reshapes the sketch side.
-pub fn model_pair_bytes_stratified(
-    dag: &OrientedDag,
-    parts: &[u32],
-    p: usize,
     sp: &StratifiedParams,
-    cost: &StratifiedWireCost,
+    cost: &WireCost,
     chunk_sets: usize,
 ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
     let chunk = chunk_sets.max(1) as u64;
@@ -326,7 +186,7 @@ pub fn model_pair_bytes_stratified(
         let mut sketch_bytes = n_chunks * (FRAME_OVERHEAD + cost.fixed_per_payload);
         let mut elems_raw = 0u64;
         for &u in b.iter() {
-            let j = sp.assign()[u as usize] as usize;
+            let j = sp.stratum_of(u as usize);
             let d = dag.out_degree(u);
             sketch_bytes += cost.per_set[j] + cost.per_elem[j] * cost.capped_elems(j, d);
             elems_raw += d as u64;
@@ -344,10 +204,11 @@ pub fn model_volume(
     dag: &OrientedDag,
     parts: &[u32],
     p: usize,
+    sp: &StratifiedParams,
     cost: &WireCost,
     chunk_sets: usize,
 ) -> CommVolume {
-    let (sketch, exact) = model_pair_bytes(dag, parts, p, cost, chunk_sets);
+    let (sketch, exact) = model_pair_bytes(dag, parts, p, sp, cost, chunk_sets);
     CommVolume {
         exact_bytes: exact.iter().flatten().sum(),
         sketch_bytes: sketch.iter().flatten().sum(),
@@ -356,8 +217,7 @@ pub fn model_volume(
 
 /// Convenience: the model for a graph sketched under `cfg`-style inputs —
 /// orients the graph by degree (the TC/4-clique orientation the exchange
-/// uses) and probes the wire cost of the resolved parameters. Stratified
-/// graphs route through the per-stratum probes and per-vertex charging.
+/// uses) and probes the wire cost of the resolved parameter table.
 pub fn model_volume_for(
     g: &CsrGraph,
     pg: &ProbGraph,
@@ -366,16 +226,9 @@ pub fn model_volume_for(
     chunk_sets: usize,
 ) -> CommVolume {
     let dag = pg_graph::orient_by_degree(g);
-    if let Some(sp) = pg.stratified_params() {
-        let cost = stratified_wire_cost(sp, pg.bf_estimator(), pg.seed());
-        let (sketch, exact) = model_pair_bytes_stratified(&dag, parts, p, sp, &cost, chunk_sets);
-        return CommVolume {
-            exact_bytes: exact.iter().flatten().sum(),
-            sketch_bytes: sketch.iter().flatten().sum(),
-        };
-    }
-    let cost = wire_cost(pg.params(), pg.bf_estimator(), pg.seed());
-    model_volume(&dag, parts, p, &cost, chunk_sets)
+    let sp = pg.resolved_params();
+    let cost = wire_cost(sp, pg.bf_estimator(), pg.seed());
+    model_volume(&dag, parts, p, sp, &cost, chunk_sets)
 }
 
 #[cfg(test)]
@@ -383,6 +236,18 @@ mod tests {
     use super::*;
     use pg_graph::{gen, orient_by_degree};
     use probgraph::{PgConfig, Representation};
+
+    /// A one-stratum table with hand-set fixed-size sketch costs.
+    fn flat_cost(fixed_per_payload: u64, per_set: u64) -> (StratifiedParams, WireCost) {
+        let sp = StratifiedParams::uniform(SketchParams::KHash { k: 1 });
+        let cost = WireCost {
+            fixed_per_payload,
+            per_set: vec![per_set],
+            per_elem: vec![0],
+            elem_cap: vec![0],
+        };
+        (sp, cost)
+    }
 
     #[test]
     fn partition_is_balanced_and_deterministic() {
@@ -408,13 +273,8 @@ mod tests {
         let g = gen::complete(20);
         let dag = orient_by_degree(&g);
         let parts = vec![0u32; 20];
-        let cost = WireCost {
-            fixed_per_payload: 100,
-            per_set: 64,
-            per_elem: 0,
-            elem_cap: 0,
-        };
-        let v = model_volume(&dag, &parts, 1, &cost, 512);
+        let (sp, cost) = flat_cost(100, 64);
+        let v = model_volume(&dag, &parts, 1, &sp, &cost, 512);
         assert_eq!(v.exact_bytes, 0);
         assert_eq!(v.sketch_bytes, 0);
         // The 0/0 round trips to "no reduction", not infinity or NaN.
@@ -435,13 +295,8 @@ mod tests {
         // Center in part 0, all leaves in part 1: four cut edges all
         // referencing the single boundary vertex 0.
         let parts = vec![0u32, 1, 1, 1, 1];
-        let cost = WireCost {
-            fixed_per_payload: 96,
-            per_set: 72,
-            per_elem: 0,
-            elem_cap: 0,
-        };
-        let (sketch, exact) = model_pair_bytes(&dag, &parts, 2, &cost, 512);
+        let (sp, cost) = flat_cost(96, 72);
+        let (sketch, exact) = model_pair_bytes(&dag, &parts, 2, &sp, &cost, 512);
         // One payload chunk shipping exactly ONE set (not four): the old
         // per-cut-edge model would have charged 4 × per_set here.
         assert_eq!(sketch[0][1], FRAME_OVERHEAD + 96 + 72);
@@ -456,29 +311,26 @@ mod tests {
         // 1-hash wire payloads carry 8 bytes per stored element (element
         // + its hash) plus per-set tables — the old `4k` guess undershot
         // by more than half. The probe must see the real marginals.
-        let cost = wire_cost(SketchParams::OneHash { k: 16 }, BfEstimator::default(), 42);
-        assert_eq!(cost.per_elem, 8, "bottom-k stores element + hash");
+        let probe = |p| wire_cost(&StratifiedParams::uniform(p), BfEstimator::default(), 42);
+        let cost = probe(SketchParams::OneHash { k: 16 });
+        assert_eq!(cost.per_elem, [8], "bottom-k stores element + hash");
         assert!(
-            cost.per_set >= 12,
+            cost.per_set[0] >= 12,
             "per-set offset/len/size tables undercounted: {}",
-            cost.per_set
+            cost.per_set[0]
         );
-        assert_eq!(cost.elem_cap, 16);
+        assert_eq!(cost.elem_cap, [16]);
 
         // Fixed-size sketches have no per-element term.
-        let bf = wire_cost(
-            SketchParams::Bloom {
-                bits_per_set: 256,
-                b: 2,
-            },
-            BfEstimator::default(),
-            42,
-        );
-        assert_eq!(bf.per_elem, 0);
-        assert_eq!(bf.per_set, 256 / 8 + 4 + 4, "filter words + ones + sizes");
+        let bf = probe(SketchParams::Bloom {
+            bits_per_set: 256,
+            b: 2,
+        });
+        assert_eq!(bf.per_elem, [0]);
+        assert_eq!(bf.per_set, [256 / 8 + 4 + 4], "filter words + ones + sizes");
 
-        let kmv = wire_cost(SketchParams::Kmv { k: 8 }, BfEstimator::default(), 42);
-        assert_eq!(kmv.per_elem, 8, "KMV stores a 64-bit hash per element");
+        let kmv = probe(SketchParams::Kmv { k: 8 });
+        assert_eq!(kmv.per_elem, [8], "KMV stores a 64-bit hash per element");
     }
 
     #[test]
@@ -496,8 +348,9 @@ mod tests {
             &PgConfig::new(Representation::Bloom { b: 2 }, 0.25),
         );
         let parts = random_partition(300, 4, 1);
-        let cost = wire_cost(pg.params(), pg.bf_estimator(), pg.seed());
-        let v = model_volume(&dag, &parts, 4, &cost, 512);
+        let sp = pg.resolved_params();
+        let cost = wire_cost(sp, pg.bf_estimator(), pg.seed());
+        let v = model_volume(&dag, &parts, 4, sp, &cost, 512);
         assert!(v.reduction() > 2.0, "reduction={}", v.reduction());
     }
 
@@ -506,20 +359,10 @@ mod tests {
         let g = gen::erdos_renyi_gnm(200, 200 * 50, 5);
         let dag = orient_by_degree(&g);
         let parts = random_partition(200, 2, 2);
-        let small = WireCost {
-            fixed_per_payload: 96,
-            per_set: 32,
-            per_elem: 0,
-            elem_cap: 0,
-        };
-        let large = WireCost {
-            fixed_per_payload: 96,
-            per_set: 128,
-            per_elem: 0,
-            elem_cap: 0,
-        };
-        let rs = model_volume(&dag, &parts, 2, &small, 512).reduction();
-        let rl = model_volume(&dag, &parts, 2, &large, 512).reduction();
+        let (sp, small) = flat_cost(96, 32);
+        let (_, large) = flat_cost(96, 128);
+        let rs = model_volume(&dag, &parts, 2, &sp, &small, 512).reduction();
+        let rl = model_volume(&dag, &parts, 2, &sp, &large, 512).reduction();
         assert!(
             rs > rl,
             "smaller sketches must model a larger reduction: {rs} vs {rl}"
@@ -536,7 +379,7 @@ mod tests {
             .stratified_params()
             .expect("collapsed to uniform")
             .clone();
-        let cost = stratified_wire_cost(&sp, pg.bf_estimator(), pg.seed());
+        let cost = wire_cost(&sp, pg.bf_estimator(), pg.seed());
         assert_eq!(cost.per_set.len(), sp.n_strata());
         // Every stratum stores element + hash on the wire, and the wider
         // stratum 0 cannot cap fewer elements than the base stratum.
@@ -550,7 +393,11 @@ mod tests {
         assert!(cost.elem_cap[0] > *cost.elem_cap.last().unwrap());
         // The stratified fixed overhead carries the stratum table on top
         // of the uniform snapshot overhead.
-        let uniform = wire_cost(sp.strata()[0], pg.bf_estimator(), pg.seed());
+        let uniform = wire_cost(
+            &StratifiedParams::uniform(sp.strata()[0]),
+            pg.bf_estimator(),
+            pg.seed(),
+        );
         assert!(cost.fixed_per_payload > uniform.fixed_per_payload);
     }
 
@@ -577,8 +424,8 @@ mod tests {
                 ..ExchangeOptions::default()
             };
             let report = run_exchange(&dag, &pg, &parts, 3, &opts).expect("exchange runs");
-            let cost = stratified_wire_cost(sp, pg.bf_estimator(), pg.seed());
-            let (sketch, exact) = model_pair_bytes_stratified(&dag, &parts, 3, sp, &cost, 64);
+            let cost = wire_cost(sp, pg.bf_estimator(), pg.seed());
+            let (sketch, exact) = model_pair_bytes(&dag, &parts, 3, sp, &cost, 64);
             assert_eq!(
                 sketch, report.sketch_pair_bytes,
                 "{rep:?}: modeled stratified sketch bytes diverge from the socket"
@@ -608,8 +455,9 @@ mod tests {
                 ..ExchangeOptions::default()
             };
             let report = run_exchange(&dag, &pg, &parts, 3, &opts).expect("exchange runs");
-            let cost = wire_cost(pg.params(), pg.bf_estimator(), pg.seed());
-            let (sketch, exact) = model_pair_bytes(&dag, &parts, 3, &cost, 64);
+            let sp = pg.resolved_params();
+            let cost = wire_cost(sp, pg.bf_estimator(), pg.seed());
+            let (sketch, exact) = model_pair_bytes(&dag, &parts, 3, sp, &cost, 64);
             assert_eq!(
                 sketch, report.sketch_pair_bytes,
                 "{rep:?}: modeled sketch bytes diverge from the socket"

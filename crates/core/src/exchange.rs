@@ -68,7 +68,7 @@
 //! a dead worker's sockets read as EOF rather than hang.
 
 use crate::oracle::{IntersectionOracle, OracleVisitor};
-use crate::pg::{build_store, gather_store_into, BfEstimator, ProbGraph, ProbGraphIn};
+use crate::pg::{empty_store, gather_store_into, BfEstimator, ProbGraph, ProbGraphIn};
 use crate::snapshot::{AlignedBytes, SnapshotError};
 use pg_graph::OrientedDag;
 use pg_hash::xxh64;
@@ -77,7 +77,7 @@ use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use pg_sketch::{SketchParams, StratifiedParams};
+use pg_sketch::StratifiedParams;
 
 /// Frame magic: "PGXF" (ProbGraph eXchange Frame).
 pub const FRAME_MAGIC: [u8; 4] = *b"PGXF";
@@ -605,12 +605,10 @@ fn read_result(
 struct Ctx<'a> {
     dag: &'a OrientedDag,
     p: usize,
-    params: SketchParams,
-    /// Full per-set geometry when the coordinator's graph is
-    /// degree-stratified; workers slice the global assignment over
-    /// whatever rows they rebuild, so every sub-store row stays
-    /// bit-identical to the coordinator's.
-    stratified: Option<&'a StratifiedParams>,
+    /// The coordinator's resolved parameter table; workers select the
+    /// global assignment over whatever rows they rebuild, so every
+    /// sub-store row stays bit-identical to the coordinator's.
+    params: &'a StratifiedParams,
     est: BfEstimator,
     seed: u64,
     opts: &'a ExchangeOptions,
@@ -622,26 +620,16 @@ struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// Rebuilds the sub-store for an arbitrary row subset `rows` under the
-    /// coordinator's geometry: uniform rows go through
-    /// [`ProbGraph::build_rows`]; stratified rows slice the global
-    /// assignment while sharing the stratum table, so each row's sketch is
+    /// coordinator's parameter table, so each row's sketch is
     /// bit-identical to the coordinator's row for the same vertex.
     fn build_rows_of(&self, rows: &[u32]) -> ProbGraph {
-        match self.stratified {
-            Some(sp) => ProbGraph::build_rows_stratified(
-                rows.len(),
-                StratifiedParams::new(
-                    sp.strata().to_vec(),
-                    rows.iter().map(|&u| sp.assign()[u as usize]).collect(),
-                ),
-                self.est,
-                self.seed,
-                |i| self.dag.neighbors_plus(rows[i]),
-            ),
-            None => ProbGraph::build_rows(rows.len(), self.params, self.est, self.seed, |i| {
-                self.dag.neighbors_plus(rows[i])
-            }),
-        }
+        ProbGraph::build_rows_stratified(
+            rows.len(),
+            self.params.select(rows.iter().map(|&u| u as usize)),
+            self.est,
+            self.seed,
+            |i| self.dag.neighbors_plus(rows[i]),
+        )
     }
 }
 
@@ -682,8 +670,7 @@ pub fn run_exchange(
     let ctx = Ctx {
         dag,
         p,
-        params: pg.params(),
-        stratified: pg.stratified_params(),
+        params: pg.resolved_params(),
         est: pg.bf_estimator(),
         seed: pg.seed(),
         opts,
@@ -1032,25 +1019,21 @@ fn worker_run(
 
     // Combined local store: owned rows first, then each sender's ship set
     // in ascending part order — the same order the local id map assigns.
-    let mut store = build_store(ctx.params, 0, ctx.seed, |_| &[][..]);
+    let mut store = empty_store(ctx.params, ctx.seed);
     let mut store_parts = vec![own_pg.store()];
     store_parts.extend(remote_graphs.iter().map(|g| g.store()));
     gather_store_into(&mut store, &store_parts);
     let mut sizes = own_pg.sizes().to_vec();
     sizes.extend_from_slice(&remote_sizes);
-    // Re-slice the global assignment in the same owned-then-shipped order
+    // Re-select the global assignment in the same owned-then-shipped order
     // so the combined graph's geometry matches the gathered store.
-    let combined_strat = ctx.stratified.map(|sp| {
-        let mut assign: Vec<u8> = my.iter().map(|&v| sp.assign()[v as usize]).collect();
-        for q in 0..p {
-            if q != rr {
-                assign.extend(ctx.ship[q][rr].iter().map(|&u| sp.assign()[u as usize]));
-            }
-        }
-        StratifiedParams::new(sp.strata().to_vec(), assign)
-    });
-    let combined =
-        ProbGraphIn::from_parts(store, sizes, ctx.est, ctx.params, combined_strat, ctx.seed);
+    let shipped = (0..p)
+        .filter(|&q| q != rr)
+        .flat_map(|q| ctx.ship[q][rr].iter());
+    let combined_params = ctx
+        .params
+        .select(my.iter().chain(shipped).map(|&u| u as usize));
+    let combined = ProbGraphIn::from_parts(store, sizes, ctx.est, combined_params, ctx.seed);
 
     let mut local_id = vec![u32::MAX; ctx.dag.num_vertices()];
     for (i, &v) in my.iter().enumerate() {
@@ -1119,11 +1102,12 @@ fn validate_remote_chunk(
     rows: &[u32],
 ) -> Result<(), ExchangeError> {
     let fail = |detail: String| Err(ExchangeError::Payload { from, detail });
-    if sub.params() != ctx.params {
+    let want = ctx.params;
+    if sub.params() != want.strata()[0] {
         return fail(format!(
             "params {:?} do not match {:?}",
             sub.params(),
-            ctx.params
+            want.strata()[0]
         ));
     }
     if sub.seed() != ctx.seed {
@@ -1139,40 +1123,18 @@ fn validate_remote_chunk(
             rows.len()
         ));
     }
-    match (sub.stratified_params(), ctx.stratified) {
-        (None, None) => {}
-        (Some(got), Some(sp)) => {
-            if got.strata() != sp.strata() {
-                return fail(format!(
-                    "stratum table {:?} does not match {:?}",
-                    got.strata(),
-                    sp.strata()
-                ));
-            }
-            for (i, &u) in rows.iter().enumerate() {
-                if got.assign()[i] != sp.assign()[u as usize] {
-                    return fail(format!(
-                        "row {u} assigned stratum {}, expected {}",
-                        got.assign()[i],
-                        sp.assign()[u as usize]
-                    ));
-                }
-            }
-        }
-        (got, _) => {
-            return fail(format!(
-                "chunk stratification ({}) does not match the coordinator's ({})",
-                if got.is_some() {
-                    "stratified"
-                } else {
-                    "uniform"
-                },
-                if ctx.stratified.is_some() {
-                    "stratified"
-                } else {
-                    "uniform"
-                },
-            ));
+    let got = sub.resolved_params();
+    if got.strata() != want.strata() {
+        return fail(format!(
+            "stratum table {:?} does not match {:?}",
+            got.strata(),
+            want.strata()
+        ));
+    }
+    for (i, &u) in rows.iter().enumerate() {
+        let (g, w) = (got.stratum_of(i), want.stratum_of(u as usize));
+        if g != w {
+            return fail(format!("row {u} assigned stratum {g}, expected {w}"));
         }
     }
     for (i, &u) in rows.iter().enumerate() {

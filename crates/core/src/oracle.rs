@@ -796,17 +796,14 @@ impl<'a, S: BloomStrategy> BloomOracle<'a, S> {
     fn estimate_row_stratified(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
         debug_assert_eq!(us.len(), out.len());
         let col = self.col;
-        let st = col
-            .strata()
-            .expect("stratified sweep on a uniform collection");
-        let widths = st.stratum_bits();
+        let widths = col.geometry().widths();
         let i = v as usize;
-        let wi = col.bits_of(i);
+        let wi = col.geometry().width_of(i);
         let si = col.stratum_of(i);
         let raw_row = col.words(i);
         let raw_ones = col.count_ones(i);
         let row_size = self.sizes[i];
-        if widths.iter().all(|&w| w as usize >= wi) {
+        if widths.iter().all(|&w| w >= wi) {
             // Narrowest-stratum source — the bulk of every row under a
             // skewed assignment. No destination is narrower, so the whole
             // row compares at the source's own width, and the fold
@@ -828,7 +825,7 @@ impl<'a, S: BloomStrategy> BloomOracle<'a, S> {
             while e < us.len() && col.stratum_of(us[e] as usize) == sj {
                 e += 1;
             }
-            let wj = widths[sj] as usize;
+            let wj = widths[sj];
             if wj == wi {
                 // Equal widths (same stratum or an equal-width one): raw
                 // windows, tail at the source's stratum — the pairwise
@@ -1060,7 +1057,7 @@ impl<S: BloomStrategy> IntersectionOracle for BloomOracle<'_, S> {
     #[inline]
     fn estimate_row_into(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
         debug_assert_eq!(us.len(), out.len());
-        if self.col.strata().is_some() {
+        if !self.col.geometry().is_uniform() {
             // Variable-width destinations: the run-grouped stratified
             // sweep (folded pinned rows, same-width multi-lane runs).
             return self.estimate_row_stratified(v, us, out);
@@ -1129,7 +1126,7 @@ impl<S: BloomStrategy> IntersectionOracle for BloomOracle<'_, S> {
 
     #[inline]
     fn dest_window_bytes(&self) -> Option<usize> {
-        if self.col.strata().is_some() {
+        if !self.col.geometry().is_uniform() {
             // No single window stride exists under per-stratum widths; the
             // tiling planner declines and kernels keep the plain row sweep.
             return None;
@@ -1157,7 +1154,7 @@ impl<S: BloomStrategy> IntersectionOracle for BloomOracle<'_, S> {
     ) {
         debug_assert_eq!(seg_offsets.len(), sources.len() + 1);
         debug_assert_eq!(us.len(), out.len());
-        if self.col.strata().is_some() {
+        if !self.col.geometry().is_uniform() {
             // The tiled kernel needs the flat uniform stride (the planner
             // declines stratified stores via `dest_window_bytes`, but a
             // direct caller may still land here): per-segment row sweeps.
@@ -1488,10 +1485,7 @@ impl<'a> HllOracle<'a> {
     fn estimate_row_stratified(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
         debug_assert_eq!(us.len(), out.len());
         let col = self.col;
-        let st = col
-            .strata()
-            .expect("stratified sweep on a uniform collection");
-        let ps = st.stratum_ps();
+        let widths = col.geometry().widths();
         let i = v as usize;
         let raw_row = col.registers(i);
         let p_i = col.precision_of(i) as u32;
@@ -1499,7 +1493,7 @@ impl<'a> HllOracle<'a> {
         let inter = |j: usize, union_est: f64| {
             HyperLogLogCollection::intersection_from_union(nx, self.sizes[j] as usize, union_est)
         };
-        let mut folded: Vec<Option<Vec<u8>>> = vec![None; ps.len()];
+        let mut folded: Vec<Option<Vec<u8>>> = vec![None; widths.len()];
         let mut t = 0;
         while t < us.len() {
             let sj = col.stratum_of(us[t] as usize);
@@ -1507,7 +1501,7 @@ impl<'a> HllOracle<'a> {
             while e < us.len() && col.stratum_of(us[e] as usize) == sj {
                 e += 1;
             }
-            let p_j = ps[sj] as u32;
+            let p_j = widths[sj].trailing_zeros();
             if p_j > p_i {
                 // Wider destinations: fold each one down to the source's
                 // precision (the scalar fallback).
@@ -1583,7 +1577,7 @@ impl IntersectionOracle for HllOracle<'_> {
     /// prefetch ramp is pure instruction overhead).
     #[inline]
     fn estimate_row_into(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
-        if self.col.strata().is_some() {
+        if !self.col.geometry().is_uniform() {
             // Variable-width register windows: the run-grouped stratified
             // sweep (folded pinned rows, same-width multi-lane runs).
             return self.estimate_row_stratified(v, us, out);
@@ -1640,7 +1634,7 @@ impl IntersectionOracle for HllOracle<'_> {
 mod tests {
     use super::*;
     use pg_graph::gen;
-    use pg_sketch::{BloomCollection, KmvCollection};
+    use pg_sketch::{BloomCollection, KmvCollection, SetGeometry};
 
     #[test]
     fn exact_oracle_matches_direct_intersection() {
@@ -1717,8 +1711,9 @@ mod tests {
             .map(|v| g.neighbors(v as u32))
             .collect();
         let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 3) as u8).collect();
-        let col = BloomCollection::build_stratified(vec![512, 256, 128], assign, 2, 7, |i| sets[i]);
-        assert!(col.strata().is_some(), "expected a stratified build");
+        let geom = SetGeometry::stratified(vec![8, 4, 2], assign);
+        let col = BloomCollection::build_on(geom, 2, 7, |i| sets[i]);
+        assert!(!col.geometry().is_uniform(), "expected a stratified build");
         let sizes: Vec<u32> = sets.iter().map(|s| s.len() as u32).collect();
         let us: Vec<u32> = (0..g.num_vertices() as u32).collect();
         let mut row = Vec::new();
@@ -1749,7 +1744,10 @@ mod tests {
             .map(|v| g.neighbors(v as u32))
             .collect();
         let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 2) as u8).collect();
-        let col = BloomCollection::build_stratified(vec![256, 64], assign, 2, 3, |i| sets[i]);
+        let col =
+            BloomCollection::build_on(SetGeometry::stratified(vec![4, 1], assign), 2, 3, |i| {
+                sets[i]
+            });
         let sizes: Vec<u32> = sets.iter().map(|s| s.len() as u32).collect();
         let o = BloomOracle::<BloomAnd>::new(&col, &sizes);
         let sources: Vec<u32> = vec![0, 5, 9];
@@ -1776,13 +1774,9 @@ mod tests {
         let us: Vec<u32> = (0..g.num_vertices() as u32).collect();
         let mut row = Vec::new();
 
-        let mh = pg_sketch::MinHashCollection::build_stratified(
-            vec![64, 32, 16],
-            assign.clone(),
-            5,
-            |i| sets[i],
-        );
-        assert!(mh.strata().is_some(), "expected a stratified build");
+        let geom = SetGeometry::stratified(vec![64, 32, 16], assign.clone());
+        let mh = pg_sketch::MinHashCollection::build_on(geom, 5, |i| sets[i]);
+        assert!(!mh.geometry().is_uniform(), "expected a stratified build");
         let o = KHashOracle::new(&mh, &sizes);
         for v in 0..sizes.len() as u32 {
             o.estimate_row(v, &us, &mut row);
@@ -1795,8 +1789,9 @@ mod tests {
             }
         }
 
-        let hll = HyperLogLogCollection::build_stratified(vec![8, 6, 4], assign, 5, |i| sets[i]);
-        assert!(hll.strata().is_some(), "expected a stratified build");
+        let geom = SetGeometry::stratified(vec![1 << 8, 1 << 6, 1 << 4], assign);
+        let hll = HyperLogLogCollection::build_on(geom, 5, |i| sets[i]);
+        assert!(!hll.geometry().is_uniform(), "expected a stratified build");
         let o = HllOracle::new(&hll, &sizes);
         assert_eq!(o.dest_window_bytes(), None);
         for v in 0..sizes.len() as u32 {

@@ -243,11 +243,9 @@ pub struct ProbGraphIn<'a> {
     store: SketchStoreIn<'a>,
     sizes: Cow<'a, [u32]>,
     bf_estimator: BfEstimator,
-    params: SketchParams,
-    /// `Some` when the store carries per-set geometry: the per-stratum
-    /// parameter table plus the per-set stratum assignment. `params` then
-    /// holds stratum 0 (the widest / highest-degree stratum).
-    stratified: Option<StratifiedParams>,
+    /// The resolved per-stratum parameter table and per-set assignment —
+    /// one stratum and no assignment array on the uniform layout.
+    params: StratifiedParams,
     /// The master hash seed the sketches were built under. The collections
     /// only retain their derived [`pg_hash::HashFamily`] seeds, so the
     /// master is recorded here — snapshots persist it, and a reloaded
@@ -293,43 +291,14 @@ impl<'a> ProbGraphIn<'a> {
     {
         let mut sizes = vec![0u32; n_sets];
         pg_parallel::parallel_fill_with(&mut sizes, |i| set(i).len() as u32);
-        if cfg.strata.is_some() {
-            // Stratified geometry needs the degree distribution, which is
-            // exactly the size array just computed.
-            let sparams = resolve_stratified(n_sets, base_bytes, cfg, &sizes);
-            if !sparams.is_uniform() {
-                let store = build_store_stratified(&sparams, cfg.seed, &set);
-                return ProbGraphIn {
-                    store,
-                    sizes: Cow::Owned(sizes),
-                    bf_estimator: cfg.bf_estimator,
-                    params: sparams.strata()[0],
-                    stratified: Some(sparams),
-                    seed: cfg.seed,
-                };
-            }
-            // One stratum (or a collapsed plan): take the flat fast path
-            // with the resolved params — bit-identical to the uniform
-            // planner by the StratifiedPlan arithmetic.
-            let params = sparams.strata()[0];
-            let store = build_store(params, n_sets, cfg.seed, &set);
-            return ProbGraphIn {
-                store,
-                sizes: Cow::Owned(sizes),
-                bf_estimator: cfg.bf_estimator,
-                params,
-                stratified: None,
-                seed: cfg.seed,
-            };
-        }
-        let params = resolve_params(n_sets, base_bytes, cfg);
-        let store = build_store(params, n_sets, cfg.seed, &set);
+        // Stratified geometry needs the degree distribution, which is
+        // exactly the size array just computed.
+        let params = resolve_stratified(n_sets, base_bytes, cfg, &sizes);
         ProbGraphIn {
-            store,
+            store: build_store(&params, n_sets, cfg.seed, &set),
             sizes: Cow::Owned(sizes),
             bf_estimator: cfg.bf_estimator,
             params,
-            stratified: None,
             seed: cfg.seed,
         }
     }
@@ -352,26 +321,16 @@ impl<'a> ProbGraphIn<'a> {
     where
         F: Fn(usize) -> &'s [u32] + Sync,
     {
-        let store = build_store(params, n_sets, seed, &set);
-        let mut sizes = vec![0u32; n_sets];
-        pg_parallel::parallel_fill_with(&mut sizes, |i| set(i).len() as u32);
-        ProbGraphIn {
-            store,
-            sizes: Cow::Owned(sizes),
-            bf_estimator,
-            params,
-            stratified: None,
-            seed,
-        }
+        let sparams = StratifiedParams::uniform(params);
+        Self::build_rows_stratified(n_sets, sparams, bf_estimator, seed, set)
     }
 
-    /// Stratified sibling of [`ProbGraph::build_rows`]: builds sketches
-    /// over `n_sets` sorted sets with an **already-resolved** per-stratum
-    /// parameter table and per-set assignment (`sparams.assign()` must
-    /// cover exactly these rows). Row `i`'s sketch depends only on
-    /// `(sparams.params_of(i), seed, set(i))`, so sub-stores built here
-    /// over row ranges are bit-identical, row for row, to the full build —
-    /// the same property the distributed exchange relies on uniformly.
+    /// [`ProbGraph::build_rows`] under a per-stratum parameter table and
+    /// per-set assignment (`sparams.assign()` must cover exactly these
+    /// rows unless the table has one stratum). Row `i`'s sketch depends
+    /// only on `(sparams.params_of(i), seed, set(i))`, so sub-stores built
+    /// here over row ranges are bit-identical, row for row, to the full
+    /// build.
     pub fn build_rows_stratified<'s, F>(
         n_sets: usize,
         sparams: StratifiedParams,
@@ -382,23 +341,13 @@ impl<'a> ProbGraphIn<'a> {
     where
         F: Fn(usize) -> &'s [u32] + Sync,
     {
-        assert_eq!(
-            sparams.assign().len(),
-            n_sets,
-            "assignment must cover every row"
-        );
         let mut sizes = vec![0u32; n_sets];
         pg_parallel::parallel_fill_with(&mut sizes, |i| set(i).len() as u32);
-        if sparams.is_uniform() {
-            return Self::build_rows(n_sets, sparams.strata()[0], bf_estimator, seed, set);
-        }
-        let store = build_store_stratified(&sparams, seed, &set);
         ProbGraphIn {
-            store,
+            store: build_store(&sparams, n_sets, seed, &set),
             sizes: Cow::Owned(sizes),
             bf_estimator,
-            params: sparams.strata()[0],
-            stratified: Some(sparams),
+            params: sparams,
             seed,
         }
     }
@@ -411,7 +360,6 @@ impl<'a> ProbGraphIn<'a> {
             sizes: Cow::Owned(self.sizes.into_owned()),
             bf_estimator: self.bf_estimator,
             params: self.params,
-            stratified: self.stratified,
             seed: self.seed,
         }
     }
@@ -432,8 +380,7 @@ impl<'a> ProbGraphIn<'a> {
         store: SketchStoreIn<'a>,
         sizes: impl Into<Cow<'a, [u32]>>,
         bf_estimator: BfEstimator,
-        params: SketchParams,
-        stratified: Option<StratifiedParams>,
+        params: StratifiedParams,
         seed: u64,
     ) -> ProbGraphIn<'a> {
         ProbGraphIn {
@@ -441,7 +388,6 @@ impl<'a> ProbGraphIn<'a> {
             sizes: sizes.into(),
             bf_estimator,
             params,
-            stratified,
             seed,
         }
     }
@@ -469,15 +415,22 @@ impl<'a> ProbGraphIn<'a> {
     /// use [`ProbGraph::stratified_params`] for the full per-set geometry.
     #[inline]
     pub fn params(&self) -> SketchParams {
-        self.params
+        self.params.strata()[0]
     }
 
     /// The full per-set geometry when the graph was built under a
-    /// multi-stratum [`StrataSpec`]; `None` on the uniform fast path
+    /// multi-stratum [`StrataSpec`]; `None` on the uniform layout
     /// (including one-stratum and collapsed specs).
     #[inline]
     pub fn stratified_params(&self) -> Option<&StratifiedParams> {
-        self.stratified.as_ref()
+        (!self.params.is_uniform()).then_some(&self.params)
+    }
+
+    /// The resolved parameter table in every case — the one-stratum
+    /// table (no assignment array) on the uniform layout.
+    #[inline]
+    pub fn resolved_params(&self) -> &StratifiedParams {
+        &self.params
     }
 
     /// The underlying sketches (for algorithms needing membership queries
@@ -832,34 +785,18 @@ impl MutableOracle for SketchStoreIn<'_> {
 /// a `n_sets`-set graph with CSR footprint `base_bytes` under `cfg` — the
 /// **one** place budget planning happens, shared with the serving layer so
 /// shard lanes resolve against the *global* set count and footprint and
-/// end up parameter-identical to a serial build.
+/// end up parameter-identical to a serial build. A spec-less `cfg` plans
+/// the one-stratum [`StrataSpec::uniform`] table, which is exactly the
+/// uniform [`BudgetPlan`]; otherwise the budget is split per
+/// degree-quantile stratum by [`StratifiedPlan`], and `degrees` drives
+/// the assignment (set `i` → stratum by descending-degree rank).
 ///
-/// The strict `BudgetPlan` planners reject budgets below one slot
-/// (`PlanError::BudgetTooSmall`); ProbGraph explicitly opts into the
-/// minimal sketch instead — on the degenerate graphs where a sane `s`
-/// still cannot pay for one slot (a few dozen vertices), overshooting the
-/// budget by a handful of bytes per set beats refusing to build. Real
-/// deployments planning real budgets should use the `try_*` planners and
-/// surface the error.
-pub(crate) fn resolve_params(n_sets: usize, base_bytes: usize, cfg: &PgConfig) -> SketchParams {
-    let plan = BudgetPlan::new(base_bytes, n_sets, cfg.budget);
-    match cfg.representation {
-        Representation::Bloom { b } => plan.bloom(b),
-        Representation::CountingBloom { b } => plan.counting_bloom(b),
-        Representation::KHash => plan.try_khash().unwrap_or(SketchParams::KHash { k: 1 }),
-        Representation::OneHash => plan.try_onehash().unwrap_or(SketchParams::OneHash { k: 1 }),
-        Representation::Kmv => plan.try_kmv().unwrap_or(SketchParams::Kmv { k: 1 }),
-        Representation::Hll => plan.hll(),
-    }
-}
-
-/// Resolves **stratified** sketch parameters: the same total budget as
-/// [`resolve_params`], split per degree-quantile stratum by
-/// [`StratifiedPlan`]. `degrees` drives the assignment (set `i` →
-/// stratum by descending-degree rank). Mirrors [`resolve_params`]'
-/// opt-into-the-minimal-sketch stance: where the strict stratified
-/// planners reject a stratum's share, the whole plan falls back to the
-/// minimal uniform sketch rather than refusing to build.
+/// The strict planners reject budgets below one slot; ProbGraph
+/// explicitly opts into the minimal uniform sketch instead — on the
+/// degenerate graphs where a sane `s` still cannot pay for one slot (a
+/// few dozen vertices), overshooting the budget by a handful of bytes per
+/// set beats refusing to build. Real deployments planning real budgets
+/// should use the `try_*` planners and surface the error.
 pub(crate) fn resolve_stratified(
     n_sets: usize,
     base_bytes: usize,
@@ -868,7 +805,7 @@ pub(crate) fn resolve_stratified(
 ) -> StratifiedParams {
     let spec = cfg.strata.clone().unwrap_or_else(StrataSpec::uniform);
     let plan = StratifiedPlan::new(BudgetPlan::new(base_bytes, n_sets, cfg.budget), spec);
-    let min_uniform = |p: SketchParams| StratifiedParams::new(vec![p], vec![0u8; n_sets]);
+    let min_uniform = StratifiedParams::uniform;
     match cfg.representation {
         Representation::Bloom { b } => plan.bloom(degrees, b),
         Representation::CountingBloom { b } => plan.counting_bloom(degrees, b),
@@ -885,13 +822,13 @@ pub(crate) fn resolve_stratified(
     }
 }
 
-/// Builds the concrete store for already-resolved `params` over `n_sets`
-/// sets. The params variant determines the representation, so a store
-/// built here always matches its params — serving constructs per-shard
-/// lanes (and empty snapshot buffers) with globally-resolved params but
-/// local set counts.
+/// Builds the concrete store for already-resolved parameters over
+/// `n_sets` sets, laid out by [`StratifiedParams::geometry`]. The params
+/// variant determines the representation, so a store built here always
+/// matches its params — serving constructs per-shard lanes (and empty
+/// snapshot buffers) with globally-resolved params but local set counts.
 pub(crate) fn build_store<'a, F>(
-    params: SketchParams,
+    sparams: &StratifiedParams,
     n_sets: usize,
     seed: u64,
     set: F,
@@ -899,102 +836,31 @@ pub(crate) fn build_store<'a, F>(
 where
     F: Fn(usize) -> &'a [u32] + Sync,
 {
-    match params {
-        SketchParams::Bloom { bits_per_set, b } => {
-            SketchStoreIn::Bloom(BloomCollection::build(n_sets, bits_per_set, b, seed, set))
-        }
-        SketchParams::CountingBloom { bits_per_set, b } => SketchStoreIn::CountingBloom(
-            CountingBloomCollection::build(n_sets, bits_per_set, b, seed, set),
-        ),
-        SketchParams::KHash { k } => {
-            SketchStoreIn::KHash(MinHashCollection::build(n_sets, k, seed, set))
-        }
-        SketchParams::OneHash { k } => {
-            SketchStoreIn::OneHash(BottomKCollection::build(n_sets, k, seed, set))
-        }
-        SketchParams::Kmv { k } => SketchStoreIn::Kmv(KmvCollection::build(n_sets, k, seed, set)),
-        SketchParams::Hll { precision } => {
-            SketchStoreIn::Hll(HyperLogLogCollection::build(n_sets, precision, seed, set))
-        }
-    }
-}
-
-/// Stratified sibling of [`build_store`]: dispatches the per-stratum
-/// parameter table to the matching collection's `build_stratified`. Every
-/// stratum must resolve to the same representation variant (and hash
-/// count) — [`StratifiedPlan`] guarantees it; hand-rolled tables that mix
-/// variants panic here.
-pub(crate) fn build_store_stratified<'a, F>(
-    sparams: &StratifiedParams,
-    seed: u64,
-    set: F,
-) -> SketchStore
-where
-    F: Fn(usize) -> &'a [u32] + Sync,
-{
-    let assign = sparams.assign().to_vec();
+    let geom = sparams.geometry(n_sets);
     match sparams.strata()[0] {
         SketchParams::Bloom { b, .. } => {
-            let bits = stratum_table(sparams, |p| match p {
-                SketchParams::Bloom {
-                    bits_per_set,
-                    b: b2,
-                } if *b2 == b => *bits_per_set as u32,
-                _ => panic!("stratified params mix representations: {p:?}"),
-            });
-            SketchStoreIn::Bloom(BloomCollection::build_stratified(
-                bits, assign, b, seed, set,
-            ))
+            SketchStoreIn::Bloom(BloomCollection::build_on(geom, b, seed, set))
         }
         SketchParams::CountingBloom { b, .. } => {
-            let bits = stratum_table(sparams, |p| match p {
-                SketchParams::CountingBloom {
-                    bits_per_set,
-                    b: b2,
-                } if *b2 == b => *bits_per_set as u32,
-                _ => panic!("stratified params mix representations: {p:?}"),
-            });
-            SketchStoreIn::CountingBloom(CountingBloomCollection::build_stratified(
-                bits, assign, b, seed, set,
-            ))
+            SketchStoreIn::CountingBloom(CountingBloomCollection::build_on(geom, b, seed, set))
         }
         SketchParams::KHash { .. } => {
-            let ks = stratum_table(sparams, |p| match p {
-                SketchParams::KHash { k } => *k as u32,
-                _ => panic!("stratified params mix representations: {p:?}"),
-            });
-            SketchStoreIn::KHash(MinHashCollection::build_stratified(ks, assign, seed, set))
+            SketchStoreIn::KHash(MinHashCollection::build_on(geom, seed, set))
         }
         SketchParams::OneHash { .. } => {
-            let ks = stratum_table(sparams, |p| match p {
-                SketchParams::OneHash { k } => *k as u32,
-                _ => panic!("stratified params mix representations: {p:?}"),
-            });
-            SketchStoreIn::OneHash(BottomKCollection::build_stratified(ks, assign, seed, set))
+            SketchStoreIn::OneHash(BottomKCollection::build_on(geom, seed, set))
         }
-        SketchParams::Kmv { .. } => {
-            let ks = stratum_table(sparams, |p| match p {
-                SketchParams::Kmv { k } => *k as u32,
-                _ => panic!("stratified params mix representations: {p:?}"),
-            });
-            SketchStoreIn::Kmv(KmvCollection::build_stratified(ks, assign, seed, set))
-        }
+        SketchParams::Kmv { .. } => SketchStoreIn::Kmv(KmvCollection::build_on(geom, seed, set)),
         SketchParams::Hll { .. } => {
-            let ps = stratum_table(sparams, |p| match p {
-                SketchParams::Hll { precision } => *precision,
-                _ => panic!("stratified params mix representations: {p:?}"),
-            });
-            SketchStoreIn::Hll(HyperLogLogCollection::build_stratified(
-                ps, assign, seed, set,
-            ))
+            SketchStoreIn::Hll(HyperLogLogCollection::build_on(geom, seed, set))
         }
     }
 }
 
-/// Maps the per-stratum parameter table through `f` (width/`k`/precision
-/// extraction per representation).
-fn stratum_table<T>(sparams: &StratifiedParams, f: impl Fn(&SketchParams) -> T) -> Vec<T> {
-    sparams.strata().iter().map(f).collect()
+/// An empty (zero-set) store under `sparams`' stratum table — the target
+/// the publish and exchange paths gather parts into.
+pub(crate) fn empty_store(sparams: &StratifiedParams, seed: u64) -> SketchStore {
+    build_store(&sparams.select([]), 0, seed, |_| &[][..])
 }
 
 /// The shared removal-unsupported panic (same message as the

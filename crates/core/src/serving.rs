@@ -31,8 +31,9 @@
 //!   contiguous range while sharing the stratum parameter table, so
 //!   per-lane builds stay bit-identical to the matching rows of
 //!   [`ProbGraph::build_rows_stratified`] and the publish gather
-//!   re-concatenates assignments along with the flat arrays. Resolved
-//!   geometry (from a real degree distribution) enters through
+//!   re-concatenates assignments along with the flat arrays (the uniform
+//!   table has no assignment to slice). Resolved geometry (from a real
+//!   degree distribution) enters through
 //!   [`ShardedProbGraph::with_shards_stratified`]; a [`PgConfig`] carrying
 //!   a strata spec plans against the empty stream exactly like
 //!   [`ProbGraph::stream_from`] does.
@@ -69,8 +70,8 @@
 
 use crate::oracle::{MutableOracle, OracleVisitor, UnsupportedOperation};
 use crate::pg::{
-    build_store, build_store_stratified, gather_store_into, resolve_params, resolve_stratified,
-    Edge, PgConfig, ProbGraph, SketchStore,
+    build_store, empty_store, gather_store_into, resolve_stratified, Edge, PgConfig, ProbGraph,
+    SketchStore,
 };
 use pg_graph::VertexId;
 use pg_parallel::{EpochCell, EpochGuard};
@@ -147,10 +148,9 @@ pub struct ShardedProbGraph {
     spares: Vec<ProbGraph>,
     pending: usize,
     cfg: PgConfig,
-    params: SketchParams,
-    /// Full per-set geometry when the lanes are degree-stratified;
-    /// `None` on the uniform fast path (including collapsed specs).
-    stratified: Option<StratifiedParams>,
+    /// The resolved parameter table (one stratum, no assignment array, on
+    /// the uniform layout) — identical across lanes and epochs.
+    params: StratifiedParams,
     n: usize,
 }
 
@@ -171,7 +171,12 @@ impl ShardedProbGraph {
     /// `base_bytes` is the CSR footprint the budget is measured against,
     /// exactly as in [`ProbGraph::stream_from`].
     pub fn new(n_vertices: usize, base_bytes: usize, cfg: &PgConfig) -> Self {
-        let params = resolve_params(n_vertices, base_bytes, cfg);
+        // Lanes are sized off the uniform store, whatever the strata spec.
+        let uniform = PgConfig {
+            strata: None,
+            ..cfg.clone()
+        };
+        let params = resolve_stratified(n_vertices, base_bytes, &uniform, &[]).strata()[0];
         let store_bytes = store_bytes_estimate(params, n_vertices);
         let topo_cap = (store_bytes / pg_parallel::tile_bytes()).max(1);
         let shards = pg_parallel::current_shards().min(topo_cap);
@@ -194,88 +199,64 @@ impl ShardedProbGraph {
         cfg: &PgConfig,
         shards: usize,
     ) -> Self {
-        if cfg.strata.is_some() {
-            let sparams = resolve_stratified(n_vertices, base_bytes, cfg, &vec![0u32; n_vertices]);
-            return Self::with_shards_stratified(n_vertices, cfg, shards, sparams);
-        }
-        let params = resolve_params(n_vertices, base_bytes, cfg);
-        Self::from_resolved(n_vertices, cfg, shards, params, None)
+        let sparams = resolve_stratified(n_vertices, base_bytes, cfg, &vec![0u32; n_vertices]);
+        Self::with_shards_stratified(n_vertices, cfg, shards, sparams)
     }
 
     /// Creates an empty sharded graph from **already-resolved** stratified
     /// geometry — the streaming layer cannot re-derive degree ranks from
     /// an empty stream, so callers that planned against a real degree
     /// distribution (a prior epoch, a snapshot, an offline build) pass the
-    /// resolved [`StratifiedParams`] in whole. `sparams.assign()` must
-    /// cover exactly `n_vertices` sets. Collapsed or one-stratum geometry
-    /// lowers onto the uniform lanes bit-identically.
+    /// resolved [`StratifiedParams`] in whole. A multi-stratum
+    /// `sparams.assign()` must cover exactly `n_vertices` sets. Collapsed
+    /// or one-stratum geometry is the uniform layout.
+    ///
+    /// Lanes get contiguous bounds and empty stores that slice the global
+    /// assignment and share the stratum table, mirroring
+    /// [`ProbGraph::build_rows_stratified`]'s row-range property; the
+    /// epoch-0 snapshot is the empty graph.
     pub fn with_shards_stratified(
         n_vertices: usize,
         cfg: &PgConfig,
         shards: usize,
         sparams: StratifiedParams,
     ) -> Self {
-        assert_eq!(
-            sparams.assign().len(),
-            n_vertices,
-            "assignment must cover every vertex"
-        );
-        let sparams = sparams.collapsed();
-        let params = sparams.strata()[0];
-        let stratified = if sparams.is_uniform() {
-            None
-        } else {
-            Some(sparams)
-        };
-        Self::from_resolved(n_vertices, cfg, shards, params, stratified)
-    }
-
-    /// Shared constructor core over resolved geometry: contiguous lane
-    /// bounds, per-lane empty stores (stratified lanes slice the global
-    /// assignment and share the stratum table, mirroring
-    /// [`ProbGraph::build_rows_stratified`]'s row-range property), and the
-    /// epoch-0 empty snapshot.
-    fn from_resolved(
-        n_vertices: usize,
-        cfg: &PgConfig,
-        shards: usize,
-        params: SketchParams,
-        stratified: Option<StratifiedParams>,
-    ) -> Self {
         assert!(
             n_vertices <= u32::MAX as usize,
             "vertex universe exceeds u32 ids"
         );
+        let params = sparams.collapsed();
+        if !params.is_uniform() {
+            assert_eq!(
+                params.assign().len(),
+                n_vertices,
+                "assignment must cover every vertex"
+            );
+        }
         let shards = shards.clamp(1, n_vertices.max(1));
         let mut bounds = Vec::with_capacity(shards + 1);
         for s in 0..=shards {
             bounds.push((n_vertices * s / shards) as u32);
         }
-        let empty_store = |lo: usize, hi: usize| match &stratified {
-            Some(sp) => build_store_stratified(
-                &StratifiedParams::new(sp.strata().to_vec(), sp.assign()[lo..hi].to_vec()),
-                cfg.seed,
-                |_| &[][..],
-            ),
-            None => build_store(params, hi - lo, cfg.seed, |_| &[][..]),
+        let empty_rows = |lo: usize, hi: usize| {
+            build_store(&params.select(lo..hi), hi - lo, cfg.seed, |_| &[][..])
         };
         let lanes = bounds
             .windows(2)
             .map(|w| {
                 let n_local = (w[1] - w[0]) as usize;
                 Lane {
-                    store: empty_store(w[0] as usize, w[1] as usize),
+                    store: empty_rows(w[0] as usize, w[1] as usize),
                     sizes: vec![0u32; n_local],
                     queue: Vec::new(),
                 }
             })
             .collect();
         let initial = ProbGraph::from_parts(
-            empty_store(0, n_vertices),
+            empty_rows(0, n_vertices),
             vec![0u32; n_vertices],
             cfg.bf_estimator,
-            params,
-            stratified.clone(),
+            params.clone(),
             cfg.seed,
         );
         ShardedProbGraph {
@@ -286,7 +267,6 @@ impl ShardedProbGraph {
             pending: 0,
             cfg: cfg.clone(),
             params,
-            stratified,
             n: n_vertices,
         }
     }
@@ -315,15 +295,15 @@ impl ShardedProbGraph {
     /// [`ShardedProbGraph::stratified_params`] for the full geometry.
     #[inline]
     pub fn params(&self) -> SketchParams {
-        self.params
+        self.params.strata()[0]
     }
 
     /// The full per-set geometry when the lanes are degree-stratified;
-    /// `None` on the uniform fast path (including one-stratum and
-    /// collapsed specs). Identical across lanes and published epochs.
+    /// `None` on the uniform layout (including one-stratum and collapsed
+    /// specs). Identical across lanes and published epochs.
     #[inline]
     pub fn stratified_params(&self) -> Option<&StratifiedParams> {
-        self.stratified.as_ref()
+        (!self.params.is_uniform()).then_some(&self.params)
     }
 
     /// The epoch of the latest published snapshot (0 = the initial empty
@@ -343,7 +323,7 @@ impl ShardedProbGraph {
     /// (counting Bloom).
     #[inline]
     pub fn remove_supported(&self) -> bool {
-        matches!(self.params, SketchParams::CountingBloom { .. })
+        matches!(self.params(), SketchParams::CountingBloom { .. })
     }
 
     /// Stages a batch of new undirected edges on the per-shard queues
@@ -487,11 +467,10 @@ impl ShardedProbGraph {
             // (adopting the lanes' stratum tables when stratified), after
             // which it cycles through the double buffer at capacity.
             ProbGraph::from_parts(
-                build_store(self.params, 0, self.cfg.seed, |_| &[][..]),
+                empty_store(&self.params, self.cfg.seed),
                 Vec::new(),
                 self.cfg.bf_estimator,
-                self.params,
-                self.stratified.clone(),
+                self.params.clone(),
                 self.cfg.seed,
             )
         });
@@ -829,7 +808,7 @@ mod tests {
     #[test]
     fn one_stratum_geometry_lowers_onto_uniform_lanes() {
         let cfg = PgConfig::new(Representation::Kmv, 0.3);
-        let params = crate::pg::resolve_params(100, 4096, &cfg);
+        let params = crate::pg::resolve_stratified(100, 4096, &cfg, &[]).strata()[0];
         let sp = StratifiedParams::new(vec![params], vec![0u8; 100]);
         let srv = ShardedProbGraph::with_shards_stratified(100, &cfg, 3, sp);
         assert!(srv.stratified_params().is_none());

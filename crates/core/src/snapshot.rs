@@ -82,7 +82,7 @@ use crate::pg::{BfEstimator, ProbGraph, ProbGraphIn, SketchStoreIn};
 use pg_hash::{xxh64, HashFamily};
 use pg_sketch::{
     BloomCollectionIn, BottomKCollectionIn, CountingBloomCollectionIn, HyperLogLogCollectionIn,
-    KmvCollectionIn, KmvSketchIn, MinHashCollectionIn, SketchParams, StratifiedParams,
+    KmvCollectionIn, KmvSketchIn, MinHashCollectionIn, SetGeometry, SketchParams, StratifiedParams,
     MAX_BLOOM_HASHES, MAX_STRATA,
 };
 
@@ -810,7 +810,7 @@ fn decode_in(bytes: &[u8]) -> Result<ProbGraphIn<'_>, SnapshotError> {
         payloads.push(payload);
         off += len as usize;
     }
-    build_store(&h, est, &entries, &payloads)
+    decode_store(&h, est, &entries, &payloads)
 }
 
 /// The decoded stratified bracket sections: per-stratum wire parameter
@@ -818,21 +818,6 @@ fn decode_in(bytes: &[u8]) -> Result<ProbGraphIn<'_>, SnapshotError> {
 struct StratumTable<'a> {
     pairs: Vec<(u64, u64)>,
     assign: &'a [u8],
-}
-
-impl StratumTable<'_> {
-    fn n_strata(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Sets per stratum.
-    fn counts(&self) -> Vec<u64> {
-        let mut c = vec![0u64; self.pairs.len()];
-        for &a in self.assign {
-            c[a as usize] += 1;
-        }
-        c
-    }
 }
 
 /// Validates and decodes the stratified bracket sections (the first and
@@ -882,26 +867,18 @@ fn parse_stratum_table<'a>(
     Ok(StratumTable { pairs, assign })
 }
 
-/// Σ of per-stratum byte counts with overflow mapped to `BadParams`.
-fn checked_total(
-    parts: impl Iterator<Item = Result<u64, SnapshotError>>,
-) -> Result<u64, SnapshotError> {
-    let mut total = 0u64;
-    for p in parts {
-        total = total
-            .checked_add(p?)
-            .ok_or_else(|| bad_params("section size overflows"))?;
-    }
-    Ok(total)
+/// A window width read off the wire, as an in-memory slot count.
+fn slots(w: u64) -> Result<usize, SnapshotError> {
+    usize::try_from(w).map_err(|_| bad_params(format!("width {w} exceeds the address space")))
 }
 
-/// Mirrors the stratified Bloom geometry preconditions so hostile tables
-/// surface as typed errors instead of constructor panics: every width a
-/// positive whole-word count, every pair of widths related by a
-/// power-of-two factor of at most 64 (the fold kernels' requirement), and
-/// one hash count shared by all strata.
-fn validate_bloom_strata(pairs: &[(u64, u64)], header_b: u64) -> Result<Vec<u32>, SnapshotError> {
-    let mut bits = Vec::with_capacity(pairs.len());
+/// Mirrors the Bloom width rules so hostile tables surface as typed
+/// errors instead of constructor panics: every width a positive whole-word
+/// count, every pair of widths related by a power-of-two factor of at most
+/// 64 (the fold kernels' requirement), and one hash count shared by all
+/// strata. Returns the per-stratum widths in words.
+fn validate_bloom_strata(pairs: &[(u64, u64)], header_b: u64) -> Result<Vec<usize>, SnapshotError> {
+    let mut words = Vec::with_capacity(pairs.len());
     for (s, &(w, b)) in pairs.iter().enumerate() {
         if w == 0 || w % 64 != 0 {
             return Err(bad_params(format!(
@@ -913,26 +890,26 @@ fn validate_bloom_strata(pairs: &[(u64, u64)], header_b: u64) -> Result<Vec<u32>
                 "stratum {s} hash count {b} disagrees with the header's {header_b}"
             )));
         }
-        bits.push(
-            u32::try_from(w)
-                .map_err(|_| bad_params(format!("stratum {s} Bloom width {w} exceeds u32")))?,
-        );
+        words.push(slots(w / 64)?);
     }
-    let min_w = *bits.iter().min().expect("≥ 2 strata") as u64;
-    for (s, &w) in bits.iter().enumerate() {
-        let r = w as u64 / min_w;
-        if !(w as u64).is_multiple_of(min_w) || !r.is_power_of_two() || r > 64 {
+    let min_w = *words.iter().min().expect("≥ 1 stratum");
+    for (s, &w) in words.iter().enumerate() {
+        let r = w / min_w;
+        if !w.is_multiple_of(min_w) || !r.is_power_of_two() || r > 64 {
             return Err(bad_params(format!(
-                "stratum {s} width {w} is not a power-of-two multiple (≤ 64×) of the \
-                 narrowest stratum's {min_w}"
+                "stratum {s} width {} is not a power-of-two multiple (≤ 64×) of the \
+                 narrowest stratum's {}",
+                w * 64,
+                min_w * 64
             )));
         }
     }
-    Ok(bits)
+    Ok(words)
 }
 
-/// Per-stratum `k`-style parameters: `k ≥ 1`, fits `u32`, param B zero.
-fn validate_k_strata(pairs: &[(u64, u64)], what: &str) -> Result<Vec<u32>, SnapshotError> {
+/// Per-stratum `k`-style parameters: `k ≥ 1`, param B zero. Returns the
+/// per-stratum `k`s.
+fn validate_k_strata(pairs: &[(u64, u64)], what: &str) -> Result<Vec<usize>, SnapshotError> {
     let mut ks = Vec::with_capacity(pairs.len());
     for (s, &(k, b)) in pairs.iter().enumerate() {
         if k == 0 {
@@ -943,12 +920,82 @@ fn validate_k_strata(pairs: &[(u64, u64)], what: &str) -> Result<Vec<u32>, Snaps
                 "stratum {s} param B must be 0 for {what}"
             )));
         }
-        ks.push(
-            u32::try_from(k)
-                .map_err(|_| bad_params(format!("stratum {s} {what} k {k} exceeds u32")))?,
-        );
+        ks.push(slots(k)?);
     }
     Ok(ks)
+}
+
+/// Per-stratum HLL precisions in `4..=16`, param B zero. Returns the
+/// per-stratum register counts.
+fn validate_hll_strata(pairs: &[(u64, u64)]) -> Result<Vec<usize>, SnapshotError> {
+    let mut widths = Vec::with_capacity(pairs.len());
+    for (s, &(p, b)) in pairs.iter().enumerate() {
+        if !(4..=16).contains(&p) {
+            return Err(bad_params(format!(
+                "stratum {s} HLL precision {p} outside 4..=16"
+            )));
+        }
+        if b != 0 {
+            return Err(bad_params(format!("stratum {s} param B must be 0 for HLL")));
+        }
+        widths.push(1usize << p);
+    }
+    Ok(widths)
+}
+
+/// Validates the header's own parameter pair and returns it as the store's
+/// stratum-0 [`SketchParams`].
+fn header_params(h: &Header, base_tag: u32) -> Result<SketchParams, SnapshotError> {
+    let (a, b) = (h.param_a, h.param_b);
+    match base_tag {
+        0 | 1 => {
+            if a == 0 || a % 64 != 0 {
+                return Err(bad_params(format!(
+                    "Bloom width {a} is not a positive multiple of 64"
+                )));
+            }
+            if b == 0 || b > MAX_BLOOM_HASHES as u64 {
+                return Err(bad_params(format!(
+                    "Bloom hash count {b} outside 1..={MAX_BLOOM_HASHES}"
+                )));
+            }
+        }
+        2 => {
+            if a == 0 {
+                return Err(bad_params("MinHash k must be ≥ 1"));
+            }
+            if b != 0 {
+                return Err(bad_params("param B must be 0 for k-hash MinHash"));
+            }
+        }
+        3 => {
+            if a == 0 {
+                return Err(bad_params("bottom-k k must be ≥ 1"));
+            }
+            if b > 1 {
+                return Err(bad_params(format!("bottom-k strided flag {b} not 0/1")));
+            }
+        }
+        4 => {
+            if a == 0 {
+                return Err(bad_params("KMV k must be ≥ 1"));
+            }
+            if b != 0 {
+                return Err(bad_params("param B must be 0 for KMV"));
+            }
+        }
+        5 => {
+            if !(4..=16).contains(&a) {
+                return Err(bad_params(format!("HLL precision {a} outside 4..=16")));
+            }
+            if b != 0 {
+                return Err(bad_params("param B must be 0 for HLL"));
+            }
+        }
+        // `layout_for` already rejected unknown tags.
+        tag => return Err(SnapshotError::BadRepresentation { tag }),
+    }
+    Ok(stratum_sketch_params(base_tag, a, b))
 }
 
 /// Rebuilds one stratum's [`SketchParams`] from its validated wire pair.
@@ -975,7 +1022,7 @@ fn stratum_sketch_params(base_tag: u32, a: u64, b: u64) -> SketchParams {
 /// The store borrows any payload it can serve in place (see the zero-copy
 /// helpers above); the caller decides whether to keep the borrow or
 /// `into_owned()` it.
-fn build_store<'a>(
+fn decode_store<'a>(
     h: &Header,
     est: BfEstimator,
     entries: &[(SectionKind, u64, u64)],
@@ -1001,159 +1048,80 @@ fn build_store<'a>(
     } else {
         None
     };
-    let (params, store) = match base_tag {
-        0 | 1 => {
-            let (bits, b) = (h.param_a, h.param_b);
-            if bits == 0 || bits % 64 != 0 {
-                return Err(bad_params(format!(
-                    "Bloom width {bits} is not a positive multiple of 64"
-                )));
+    let header = header_params(h, base_tag)?;
+    // The per-stratum wire pairs: the validated table, or the header's own
+    // pair for a uniform store. Each representation validates its width
+    // rules over them once.
+    let pairs = strat
+        .as_ref()
+        .map_or_else(|| vec![stratum_pair(&header)], |st| st.pairs.clone());
+    let widths = match base_tag {
+        0 | 1 => validate_bloom_strata(&pairs, h.param_b)?,
+        2 => validate_k_strata(&pairs, "MinHash")?,
+        3 => validate_k_strata(&pairs, "bottom-k")?,
+        4 => validate_k_strata(&pairs, "KMV")?,
+        _ => validate_hll_strata(&pairs)?,
+    };
+    // The one window layout every section is checked against.
+    let geom = match &strat {
+        Some(st) => SetGeometry::stratified(widths, st.assign),
+        None => SetGeometry::uniform(n_us, widths[0]),
+    };
+    let total = geom.total() as u64;
+    let (b, seed) = (h.param_b as usize, h.seed);
+    let store = match base_tag {
+        0 => {
+            let (w_at, o_at) = (idx(BloomWords), idx(BloomOnes));
+            check_len(BloomWords, entries[w_at].1, expected_bytes(total, 8)?)?;
+            check_len(BloomOnes, entries[o_at].1, expected_bytes(n, 4)?)?;
+            let words = cow_u64s(payloads[w_at]);
+            let ones = cow_u32s(payloads[o_at]);
+            let col = BloomCollectionIn::from_raw_words(words, geom, b, seed);
+            // The constructor recounts every filter; the persisted cache
+            // must agree bit for bit.
+            if col.raw_ones() != &ones[..] {
+                return Err(invariant(
+                    BloomOnes,
+                    "persisted popcount cache disagrees with the recounted filter words",
+                ));
             }
-            if b == 0 || b > MAX_BLOOM_HASHES as u64 {
-                return Err(bad_params(format!(
-                    "Bloom hash count {b} outside 1..={MAX_BLOOM_HASHES}"
-                )));
+            SketchStoreIn::Bloom(col)
+        }
+        1 => {
+            // 4-bit counters, 16 per word — 4× the read view's bytes.
+            let (c_at, v_at) = (idx(CbfCounters), idx(CbfView));
+            check_len(CbfCounters, entries[c_at].1, expected_bytes(total, 32)?)?;
+            check_len(CbfView, entries[v_at].1, expected_bytes(total, 8)?)?;
+            let counters = cow_u64s(payloads[c_at]);
+            let view = cow_u64s(payloads[v_at]);
+            let col = CountingBloomCollectionIn::from_counter_words(counters, geom, b, seed);
+            // The read view is fully determined by the counters
+            // (counter > 0 ⇔ bit set); a mismatch means one of the two
+            // sections is stale or forged.
+            if col.read_view().raw_words() != &view[..] {
+                return Err(invariant(
+                    CbfView,
+                    "persisted read view disagrees with the view derived from the \
+                     counters (counter > 0 ⇔ bit set)",
+                ));
             }
-            let view_words = bits / 64;
-            // Per-set widths: uniform stores repeat the header's, a
-            // stratified store reads them off the (validated) table.
-            let strata_bits = strat
-                .as_ref()
-                .map(|st| validate_bloom_strata(&st.pairs, b))
-                .transpose()?;
-            let word_bytes_total = match (&strat, &strata_bits) {
-                (Some(st), Some(bits_v)) => checked_total(
-                    st.counts()
-                        .iter()
-                        .zip(bits_v)
-                        .map(|(&c, &w)| expected_bytes(c, w as u64 / 8)),
-                )?,
-                _ => expected_bytes(n, view_words * 8)?,
-            };
-            if base_tag == 0 {
-                let (w_at, o_at) = (idx(BloomWords), idx(BloomOnes));
-                check_len(BloomWords, entries[w_at].1, word_bytes_total)?;
-                check_len(BloomOnes, entries[o_at].1, expected_bytes(n, 4)?)?;
-                let words = cow_u64s(payloads[w_at]);
-                let ones = cow_u32s(payloads[o_at]);
-                let col = match (&strat, strata_bits) {
-                    (Some(st), Some(bits_v)) => BloomCollectionIn::from_raw_words_stratified(
-                        words, bits_v, st.assign, b as usize, h.seed,
-                    ),
-                    _ => BloomCollectionIn::from_raw_words(
-                        words,
-                        view_words as usize,
-                        b as usize,
-                        h.seed,
-                    ),
-                };
-                // The constructor recounts every filter; the persisted
-                // cache must agree bit for bit.
-                if col.raw_ones() != &ones[..] {
-                    return Err(invariant(
-                        BloomOnes,
-                        "persisted popcount cache disagrees with the recounted filter words",
-                    ));
-                }
-                (
-                    SketchParams::Bloom {
-                        bits_per_set: bits as usize,
-                        b: b as usize,
-                    },
-                    SketchStoreIn::Bloom(col),
-                )
-            } else {
-                // 4-bit counters, 16 per word — 4× the read view's bytes,
-                // per stratum and in total.
-                let (c_at, v_at) = (idx(CbfCounters), idx(CbfView));
-                let counter_bytes_total = word_bytes_total
-                    .checked_mul(4)
-                    .ok_or_else(|| bad_params("section size overflows"))?;
-                check_len(CbfCounters, entries[c_at].1, counter_bytes_total)?;
-                check_len(CbfView, entries[v_at].1, word_bytes_total)?;
-                let counters = cow_u64s(payloads[c_at]);
-                let view = cow_u64s(payloads[v_at]);
-                let col = match (&strat, strata_bits) {
-                    (Some(st), Some(bits_v)) => {
-                        CountingBloomCollectionIn::from_counter_words_stratified(
-                            counters, bits_v, st.assign, b as usize, h.seed,
-                        )
-                    }
-                    _ => CountingBloomCollectionIn::from_counter_words(
-                        counters,
-                        bits as usize,
-                        b as usize,
-                        h.seed,
-                    ),
-                };
-                // The read view is fully determined by the counters
-                // (counter > 0 ⇔ bit set); a mismatch means one of the
-                // two sections is stale or forged.
-                if col.read_view().raw_words() != &view[..] {
-                    return Err(invariant(
-                        CbfView,
-                        "persisted read view disagrees with the view derived from the \
-                         counters (counter > 0 ⇔ bit set)",
-                    ));
-                }
-                (
-                    SketchParams::CountingBloom {
-                        bits_per_set: bits as usize,
-                        b: b as usize,
-                    },
-                    SketchStoreIn::CountingBloom(col),
-                )
-            }
+            SketchStoreIn::CountingBloom(col)
         }
         2 => {
-            let k = h.param_a;
-            if k == 0 {
-                return Err(bad_params("MinHash k must be ≥ 1"));
-            }
-            if h.param_b != 0 {
-                return Err(bad_params("param B must be 0 for k-hash MinHash"));
-            }
-            let strata_ks = strat
-                .as_ref()
-                .map(|st| validate_k_strata(&st.pairs, "MinHash"))
-                .transpose()?;
             let s_at = idx(MinHashSigs);
-            let sigs_bytes = match (&strat, &strata_ks) {
-                (Some(st), Some(ks)) => checked_total(
-                    st.counts()
-                        .iter()
-                        .zip(ks)
-                        .map(|(&c, &kj)| expected_bytes(c, kj as u64 * 4)),
-                )?,
-                _ => expected_bytes(n, k * 4)?,
-            };
-            check_len(MinHashSigs, entries[s_at].1, sigs_bytes)?;
+            check_len(MinHashSigs, entries[s_at].1, expected_bytes(total, 4)?)?;
             let sigs = cow_u32s(payloads[s_at]);
-            let k = k as usize;
             // An empty set's signature must be all empty-slot sentinels —
-            // nothing ever wrote to it. Signature widths are per-set under
-            // stratification, so walk a running offset.
-            let mut off = 0usize;
+            // nothing ever wrote to it.
             for (i, &size) in sizes.iter().enumerate() {
-                let w = match (&strat, &strata_ks) {
-                    (Some(st), Some(ks)) => ks[st.assign[i] as usize] as usize,
-                    _ => k,
-                };
-                if size == 0 && sigs[off..off + w].iter().any(|&s| s != u32::MAX) {
+                if size == 0 && sigs[geom.range(i)].iter().any(|&s| s != u32::MAX) {
                     return Err(invariant(
                         MinHashSigs,
                         format!("set {i} is empty but its signature has occupied slots"),
                     ));
                 }
-                off += w;
             }
-            let col = match (&strat, strata_ks) {
-                (Some(st), Some(ks)) => {
-                    MinHashCollectionIn::from_raw_sigs_stratified(sigs, ks, st.assign, h.seed)
-                }
-                _ => MinHashCollectionIn::from_raw_sigs(sigs, k, h.seed),
-            };
-            (SketchParams::KHash { k }, SketchStoreIn::KHash(col))
+            SketchStoreIn::KHash(MinHashCollectionIn::from_raw_sigs(sigs, geom, seed))
         }
         // The positional decoders index the *base* layout, so a stratified
         // store hands them the entries between the two bracket sections.
@@ -1168,135 +1136,67 @@ fn build_store<'a>(
                 (entries, payloads)
             };
             if base_tag == 3 {
-                decode_onehash(h, e, p, &sizes, strat.as_ref())?
+                SketchStoreIn::OneHash(decode_onehash(h, e, p, &sizes, geom)?)
             } else {
-                decode_kmv(h, e, p, &sizes, strat.as_ref())?
+                SketchStoreIn::Kmv(decode_kmv(h, e, p, &sizes, geom)?)
             }
         }
-        5 => {
-            let p = h.param_a;
-            if !(4..=16).contains(&p) {
-                return Err(bad_params(format!("HLL precision {p} outside 4..=16")));
-            }
-            if h.param_b != 0 {
-                return Err(bad_params("param B must be 0 for HLL"));
-            }
-            let strata_ps = match &strat {
-                Some(st) => {
-                    let mut ps = Vec::with_capacity(st.n_strata());
-                    for (s, &(pp, bb)) in st.pairs.iter().enumerate() {
-                        if !(4..=16).contains(&pp) {
-                            return Err(bad_params(format!(
-                                "stratum {s} HLL precision {pp} outside 4..=16"
-                            )));
-                        }
-                        if bb != 0 {
-                            return Err(bad_params(format!(
-                                "stratum {s} param B must be 0 for HLL"
-                            )));
-                        }
-                        ps.push(pp as u8);
-                    }
-                    Some(ps)
-                }
-                None => None,
-            };
+        _ => {
             let r_at = idx(HllRegisters);
-            let regs_bytes = match (&strat, &strata_ps) {
-                (Some(st), Some(ps)) => checked_total(
-                    st.counts()
-                        .iter()
-                        .zip(ps)
-                        .map(|(&c, &pj)| expected_bytes(c, 1u64 << pj)),
-                )?,
-                _ => expected_bytes(n, 1 << p)?,
-            };
-            check_len(HllRegisters, entries[r_at].1, regs_bytes)?;
+            check_len(HllRegisters, entries[r_at].1, total)?;
             // Raw bytes need neither endianness nor alignment — always
             // served in place.
             let registers = payloads[r_at];
             // A register holds the max rank seen; rank caps at
             // 64 − p + 1 leading-zero bits + 1, under the set's own
             // precision.
-            let mut off = 0usize;
             for i in 0..n_us {
-                let p_i = match (&strat, &strata_ps) {
-                    (Some(st), Some(ps)) => ps[st.assign[i] as usize],
-                    _ => p as u8,
-                };
-                let m = 1usize << p_i;
+                let r = geom.range(i);
+                let p_i = r.len().trailing_zeros() as u8;
                 let max_rank = 64 - p_i + 1;
-                if let Some(pos) = registers[off..off + m].iter().position(|&r| r > max_rank) {
+                if let Some(pos) = registers[r.clone()].iter().position(|&x| x > max_rank) {
                     return Err(invariant(
                         HllRegisters,
                         format!(
                             "set {i} register {pos} holds rank {} above the precision-{p_i} \
                              maximum {max_rank}",
-                            registers[off + pos]
+                            registers[r.start + pos]
                         ),
                     ));
                 }
-                off += m;
             }
-            let col = match (&strat, strata_ps) {
-                (Some(st), Some(ps)) => HyperLogLogCollectionIn::from_raw_registers_stratified(
-                    registers, ps, st.assign, h.seed,
-                ),
-                _ => HyperLogLogCollectionIn::from_raw_registers(registers, p as u8, h.seed),
-            };
-            (
-                SketchParams::Hll { precision: p as u8 },
-                SketchStoreIn::Hll(col),
-            )
+            SketchStoreIn::Hll(HyperLogLogCollectionIn::from_raw_registers(
+                registers, geom, seed,
+            ))
         }
-        // `layout_for` already rejected unknown tags.
-        tag => return Err(SnapshotError::BadRepresentation { tag }),
     };
     debug_assert_eq!(sizes.len(), n_us);
-    let stratified = strat.as_ref().map(|st| {
-        StratifiedParams::new(
-            st.pairs
-                .iter()
-                .map(|&(a, b)| stratum_sketch_params(base_tag, a, b))
-                .collect(),
-            st.assign.to_vec(),
-        )
-    });
-    Ok(ProbGraphIn::from_parts(
-        store, sizes, est, params, stratified, h.seed,
-    ))
+    let params = StratifiedParams::new(
+        pairs
+            .iter()
+            .map(|&(a, b)| stratum_sketch_params(base_tag, a, b))
+            .collect(),
+        strat.map_or_else(Vec::new, |st| st.assign.to_vec()),
+    );
+    Ok(ProbGraphIn::from_parts(store, sizes, est, params, h.seed))
 }
 
 /// Bottom-k reconstruction: the layout has the most redundant structure
-/// of any store, and all of it is validated — offsets shape, region
-/// capacities, live lengths, ascending packed `(hash, element)` order,
-/// and per-element hash integrity under the persisted seed.
+/// of any store, and all of it is validated against the per-set caps of
+/// `geom` — offsets shape, region capacities, live lengths, ascending
+/// packed `(hash, element)` order, and per-element hash integrity under
+/// the persisted seed.
 fn decode_onehash<'a>(
     h: &Header,
     entries: &[(SectionKind, u64, u64)],
     payloads: &[&'a [u8]],
     sizes: &[u32],
-    strat: Option<&StratumTable<'a>>,
-) -> Result<(SketchParams, SketchStoreIn<'a>), SnapshotError> {
+    geom: SetGeometry<'a>,
+) -> Result<BottomKCollectionIn<'a>, SnapshotError> {
     use SectionKind::*;
     let n = h.n_sets;
-    let k = h.param_a;
-    if k == 0 {
-        return Err(bad_params("bottom-k k must be ≥ 1"));
-    }
-    let strided = match h.param_b {
-        0 => false,
-        1 => true,
-        other => return Err(bad_params(format!("bottom-k strided flag {other} not 0/1"))),
-    };
-    let strata_ks = strat
-        .map(|st| validate_k_strata(&st.pairs, "bottom-k"))
-        .transpose()?;
-    // The per-set sample cap: the header's k, or the set's stratum's.
-    let cap_of = |i: usize| match (&strat, &strata_ks) {
-        (Some(st), Some(ks)) => ks[st.assign[i] as usize] as usize,
-        _ => k as usize,
-    };
+    // `header_params` admitted only 0 / 1 here.
+    let strided = h.param_b == 1;
     check_len(BkOffsets, entries[3].1, expected_bytes(n + 1, 4)?)?;
     check_len(BkLens, entries[4].1, expected_bytes(n, 4)?)?;
     check_len(BkSetSizes, entries[5].1, expected_bytes(n, 4)?)?;
@@ -1315,23 +1215,17 @@ fn decode_onehash<'a>(
         });
     }
     if strided {
-        let elems_bytes = match (&strat, &strata_ks) {
-            (Some(st), Some(ks)) => checked_total(
-                st.counts()
-                    .iter()
-                    .zip(ks)
-                    .map(|(&c, &kj)| expected_bytes(c, kj as u64 * 4)),
-            )?,
-            _ => expected_bytes(n, k * 4)?,
-        };
-        check_len(BkElems, entries[1].1, elems_bytes)?;
+        check_len(
+            BkElems,
+            entries[1].1,
+            expected_bytes(geom.total() as u64, 4)?,
+        )?;
     }
     let elems = cow_u32s(payloads[1]);
     let hashes = cow_u32s(payloads[2]);
     let offsets = cow_u32s(payloads[3]);
     let lens = cow_u32s(payloads[4]);
     let set_sizes = cow_u32s(payloads[5]);
-    let k_us = k as usize;
     if offsets[0] != 0 {
         return Err(invariant(BkOffsets, "offsets must start at 0"));
     }
@@ -1342,28 +1236,26 @@ fn decode_onehash<'a>(
         ));
     }
     let family = HashFamily::new(1, h.seed);
-    // Strided offsets are the cumulative per-set caps (`i·k` uniformly).
-    let mut cap_run = 0usize;
     for i in 0..n as usize {
         let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
         if end < start {
             return Err(invariant(BkOffsets, format!("offsets decrease at set {i}")));
         }
         let cap = end - start;
-        let k_i = cap_of(i);
+        let k_i = geom.width_of(i);
         if cap > k_i {
             return Err(invariant(
                 BkOffsets,
                 format!("set {i} region capacity {cap} exceeds its cap k = {k_i}"),
             ));
         }
-        if strided && start != cap_run {
+        // Strided offsets are the cumulative per-set caps.
+        if strided && start != geom.range(i).start {
             return Err(invariant(
                 BkOffsets,
                 format!("strided layout requires offset {i} = the cumulative caps"),
             ));
         }
-        cap_run += k_i;
         let len = lens[i] as usize;
         if len > cap {
             return Err(invariant(
@@ -1407,54 +1299,32 @@ fn decode_onehash<'a>(
             }
         }
     }
-    let col = match (strat, strata_ks) {
-        (Some(st), Some(ks)) => BottomKCollectionIn::from_raw_parts_stratified(
-            elems, hashes, offsets, lens, set_sizes, ks, st.assign, h.seed, strided,
-        ),
-        _ => BottomKCollectionIn::from_raw_parts(
-            elems, hashes, offsets, lens, set_sizes, k_us, h.seed, strided,
-        ),
-    };
-    Ok((
-        SketchParams::OneHash { k: k_us },
-        SketchStoreIn::OneHash(col),
+    Ok(BottomKCollectionIn::from_raw_parts(
+        elems, hashes, offsets, lens, set_sizes, geom, h.seed, strided,
     ))
 }
 
-/// KMV reconstruction: per-sketch lengths bounded by `k`, hashes finite,
-/// strictly ascending, and inside the unit interval `(0, 1]` (which also
-/// rejects NaN), recorded sizes consistent with the Sizes section.
+/// KMV reconstruction: per-sketch lengths bounded by the set's `k` in
+/// `geom`, hashes finite, strictly ascending, and inside the unit interval
+/// `(0, 1]` (which also rejects NaN), recorded sizes consistent with the
+/// Sizes section.
 fn decode_kmv<'a>(
     h: &Header,
     entries: &[(SectionKind, u64, u64)],
     payloads: &[&'a [u8]],
     sizes: &[u32],
-    strat: Option<&StratumTable<'a>>,
-) -> Result<(SketchParams, SketchStoreIn<'a>), SnapshotError> {
+    geom: SetGeometry<'a>,
+) -> Result<KmvCollectionIn<'a>, SnapshotError> {
     use SectionKind::*;
     let n = h.n_sets;
-    let k = h.param_a;
-    if k == 0 {
-        return Err(bad_params("KMV k must be ≥ 1"));
-    }
-    if h.param_b != 0 {
-        return Err(bad_params("param B must be 0 for KMV"));
-    }
-    let strata_ks = strat
-        .map(|st| validate_k_strata(&st.pairs, "KMV"))
-        .transpose()?;
-    let k_of = |i: usize| match (&strat, &strata_ks) {
-        (Some(st), Some(ks)) => ks[st.assign[i] as usize] as u64,
-        _ => k,
-    };
     check_len(KmvLens, entries[2].1, expected_bytes(n, 4)?)?;
     check_len(KmvSetSizes, entries[1].1, expected_bytes(n, 8)?)?;
     let lens = cow_u32s(payloads[2]);
     let set_sizes = cow_u64s(payloads[1]);
     let mut total: u64 = 0;
     for (i, &len) in lens.iter().enumerate() {
-        let k_i = k_of(i);
-        if len as u64 > k_i {
+        let k_i = geom.width_of(i);
+        if len as usize > k_i {
             return Err(invariant(
                 KmvLens,
                 format!("sketch {i} holds {len} hashes, above its k = {k_i}"),
@@ -1466,7 +1336,6 @@ fn decode_kmv<'a>(
     }
     check_len(KmvHashes, entries[0].1, expected_bytes(total, 8)?)?;
     let hashes = cow_f64s(payloads[0]);
-    let k_us = k as usize;
     let mut sketches: Vec<KmvSketchIn<'a>> = Vec::with_capacity(n as usize);
     let mut off = 0usize;
     for i in 0..n as usize {
@@ -1491,23 +1360,13 @@ fn decode_kmv<'a>(
         }
         // Per-sketch views stay zero-copy only when the flat array
         // borrows the wire bytes; an owned decode is re-sliced per sketch.
-        let k_i = k_of(i) as usize;
+        let (k_i, size) = (geom.width_of(i), set_sizes[i] as usize);
         sketches.push(match &hashes {
-            Cow::Borrowed(all) => {
-                KmvSketchIn::from_raw_parts(&all[start..end], k_i, set_sizes[i] as usize)
-            }
-            Cow::Owned(all) => {
-                KmvSketchIn::from_raw_parts(all[start..end].to_vec(), k_i, set_sizes[i] as usize)
-            }
+            Cow::Borrowed(all) => KmvSketchIn::from_raw_parts(&all[start..end], k_i, size),
+            Cow::Owned(all) => KmvSketchIn::from_raw_parts(all[start..end].to_vec(), k_i, size),
         });
     }
-    let col = match (strat, strata_ks) {
-        (Some(st), Some(ks)) => {
-            KmvCollectionIn::from_sketches_stratified(sketches, ks, st.assign, h.seed)
-        }
-        _ => KmvCollectionIn::from_sketches(sketches, h.seed),
-    };
-    Ok((SketchParams::Kmv { k: k_us }, SketchStoreIn::Kmv(col)))
+    Ok(KmvCollectionIn::from_sketches(sketches, geom, h.seed))
 }
 
 // ---------------------------------------------------------------------------

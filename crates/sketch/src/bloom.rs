@@ -6,17 +6,16 @@
 //! panel 5): every neighborhood intersection costs exactly `B/W` word-AND
 //! operations, no matter how skewed the degrees are.
 //!
-//! A collection may instead be **stratified** ([`BloomStrata`]): sets are
-//! partitioned into strata whose filter widths are power-of-two multiples
-//! of the narrowest, stored back to back with per-set word offsets.
-//! Cross-stratum pairs are estimated at the narrower width by *folding*
-//! the wider filter: with the Lemire bucket reduction
-//! `bucket = (h·B) >> 32`, a bit set at wide bucket `w` (width `r·B`)
-//! corresponds exactly to narrow bucket `w / r`, so OR-ing each run of
-//! `r` consecutive wide bits yields — bit for bit — the filter that would
-//! have been built at width `B` directly ([`fold_words_into`]; the
-//! equivalence suite pins this). Uniform collections keep the flat
-//! fast path unchanged.
+//! A collection may instead be **stratified**: its [`SetGeometry`] puts
+//! sets into strata whose filter widths are power-of-two multiples of the
+//! narrowest, stored back to back. The uniform layout is the one-stratum
+//! case, indexed by stride. Cross-stratum pairs are estimated at the
+//! narrower width by *folding* the wider filter: with the Lemire bucket
+//! reduction `bucket = (h·B) >> 32`, a bit set at wide bucket `w` (width
+//! `r·B`) corresponds exactly to narrow bucket `w / r`, so OR-ing each run
+//! of `r` consecutive wide bits yields — bit for bit — the filter that
+//! would have been built at width `B` directly ([`fold_words_into`]; the
+//! equivalence suite pins this).
 //!
 //! ## Zero-allocation hot paths
 //!
@@ -41,9 +40,11 @@ use crate::bitvec::{
 };
 use crate::cowvec::cow_clear;
 use crate::estimators;
+use crate::geometry::SetGeometry;
 use pg_hash::HashFamily;
 use pg_parallel::parallel_for;
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Upper bound on `b` so bucket batches fit a stack buffer. The paper finds
 /// `b ∈ {1, 2}` best and never evaluates past 4; 16 leaves generous slack.
@@ -190,8 +191,9 @@ impl BloomFilter {
     }
 }
 
-/// All per-set Bloom filters of a ProbGraph representation, stored in one
-/// flat word array (`n_sets × words_per_set`).
+/// All per-set Bloom filters of a ProbGraph representation, stored back
+/// to back in one flat word array laid out by a [`SetGeometry`] in words
+/// (`n_sets × words_per_set` when uniform).
 ///
 /// The word array is copy-on-write over `'a`: the owned alias
 /// [`BloomCollection`] is the ordinary built/streamed form, while a
@@ -202,116 +204,31 @@ impl BloomFilter {
 #[derive(Clone, Debug)]
 pub struct BloomCollectionIn<'a> {
     data: Cow<'a, [u64]>,
-    words_per_set: usize,
-    bits_per_set: usize,
+    /// Per-set word windows. Stratum widths are power-of-two multiples
+    /// (at most 64×) of the narrowest, so wide filters fold exactly onto
+    /// narrow ones for cross-stratum estimates.
+    geom: SetGeometry<'a>,
     b: usize,
     family: HashFamily,
     /// Cached `B_{X,1}` per filter, popcounted at build time while each
     /// window is still cache-hot. Bookkeeping like the callers' size
     /// arrays — not charged against the sketch budget.
     ones: Vec<u32>,
-    /// Memoized Swamidass curve: `swami[o] = −(B/b)·ln(1 − o/B)` for every
-    /// possible popcount `o ∈ 0..=B`. For a fixed collection the AND
-    /// estimator (Eq. 2) is `swami[and_ones]` and the OR estimator (Eq. 29)
-    /// is `nx + ny − swami[or_ones]`, so the per-edge `ln` (≈ half the cost
-    /// of a fused AND pass) becomes one L2 load. Skipped for huge filters
-    /// where the table would not stay cache-resident.
-    swami: Option<Vec<f64>>,
-    /// `Some` when the collection is stratified: per-set widths/offsets
-    /// live here and `words_per_set`/`bits_per_set` hold the *narrowest*
-    /// stratum's shape (the width every cross-stratum estimate folds to).
-    strata: Option<BloomStrata<'a>>,
+    /// Memoized Swamidass curves, one per stratum width; `None` for huge
+    /// filters whose tables would not stay cache-resident.
+    swami: Option<SwamiTables>,
     /// Lazily built [`BloomFoldCache`] for stratified row sweeps —
     /// derived bookkeeping like `ones`/`swami`, never persisted, never
     /// charged against the sketch budget. Built on the first cross-width
     /// sweep and shared by every oracle over this collection (epoch
     /// snapshots amortize it across all queries of an epoch); every
     /// mutation path resets it, so it can never serve stale folds.
-    folds: std::sync::OnceLock<BloomFoldCache>,
+    folds: OnceLock<BloomFoldCache>,
 }
 
 /// The owned (`'static`) form of [`BloomCollectionIn`] — what builds,
 /// streaming updates, and the copying snapshot loader produce.
 pub type BloomCollection = BloomCollectionIn<'static>;
-
-/// Per-set geometry of a stratified Bloom collection: which stratum each
-/// set belongs to, each stratum's filter width, and the resulting word
-/// offsets (bottom-k's `offsets`/`lens` strided layout is the template).
-///
-/// Widths are power-of-two multiples of the narrowest stratum so wide
-/// filters fold exactly onto narrow ones for cross-stratum estimates.
-#[derive(Clone, Debug)]
-pub struct BloomStrata<'a> {
-    /// Per-set stratum index (borrowable: snapshots serve it in place).
-    assign: Cow<'a, [u8]>,
-    /// Per-stratum filter bits (whole words each).
-    bits: Vec<u32>,
-    /// Word offset of each set's filter window (`n_sets + 1` entries).
-    offsets: Vec<u64>,
-    /// Per-stratum memoized Swamidass curves (see
-    /// [`BloomCollectionIn::estimate_and_from_ones`]); cross-stratum
-    /// estimates index the table of the *narrower* stratum.
-    swami: Vec<Option<Vec<f64>>>,
-}
-
-impl<'a> BloomStrata<'a> {
-    fn new(assign: Cow<'a, [u8]>, bits: Vec<u32>, b: usize) -> Self {
-        assert!(!bits.is_empty(), "need at least one stratum");
-        let min_bits = *bits.iter().min().unwrap();
-        assert!(
-            min_bits >= 64 && min_bits.is_multiple_of(64),
-            "widths are whole words"
-        );
-        for &w in &bits {
-            let r = w / min_bits;
-            assert!(
-                w % min_bits == 0 && (r as usize).is_power_of_two() && r <= 64,
-                "stratum width {w} is not a power-of-two multiple of {min_bits}"
-            );
-        }
-        let mut offsets = Vec::with_capacity(assign.len() + 1);
-        let mut off = 0u64;
-        offsets.push(0);
-        for &a in assign.iter() {
-            off += (bits[a as usize] / 64) as u64;
-            offsets.push(off);
-        }
-        let swami = bits.iter().map(|&w| make_swami(w as usize, b)).collect();
-        BloomStrata {
-            assign,
-            bits,
-            offsets,
-            swami,
-        }
-    }
-
-    /// Per-set stratum indices.
-    #[inline]
-    pub fn assign(&self) -> &[u8] {
-        &self.assign
-    }
-
-    /// Per-stratum filter widths in bits.
-    #[inline]
-    pub fn stratum_bits(&self) -> &[u32] {
-        &self.bits
-    }
-
-    /// Stratum of set `i`.
-    #[inline]
-    pub fn stratum_of(&self, i: usize) -> usize {
-        self.assign[i] as usize
-    }
-
-    fn into_owned(self) -> BloomStrata<'static> {
-        BloomStrata {
-            assign: Cow::Owned(self.assign.into_owned()),
-            bits: self.bits,
-            offsets: self.offsets,
-            swami: self.swami,
-        }
-    }
-}
 
 /// Folds a filter built at `r ×` the target width down to the target:
 /// ORs each run of `r` consecutive wide bits into one narrow bit (the
@@ -378,7 +295,7 @@ pub struct BloomFoldCache {
     base: Vec<u64>,
     /// Popcount of each base-view window.
     base_ones: Vec<u32>,
-    /// Words per base-view window (`min(bits) / 64`).
+    /// Words per base-view window (the narrowest stratum's width).
     base_words: usize,
     /// Sparse mid-width shadows, set-major: set `i`'s shadows at targets
     /// *between* its own width and the base width (ascending stratum
@@ -398,7 +315,7 @@ pub struct BloomFoldCache {
     sub_word: Vec<Vec<u32>>,
     /// `sub_idx[s][t]`: shadow index of target `t` inside the block.
     sub_idx: Vec<Vec<u32>>,
-    /// Words per shadow at each target stratum (`bits[t] / 64`).
+    /// Words per shadow at each target stratum.
     t_words: Vec<u32>,
 }
 
@@ -407,24 +324,23 @@ impl BloomFoldCache {
     /// one dense pass for the base (narrowest) width, sparse blocks for
     /// the mid widths. One `O(store)` pass in total.
     pub fn new(col: &BloomCollectionIn<'_>) -> Self {
-        let st = col.strata().expect("fold cache on a uniform collection");
-        let bits = st.stratum_bits();
-        let n_strata = bits.len();
-        let min_bits = *bits.iter().min().unwrap();
-        let base_words = (min_bits / 64) as usize;
-        let assign = st.assign();
+        let geom = col.geometry();
+        let assign = geom.assign().expect("fold cache on a uniform collection");
+        let widths = geom.widths();
+        let n_strata = widths.len();
+        let base_words = geom.min_width();
 
         // Dense base-width view over all sets.
         let mut base = Vec::with_capacity(assign.len() * base_words);
         let mut base_ones = Vec::with_capacity(assign.len());
         for (i, &a) in assign.iter().enumerate() {
-            let r = (bits[a as usize] / min_bits) as usize;
+            let r = widths[a as usize] / base_words;
             base_ones.push(fold_words_into(col.words(i), r, &mut base) as u32);
         }
 
         // Sparse mid-width shadows (targets strictly between base and the
         // set's own width).
-        let wanted = |s: usize, t: usize| bits[t] < bits[s] && bits[t] > min_bits;
+        let wanted = |s: usize, t: usize| widths[t] < widths[s] && widths[t] > base_words;
         let mut sub_word = vec![vec![u32::MAX; n_strata]; n_strata];
         let mut sub_idx = vec![vec![u32::MAX; n_strata]; n_strata];
         let mut block_words = vec![0u32; n_strata];
@@ -434,7 +350,7 @@ impl BloomFoldCache {
                 if wanted(s, t) {
                     sub_word[s][t] = block_words[s];
                     sub_idx[s][t] = block_count[s];
-                    block_words[s] += bits[t] / 64;
+                    block_words[s] += widths[t] as u32;
                     block_count[s] += 1;
                 }
             }
@@ -472,7 +388,7 @@ impl BloomFoldCache {
             ones_off,
             sub_word,
             sub_idx,
-            t_words: bits.iter().map(|&w| w / 64).collect(),
+            t_words: widths.iter().map(|&w| w as u32).collect(),
         }
     }
 
@@ -515,14 +431,60 @@ impl BloomFoldCache {
 /// `f64`; per-neighborhood budgets are orders of magnitude below this).
 const MAX_SWAMI_TABLE_BITS: usize = 1 << 16;
 
-/// Memoized Swamidass curve for `bits_per_set`-bit filters with `b` hash
-/// functions; `None` when the table would not stay cache-resident.
-fn make_swami(bits_per_set: usize, b: usize) -> Option<Vec<f64>> {
-    (bits_per_set <= MAX_SWAMI_TABLE_BITS).then(|| {
-        pg_parallel::parallel_init(bits_per_set + 1, |o| {
-            estimators::bf_size_swamidass(o, bits_per_set, b)
-        })
-    })
+/// Memoized Swamidass curves of every stratum width, back to back:
+/// `table[start[s] + o] = −(B_s/b)·ln(1 − o/B_s)` for each popcount
+/// `o ∈ 0..=B_s`. For a fixed width the AND estimator (Eq. 2) is
+/// `swami(and_ones)` and the OR estimator (Eq. 29) is
+/// `nx + ny − swami(or_ones)`, so the per-edge `ln` (≈ half the cost of a
+/// fused AND pass) becomes one L2 load; a uniform collection's lookup is
+/// plain `table[o]`.
+#[derive(Clone, Debug)]
+struct SwamiTables {
+    table: Vec<f64>,
+    start: Vec<usize>,
+}
+
+impl SwamiTables {
+    /// Curves for filters `words[s] · 64` bits wide with `b` hash
+    /// functions; `None` when any table would not stay cache-resident.
+    fn new(words: &[usize], b: usize) -> Option<Self> {
+        if words.iter().any(|&w| w * 64 > MAX_SWAMI_TABLE_BITS) {
+            return None;
+        }
+        let mut table = Vec::new();
+        let mut start = Vec::with_capacity(words.len());
+        for &w in words {
+            let bits = w * 64;
+            let curve =
+                pg_parallel::parallel_init(bits + 1, |o| estimators::bf_size_swamidass(o, bits, b));
+            start.push(table.len());
+            if table.is_empty() {
+                table = curve;
+            } else {
+                table.extend_from_slice(&curve);
+            }
+        }
+        Some(SwamiTables { table, start })
+    }
+}
+
+/// The Bloom width rules: `1..=MAX_BLOOM_HASHES` hash functions, and
+/// stratum widths that are power-of-two multiples (at most 64×) of the
+/// narrowest — exactly the ratios [`fold_words_into`] folds.
+fn check_shape(geom: &SetGeometry<'_>, b: usize) {
+    assert!(b > 0, "need at least one hash function");
+    assert!(
+        b <= MAX_BLOOM_HASHES,
+        "at most {MAX_BLOOM_HASHES} hash functions supported"
+    );
+    let min = geom.min_width();
+    for &w in geom.widths() {
+        let r = w / min;
+        assert!(
+            w % min == 0 && r.is_power_of_two() && r <= 64,
+            "stratum width {w} words is not a power-of-two multiple (≤ 64×) of {min}"
+        );
+    }
 }
 
 impl<'a> BloomCollectionIn<'a> {
@@ -535,37 +497,47 @@ impl<'a> BloomCollectionIn<'a> {
     where
         F: Fn(usize) -> &'s [u32] + Sync,
     {
-        assert!(b > 0, "need at least one hash function");
-        assert!(
-            b <= MAX_BLOOM_HASHES,
-            "at most {MAX_BLOOM_HASHES} hash functions supported"
-        );
-        let words_per_set = bits_per_set.div_ceil(64).max(1);
-        let bits_per_set = words_per_set * 64;
+        let words = bits_per_set.div_ceil(64).max(1);
+        Self::build_on(SetGeometry::uniform(n_sets, words), b, seed, set)
+    }
+
+    /// Builds one filter per set of `geom` (widths in words) in parallel:
+    /// set `i` gets a `geom.width_of(i) · 64`-bit filter. `set(i)` must
+    /// return the i-th input set; it is called once per set, from worker
+    /// threads.
+    pub fn build_on<'s, F>(geom: SetGeometry<'a>, b: usize, seed: u64, set: F) -> Self
+    where
+        F: Fn(usize) -> &'s [u32] + Sync,
+    {
+        check_shape(&geom, b);
         let family = HashFamily::new(b, seed);
-        let mut data = vec![0u64; n_sets * words_per_set];
-        let mut ones = vec![0u32; n_sets];
+        let mut data = vec![0u64; geom.total()];
+        let mut ones = vec![0u32; geom.len()];
         {
             struct SendPtr<T>(*mut T);
+            // SAFETY: the one field is a pointer into an array the parallel
+            // region below only touches through disjoint per-set windows.
             unsafe impl<T> Send for SendPtr<T> {}
             unsafe impl<T> Sync for SendPtr<T> {}
             let base = SendPtr(data.as_mut_ptr());
             let base = &base;
             let ones_base = SendPtr(ones.as_mut_ptr());
             let ones_base = &ones_base;
-            let family = &family;
-            parallel_for(n_sets, |s| {
-                // SAFETY: window [s*wps, (s+1)*wps) is exclusive to set s.
-                let window = unsafe {
-                    std::slice::from_raw_parts_mut(base.0.add(s * words_per_set), words_per_set)
-                };
+            let (family, geom) = (&family, &geom);
+            parallel_for(geom.len(), |s| {
+                let r = geom.range(s);
+                let bits = r.len() * 64;
+                // SAFETY: the geometry tiles the array, so window `r` is
+                // exclusive to set s.
+                let window =
+                    unsafe { std::slice::from_raw_parts_mut(base.0.add(r.start), r.len()) };
                 for &x in set(s) {
-                    family.for_each_bucket(x as u64, bits_per_set, |pos| {
+                    family.for_each_bucket(x as u64, bits, |pos| {
                         // SAFETY: the Lemire reduction in `for_each_bucket`
-                        // yields pos < bits_per_set = window.len() * 64, so
-                        // pos/64 is in bounds. (The checked form costs ~20 %
-                        // of construction: the bound is runtime here, so
-                        // LLVM cannot elide the check itself.)
+                        // yields pos < bits = window.len() * 64, so pos/64
+                        // is in bounds. (The checked form costs ~20 % of
+                        // construction: the bound is runtime here, so LLVM
+                        // cannot elide the check itself.)
                         unsafe {
                             *window.get_unchecked_mut(pos as usize / 64) |= 1u64 << (pos % 64);
                         }
@@ -577,205 +549,73 @@ impl<'a> BloomCollectionIn<'a> {
                 unsafe { *ones_base.0.add(s) = count_ones_words(window) as u32 };
             });
         }
-        BloomCollectionIn {
-            data: Cow::Owned(data),
-            words_per_set,
-            bits_per_set,
-            b,
-            family,
-            ones,
-            swami: make_swami(bits_per_set, b),
-            strata: None,
-            folds: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// Builds a **stratified** collection: set `i` gets a filter of
-    /// `stratum_bits[assign[i]]` bits, windows stored back to back in set
-    /// order. Widths must be whole words and power-of-two multiples of the
-    /// narrowest (see [`BloomStrata`]). With a single stratum this lowers
-    /// onto [`BloomCollectionIn::build`] and is bit-identical to it.
-    pub fn build_stratified<'s, F>(
-        stratum_bits: Vec<u32>,
-        assign: Vec<u8>,
-        b: usize,
-        seed: u64,
-        set: F,
-    ) -> Self
-    where
-        F: Fn(usize) -> &'s [u32] + Sync,
-    {
-        if stratum_bits.len() == 1 {
-            return Self::build(assign.len(), stratum_bits[0] as usize, b, seed, set);
-        }
-        assert!(b > 0, "need at least one hash function");
-        assert!(
-            b <= MAX_BLOOM_HASHES,
-            "at most {MAX_BLOOM_HASHES} hash functions supported"
-        );
-        let n_sets = assign.len();
-        let strata = BloomStrata::new(Cow::Owned(assign), stratum_bits, b);
-        let total_words = strata.offsets[n_sets] as usize;
-        let family = HashFamily::new(b, seed);
-        let mut data = vec![0u64; total_words];
-        let mut ones = vec![0u32; n_sets];
-        {
-            struct SendPtr<T>(*mut T);
-            unsafe impl<T> Send for SendPtr<T> {}
-            unsafe impl<T> Sync for SendPtr<T> {}
-            let base = SendPtr(data.as_mut_ptr());
-            let base = &base;
-            let ones_base = SendPtr(ones.as_mut_ptr());
-            let ones_base = &ones_base;
-            let family = &family;
-            let strata_ref = &strata;
-            parallel_for(n_sets, |s| {
-                let start = strata_ref.offsets[s] as usize;
-                let len = (strata_ref.offsets[s + 1] - strata_ref.offsets[s]) as usize;
-                let bits = len * 64;
-                // SAFETY: offsets are strictly increasing, so each set's
-                // window is exclusive to it.
-                let window = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), len) };
-                for &x in set(s) {
-                    family.for_each_bucket(x as u64, bits, |pos| {
-                        // SAFETY: Lemire reduction yields pos < bits.
-                        unsafe {
-                            *window.get_unchecked_mut(pos as usize / 64) |= 1u64 << (pos % 64);
-                        }
-                    });
-                }
-                // SAFETY: slot s is exclusive to set s.
-                unsafe { *ones_base.0.add(s) = count_ones_words(window) as u32 };
-            });
-        }
-        let narrow = *strata.bits.iter().min().unwrap() as usize;
-        BloomCollectionIn {
-            data: Cow::Owned(data),
-            words_per_set: narrow / 64,
-            bits_per_set: narrow,
-            b,
-            family,
-            ones,
-            swami: None,
-            strata: Some(strata),
-            folds: std::sync::OnceLock::new(),
-        }
+        Self::assemble(Cow::Owned(data), ones, geom, b, family)
     }
 
     /// Assembles a collection around already-materialized filter words —
     /// the counting-Bloom sibling derives its view bits from the counters
     /// in one linear sweep instead of re-hashing every set through a
-    /// second [`BloomCollection::build`], and snapshot loads reconstruct
-    /// collections from validated on-disk word arrays. The cached
-    /// popcounts are computed here, in parallel; `data` must hold a whole
-    /// number of `words_per_set` windows whose bits were produced by the
-    /// same `(b, seed)` bucket sequence this collection will hash with.
-    /// Accepts either an owned `Vec<u64>` or a borrowed `&'a [u64]` (the
-    /// zero-copy snapshot load serves filters straight from the buffer).
+    /// second build, and snapshot loads reconstruct collections from
+    /// validated on-disk word arrays. The cached popcounts are computed
+    /// here, in parallel; `data` must hold exactly `geom`'s windows, whose
+    /// bits were produced by the same `(b, seed)` bucket sequence this
+    /// collection will hash with. Accepts either an owned `Vec<u64>` or a
+    /// borrowed `&'a [u64]` (the zero-copy snapshot load serves filters
+    /// straight from the buffer).
     pub fn from_raw_words(
         data: impl Into<Cow<'a, [u64]>>,
-        words_per_set: usize,
+        geom: SetGeometry<'a>,
         b: usize,
         seed: u64,
     ) -> Self {
         let data = data.into();
-        assert!(b > 0, "need at least one hash function");
-        assert!(
-            b <= MAX_BLOOM_HASHES,
-            "at most {MAX_BLOOM_HASHES} hash functions supported"
+        check_shape(&geom, b);
+        assert_eq!(
+            data.len(),
+            geom.total(),
+            "word array does not match the geometry"
         );
-        assert!(words_per_set > 0, "filters own at least one word");
-        debug_assert_eq!(data.len() % words_per_set, 0);
-        let bits_per_set = words_per_set * 64;
-        let n_sets = data.len() / words_per_set;
-        let mut ones = vec![0u32; n_sets];
+        let mut ones = vec![0u32; geom.len()];
         pg_parallel::parallel_fill_with(&mut ones, |i| {
-            count_ones_words(&data[i * words_per_set..(i + 1) * words_per_set]) as u32
+            count_ones_words(&data[geom.range(i)]) as u32
         });
-        BloomCollectionIn {
-            data,
-            words_per_set,
-            bits_per_set,
-            b,
-            family: HashFamily::new(b, seed),
-            ones,
-            swami: make_swami(bits_per_set, b),
-            strata: None,
-            folds: std::sync::OnceLock::new(),
-        }
+        Self::assemble(data, ones, geom, b, HashFamily::new(b, seed))
     }
 
-    /// Stratified sibling of [`BloomCollectionIn::from_raw_words`]: the
-    /// snapshot loader reassembles a stratified collection from validated
-    /// words plus the per-stratum width table and per-set assignment (both
-    /// of which the loader has already cross-checked against the payload
-    /// length). Popcounts are recomputed here in parallel.
-    pub fn from_raw_words_stratified(
-        data: impl Into<Cow<'a, [u64]>>,
-        stratum_bits: Vec<u32>,
-        assign: impl Into<Cow<'a, [u8]>>,
+    fn assemble(
+        data: Cow<'a, [u64]>,
+        ones: Vec<u32>,
+        geom: SetGeometry<'a>,
         b: usize,
-        seed: u64,
+        family: HashFamily,
     ) -> Self {
-        let assign = assign.into();
-        if stratum_bits.len() == 1 {
-            let wps = (stratum_bits[0] / 64) as usize;
-            return Self::from_raw_words(data, wps, b, seed);
-        }
-        let data = data.into();
-        assert!(b > 0, "need at least one hash function");
-        assert!(
-            b <= MAX_BLOOM_HASHES,
-            "at most {MAX_BLOOM_HASHES} hash functions supported"
-        );
-        let n_sets = assign.len();
-        let strata = BloomStrata::new(assign, stratum_bits, b);
-        assert_eq!(
-            strata.offsets[n_sets] as usize,
-            data.len(),
-            "word array does not match the stratified geometry"
-        );
-        let mut ones = vec![0u32; n_sets];
-        {
-            let strata = &strata;
-            let data = &data[..];
-            pg_parallel::parallel_fill_with(&mut ones, |i| {
-                count_ones_words(&data[strata.offsets[i] as usize..strata.offsets[i + 1] as usize])
-                    as u32
-            });
-        }
-        let narrow = *strata.bits.iter().min().unwrap() as usize;
         BloomCollectionIn {
+            swami: SwamiTables::new(geom.widths(), b),
             data,
-            words_per_set: narrow / 64,
-            bits_per_set: narrow,
+            geom,
             b,
-            family: HashFamily::new(b, seed),
+            family,
             ones,
-            swami: None,
-            strata: Some(strata),
-            folds: std::sync::OnceLock::new(),
+            folds: OnceLock::new(),
         }
     }
 
     /// Assembles one collection holding the concatenation of `parts`'
     /// filters, in order — the copy-on-publish path of the sharded serving
     /// layer, where each part is one shard's contiguous vertex range. All
-    /// parts must share the filter shape `(words_per_set, b)` and have
-    /// been built under the same seed (the families are not comparable at
-    /// runtime; the serving layer constructs every shard from one config).
+    /// parts must share the stratum widths and `b`, and have been built
+    /// under the same seed (the families are not comparable at runtime;
+    /// the serving layer constructs every shard from one config).
     pub fn gather(parts: &[&BloomCollectionIn<'_>]) -> BloomCollection {
         let first = parts.first().expect("gather needs at least one part");
         let mut out = BloomCollectionIn {
             data: Cow::Owned(Vec::new()),
-            words_per_set: first.words_per_set,
-            bits_per_set: first.bits_per_set,
+            geom: first.geom.clone().into_owned(),
             b: first.b,
             family: first.family.clone(),
             ones: Vec::new(),
             swami: first.swami.clone(),
-            strata: None,
-            folds: std::sync::OnceLock::new(),
+            folds: OnceLock::new(),
         };
         out.gather_into(parts);
         out
@@ -784,49 +624,20 @@ impl<'a> BloomCollectionIn<'a> {
     /// In-place form of [`BloomCollection::gather`]: overwrites `self`
     /// with the concatenation of `parts`, reusing `self`'s allocations —
     /// the double-buffer path, fed by snapshots reclaimed from the epoch
-    /// cell. `self` must share the parts' filter shape; the word and
-    /// popcount arrays are straight memcpys, so a publish costs one linear
-    /// pass over the store and re-hashes nothing.
+    /// cell. The word, popcount and assignment arrays are straight
+    /// memcpys, so a publish costs one linear pass over the store and
+    /// re-hashes nothing; the Swamidass tables are only re-derived when
+    /// `self` held a different width table.
     pub fn gather_into(&mut self, parts: &[&BloomCollectionIn<'_>]) {
         self.folds.take();
         let first = parts.first().expect("gather needs at least one part");
-        if let Some(fs) = &first.strata {
-            // Stratified parts: concatenate words/popcounts and rebuild
-            // the assignment (offsets follow from it). All parts must
-            // share the stratum width table.
-            let mut assign = Vec::new();
-            let data = cow_clear(&mut self.data);
-            self.ones.clear();
-            for p in parts {
-                let ps = p
-                    .strata
-                    .as_ref()
-                    .expect("gather: mixed uniform/stratified parts");
-                assert_eq!(ps.bits, fs.bits, "gather: mismatched stratum widths");
-                assert_eq!(p.b, self.b, "gather: mismatched hash counts");
-                data.extend_from_slice(&p.data);
-                self.ones.extend_from_slice(&p.ones);
-                assign.extend_from_slice(&ps.assign);
-            }
-            self.words_per_set = first.words_per_set;
-            self.bits_per_set = first.bits_per_set;
-            self.swami = None;
-            self.strata = Some(BloomStrata::new(
-                Cow::Owned(assign),
-                fs.bits.clone(),
-                self.b,
-            ));
-            return;
+        if self.geom.widths() != first.geom.widths() {
+            self.swami = first.swami.clone();
         }
-        self.strata = None;
+        self.geom.gather_into(parts.iter().map(|p| &p.geom));
         let data = cow_clear(&mut self.data);
         self.ones.clear();
         for p in parts {
-            assert!(p.strata.is_none(), "gather: mixed uniform/stratified parts");
-            assert_eq!(
-                p.words_per_set, self.words_per_set,
-                "gather: mismatched filter widths"
-            );
             assert_eq!(p.b, self.b, "gather: mismatched hash counts");
             data.extend_from_slice(&p.data);
             self.ones.extend_from_slice(&p.ones);
@@ -838,13 +649,11 @@ impl<'a> BloomCollectionIn<'a> {
     pub fn into_owned(self) -> BloomCollection {
         BloomCollectionIn {
             data: Cow::Owned(self.data.into_owned()),
-            words_per_set: self.words_per_set,
-            bits_per_set: self.bits_per_set,
+            geom: self.geom.into_owned(),
             b: self.b,
             family: self.family,
             ones: self.ones,
             swami: self.swami,
-            strata: self.strata.map(BloomStrata::into_owned),
             folds: self.folds,
         }
     }
@@ -852,10 +661,7 @@ impl<'a> BloomCollectionIn<'a> {
     /// Number of filters.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.strata {
-            Some(st) => st.assign.len(),
-            None => self.data.len().checked_div(self.words_per_set).unwrap_or(0),
-        }
+        self.geom.len()
     }
 
     /// True when the collection holds no filters.
@@ -870,41 +676,25 @@ impl<'a> BloomCollectionIn<'a> {
     /// width of a specific set.
     #[inline]
     pub fn bits_per_set(&self) -> usize {
-        self.bits_per_set
+        self.words_per_set() * 64
     }
 
-    /// Per-set geometry ([`BloomStrata`]) when the collection is
-    /// stratified; `None` on the uniform fast path.
+    /// The per-set window layout, widths in words.
     #[inline]
-    pub fn strata(&self) -> Option<&BloomStrata<'a>> {
-        self.strata.as_ref()
+    pub fn geometry(&self) -> &SetGeometry<'a> {
+        &self.geom
     }
 
     /// Filter width of set `i` in bits.
     #[inline]
     pub fn bits_of(&self, i: usize) -> usize {
-        match &self.strata {
-            Some(st) => st.bits[st.assign[i] as usize] as usize,
-            None => self.bits_per_set,
-        }
+        self.geom.width_of(i) * 64
     }
 
     /// Stratum index of set `i` (0 for uniform collections).
     #[inline]
     pub fn stratum_of(&self, i: usize) -> usize {
-        match &self.strata {
-            Some(st) => st.assign[i] as usize,
-            None => 0,
-        }
-    }
-
-    /// Word range of set `i`'s filter window.
-    #[inline]
-    fn word_range(&self, i: usize) -> std::ops::Range<usize> {
-        match &self.strata {
-            Some(st) => st.offsets[i] as usize..st.offsets[i + 1] as usize,
-            None => i * self.words_per_set..(i + 1) * self.words_per_set,
-        }
+        self.geom.stratum_of(i)
     }
 
     /// Number of hash functions `b`.
@@ -913,16 +703,16 @@ impl<'a> BloomCollectionIn<'a> {
         self.b
     }
 
-    /// Words per filter (`bits_per_set / 64`).
+    /// Words per filter — the narrowest stratum's when stratified.
     #[inline]
     pub fn words_per_set(&self) -> usize {
-        self.words_per_set
+        self.geom.min_width()
     }
 
     /// The word window of filter `i`.
     #[inline]
     pub fn words(&self, i: usize) -> &[u64] {
-        &self.data[self.word_range(i)]
+        &self.data[self.geom.range(i)]
     }
 
     /// The lazily built fold-shadow cache (stratified collections only):
@@ -937,14 +727,13 @@ impl<'a> BloomCollectionIn<'a> {
     /// narrow words to `out` and returning their popcount. `i`'s stratum
     /// must be at least as wide as the target (equal width is a copy).
     pub fn fold_words_of(&self, i: usize, stratum: usize, out: &mut Vec<u64>) -> usize {
-        let st = self.strata.as_ref().expect("fold on a uniform collection");
-        let (wi, wt) = (st.bits[st.assign[i] as usize], st.bits[stratum]);
-        debug_assert!(wi >= wt, "cannot fold {wi} bits up to {wt}");
-        fold_words_into(self.words(i), (wi / wt) as usize, out)
+        let (wi, wt) = (self.geom.width_of(i), self.geom.widths()[stratum]);
+        debug_assert!(wi >= wt, "cannot fold {wi} words up to {wt}");
+        fold_words_into(self.words(i), wi / wt, out)
     }
 
-    /// The whole flat word array (`n_sets × words_per_set`) — the
-    /// byte-stable payload snapshots persist.
+    /// The whole flat word array — the byte-stable payload snapshots
+    /// persist.
     #[inline]
     pub fn raw_words(&self) -> &[u64] {
         &self.data
@@ -979,8 +768,8 @@ impl<'a> BloomCollectionIn<'a> {
     /// (the streaming hot path — updates arrive grouped by source vertex).
     pub fn insert_batch(&mut self, i: usize, xs: &[u32]) {
         self.folds.take();
-        let range = self.word_range(i);
-        let bits = self.bits_of(i);
+        let range = self.geom.range(i);
+        let bits = range.len() * 64;
         let window = &mut self.data.to_mut()[range];
         let mut added = 0u32;
         for &x in xs {
@@ -1002,7 +791,7 @@ impl<'a> BloomCollectionIn<'a> {
     pub(crate) fn set_bit(&mut self, i: usize, pos: usize) {
         self.folds.take();
         debug_assert!(pos < self.bits_of(i));
-        let start = self.word_range(i).start;
+        let start = self.geom.range(i).start;
         let w = &mut self.data.to_mut()[start + pos / 64];
         let bit = 1u64 << (pos % 64);
         self.ones[i] += u32::from(*w & bit == 0);
@@ -1017,7 +806,7 @@ impl<'a> BloomCollectionIn<'a> {
     pub(crate) fn clear_bit(&mut self, i: usize, pos: usize) {
         self.folds.take();
         debug_assert!(pos < self.bits_of(i));
-        let start = self.word_range(i).start;
+        let start = self.geom.range(i).start;
         let w = &mut self.data.to_mut()[start + pos / 64];
         let bit = 1u64 << (pos % 64);
         self.ones[i] -= u32::from(*w & bit != 0);
@@ -1029,7 +818,7 @@ impl<'a> BloomCollectionIn<'a> {
         let w = self.words(i);
         let mut buf = [0u32; MAX_BLOOM_HASHES];
         self.family
-            .buckets_into(item as u64, self.bits_of(i), &mut buf[..self.b]);
+            .buckets_into(item as u64, w.len() * 64, &mut buf[..self.b]);
         buf[..self.b]
             .iter()
             .all(|&pos| (w[pos as usize / 64] >> (pos % 64)) & 1 == 1)
@@ -1071,11 +860,6 @@ impl<'a> BloomCollectionIn<'a> {
             let and_ones = and_count_words(self.words(i), self.words(j));
             let a_ones = self.ones[i] as usize;
             let b_ones = self.ones[j] as usize;
-            let s = if self.strata.is_some() {
-                self.stratum_of(i)
-            } else {
-                0
-            };
             return (
                 PairOnes {
                     and_ones,
@@ -1083,7 +867,7 @@ impl<'a> BloomCollectionIn<'a> {
                     a_ones,
                     b_ones,
                 },
-                s,
+                self.stratum_of(i),
             );
         }
         let mut folded = Vec::new();
@@ -1141,11 +925,18 @@ impl<'a> BloomCollectionIn<'a> {
         emit: F,
     ) {
         debug_assert!(
-            self.strata.is_none(),
+            self.geom.is_uniform(),
             "tiled sweeps need the flat uniform stride (the block planner \
              declines stratified stores)"
         );
-        and_count_words_tiled(row, &self.data, self.words_per_set, js, prefetch_dist, emit);
+        and_count_words_tiled(
+            row,
+            &self.data,
+            self.words_per_set(),
+            js,
+            prefetch_dist,
+            emit,
+        );
     }
 
     /// All four pair statistics of filters `i` and `j` from **one** fused
@@ -1158,27 +949,14 @@ impl<'a> BloomCollectionIn<'a> {
         self.pair_stats(i, j).0
     }
 
-    /// Memoized Swamidass evaluation (falls back to the closed form for
-    /// filters too large for the table). Bit-identical either way: the
-    /// table entries *are* outputs of the same function.
-    #[inline]
-    fn swamidass(&self, ones: usize) -> f64 {
-        match &self.swami {
-            Some(t) => t[ones],
-            None => estimators::bf_size_swamidass(ones, self.bits_per_set, self.b),
-        }
-    }
-
-    /// Memoized Swamidass evaluation at stratum `s`'s width (stratum 0 ≡
-    /// the whole collection when uniform).
+    /// Memoized Swamidass evaluation at stratum `s`'s width (falls back to
+    /// the closed form for filters too large for the table). Bit-identical
+    /// either way: the table entries *are* outputs of the same function.
     #[inline]
     fn swamidass_at(&self, s: usize, ones: usize) -> f64 {
-        match &self.strata {
-            None => self.swamidass(ones),
-            Some(st) => match &st.swami[s] {
-                Some(t) => t[ones],
-                None => estimators::bf_size_swamidass(ones, st.bits[s] as usize, self.b),
-            },
+        match &self.swami {
+            Some(t) => t.table[t.start[s] + ones],
+            None => estimators::bf_size_swamidass(ones, self.geom.widths()[s] * 64, self.b),
         }
     }
 
@@ -1194,19 +972,24 @@ impl<'a> BloomCollectionIn<'a> {
     /// `|X∩Y|̂_AND` (Eq. 2) between sets `i` and `j`.
     #[inline]
     pub fn estimate_and(&self, i: usize, j: usize) -> f64 {
-        if self.strata.is_none() {
-            return self.swamidass(self.and_ones(i, j));
+        if self.geom.is_uniform() {
+            return self.estimate_and_from_ones(self.and_ones(i, j));
         }
         let (p, s) = self.pair_stats(i, j);
         self.swamidass_at(s, p.and_ones)
     }
 
-    /// `|X∩Y|̂_AND` from a precomputed `B_{X∩Y,1}` — the memoized Swamidass
-    /// curve, exposed so batch callers (oracle row kernels) can hoist the
-    /// row's word window out of their inner loop and still hit the table.
+    /// `|X∩Y|̂_AND` from a precomputed `B_{X∩Y,1}` on a uniform collection
+    /// — the memoized Swamidass curve, exposed so batch callers (oracle
+    /// row kernels) can hoist the row's word window out of their inner
+    /// loop and still hit the table with one index.
     #[inline]
     pub fn estimate_and_from_ones(&self, and_ones: usize) -> f64 {
-        self.swamidass(and_ones)
+        debug_assert!(self.geom.is_uniform(), "stratified: use the `_at` form");
+        match &self.swami {
+            Some(t) => t.table[and_ones],
+            None => estimators::bf_size_swamidass(and_ones, self.bits_per_set(), self.b),
+        }
     }
 
     /// `|X∩Y|̂_L` (Eq. 4) between sets `i` and `j`.
@@ -1372,7 +1155,7 @@ mod tests {
             estimators::bf_intersect_or(col.or_ones(0, 1), col.bits_per_set(), 2, x.len(), y.len())
         );
         // Saturation entry (ones == B) stays finite.
-        assert!(col.swami.as_ref().unwrap()[col.bits_per_set()].is_finite());
+        assert!(col.swami.as_ref().unwrap().table[col.bits_per_set()].is_finite());
     }
 
     #[test]
@@ -1445,10 +1228,9 @@ mod tests {
             .map(|s| (0..40 + s * 11).map(|i| (i * 23 + s) as u32).collect())
             .collect();
         let uni = BloomCollection::build(sets.len(), 768, 2, 13, |i| &sets[i][..]);
-        let strat = BloomCollection::build_stratified(vec![768], vec![0; sets.len()], 2, 13, |i| {
-            &sets[i][..]
-        });
-        assert!(strat.strata().is_none(), "1-stratum lowers to uniform");
+        let one = SetGeometry::stratified(vec![12], vec![0; sets.len()]);
+        let strat = BloomCollection::build_on(one, 2, 13, |i| &sets[i][..]);
+        assert!(strat.geometry().is_uniform(), "1-stratum lowers to uniform");
         assert_eq!(uni.raw_words(), strat.raw_words());
         assert_eq!(uni.raw_ones(), strat.raw_ones());
     }
@@ -1460,10 +1242,8 @@ mod tests {
             .collect();
         // Alternate strata so plenty of cross-stratum pairs exist.
         let assign: Vec<u8> = (0..16).map(|i| (i % 3) as u8).collect();
-        let strat =
-            BloomCollection::build_stratified(vec![2048, 1024, 512], assign.clone(), 2, 7, |i| {
-                &sets[i][..]
-            });
+        let geom = SetGeometry::stratified(vec![32, 16, 8], assign);
+        let strat = BloomCollection::build_on(geom, 2, 7, |i| &sets[i][..]);
         for i in 0..sets.len() {
             for j in 0..sets.len() {
                 let w = strat.bits_of(i).min(strat.bits_of(j));
@@ -1499,12 +1279,9 @@ mod tests {
             .map(|s| (0..70 + s * 9).map(|i| (i * 19 + s) as u32).collect())
             .collect();
         let assign: Vec<u8> = (0..12).map(|i| (i % 2) as u8).collect();
-        let want = BloomCollection::build_stratified(vec![1024, 512], assign.clone(), 2, 13, |i| {
-            &full[i][..]
-        });
-        let mut got = BloomCollection::build_stratified(vec![1024, 512], assign, 2, 13, |i| {
-            &full[i][..full[i].len() / 3]
-        });
+        let geom = SetGeometry::stratified(vec![16, 8], assign);
+        let want = BloomCollection::build_on(geom.clone(), 2, 13, |i| &full[i][..]);
+        let mut got = BloomCollection::build_on(geom, 2, 13, |i| &full[i][..full[i].len() / 3]);
         for (i, set) in full.iter().enumerate() {
             got.insert_batch(i, &set[set.len() / 3..]);
             assert_eq!(got.words(i), want.words(i), "set {i}");

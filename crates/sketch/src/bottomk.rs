@@ -15,16 +15,18 @@
 //! Prop. IV.3's exponential bound applicable. Samples are stored in hash
 //! order so this union-merge costs `O(k)` (Table IV).
 //!
-//! A collection may be **stratified** ([`BkStrata`]): each set's sample
-//! cap `k` comes from its stratum. Cross-stratum pairs walk the first
+//! A collection may be **stratified**: its [`SetGeometry`] gives each
+//! set's sample cap `k` per stratum (the uniform layout is the
+//! one-stratum case). Cross-stratum pairs walk the first
 //! `min(k_i, k_j)` union draws — exact, because truncating a bottom-k
 //! sample to its `k' < k` hash-smallest entries *is* the bottom-`k'`
 //! sample, so the capped walk equals both sketches built at the narrower
-//! cap. The offsets/lens layout was already heterogeneous; stratification
+//! cap. The offsets/lens layout is heterogeneous anyway; stratification
 //! only varies the per-set capacity.
 
 use crate::cowvec::cow_clear;
 use crate::estimators;
+use crate::geometry::SetGeometry;
 use crate::heap::{sift_down, sift_up};
 use pg_hash::HashFamily;
 use std::borrow::Cow;
@@ -304,54 +306,18 @@ pub struct BottomKCollectionIn<'a> {
     /// Live sample length per set (`≤` region capacity).
     lens: Cow<'a, [u32]>,
     set_sizes: Cow<'a, [u32]>,
-    k: usize,
+    /// Per-set sample caps (only the widths are read: the element arrays
+    /// keep their own tight-packed or strided offsets).
+    geom: SetGeometry<'a>,
     /// The single seeded hash function — kept after construction so
     /// streamed elements can be keyed without re-deriving the family.
     family: HashFamily,
-    /// True once every region has capacity `k` (streaming layout).
+    /// True once every region has its full capacity (streaming layout).
     strided: bool,
-    /// `Some` when the collection is stratified: per-set caps live here
-    /// and `k` holds the **widest** stratum's cap.
-    strata: Option<BkStrata<'a>>,
 }
 
 /// The owned (`'static`) form of [`BottomKCollectionIn`].
 pub type BottomKCollection = BottomKCollectionIn<'static>;
-
-/// Per-set geometry of a stratified bottom-k collection: stratum
-/// assignment plus the per-stratum sample caps.
-#[derive(Clone, Debug)]
-pub struct BkStrata<'a> {
-    assign: Cow<'a, [u8]>,
-    ks: Vec<u32>,
-}
-
-impl<'a> BkStrata<'a> {
-    fn new(assign: Cow<'a, [u8]>, ks: Vec<u32>) -> Self {
-        assert!(!ks.is_empty(), "need at least one stratum");
-        assert!(ks.iter().all(|&k| k > 0), "bottom-k needs k ≥ 1");
-        BkStrata { assign, ks }
-    }
-
-    /// Per-set stratum indices.
-    #[inline]
-    pub fn assign(&self) -> &[u8] {
-        &self.assign
-    }
-
-    /// Per-stratum sample caps.
-    #[inline]
-    pub fn stratum_ks(&self) -> &[u32] {
-        &self.ks
-    }
-
-    fn into_owned(self) -> BkStrata<'static> {
-        BkStrata {
-            assign: Cow::Owned(self.assign.into_owned()),
-            ks: self.ks,
-        }
-    }
-}
 
 impl<'a> BottomKCollectionIn<'a> {
     /// Builds sketches for `n_sets` sets in parallel.
@@ -360,15 +326,25 @@ impl<'a> BottomKCollectionIn<'a> {
         F: Fn(usize) -> &'s [u32] + Sync,
     {
         assert!(k > 0, "bottom-k needs k ≥ 1");
+        Self::build_on(SetGeometry::uniform(n_sets, k), seed, set)
+    }
+
+    /// Builds one sketch per set of `geom` in parallel: set `i` keeps its
+    /// `geom.width_of(i)` hash-smallest elements.
+    pub fn build_on<'s, F>(geom: SetGeometry<'a>, seed: u64, set: F) -> Self
+    where
+        F: Fn(usize) -> &'s [u32] + Sync,
+    {
         let family = HashFamily::new(1, seed);
         // Two-phase: compute every sketch into its own Vec in parallel,
         // then concatenate (keeps offsets exact without atomics).
         let per_set: Vec<(Vec<u32>, Vec<u32>)> = {
-            let family = &family;
-            let set = &set;
-            pg_parallel::parallel_init(n_sets, move |s| select_bottom_k(set(s), k, family))
+            let (family, geom, set) = (&family, &geom, &set);
+            pg_parallel::parallel_init(geom.len(), move |s| {
+                select_bottom_k(set(s), geom.width_of(s), family)
+            })
         };
-        let mut offsets = Vec::with_capacity(n_sets + 1);
+        let mut offsets = Vec::with_capacity(geom.len() + 1);
         offsets.push(0u32);
         let mut total = 0usize;
         for (v, _) in &per_set {
@@ -385,94 +361,31 @@ impl<'a> BottomKCollectionIn<'a> {
             elems.extend_from_slice(v);
             hashes.extend_from_slice(h);
         }
-        let mut set_sizes = vec![0u32; n_sets];
+        let mut set_sizes = vec![0u32; geom.len()];
         pg_parallel::parallel_fill_with(&mut set_sizes, |s| set(s).len() as u32);
         let lens: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
-        let strided = total == n_sets * k;
+        let strided = total == geom.total();
         BottomKCollectionIn {
             elems: Cow::Owned(elems),
             hashes: Cow::Owned(hashes),
             offsets: Cow::Owned(offsets),
             lens: Cow::Owned(lens),
             set_sizes: Cow::Owned(set_sizes),
-            k,
+            geom,
             family,
             strided,
-            strata: None,
-        }
-    }
-
-    /// Builds a **stratified** collection: set `i`'s sample cap is
-    /// `stratum_ks[assign[i]]`. With a single stratum this lowers onto
-    /// [`BottomKCollectionIn::build`] and is bit-identical to it.
-    pub fn build_stratified<'s, F>(stratum_ks: Vec<u32>, assign: Vec<u8>, seed: u64, set: F) -> Self
-    where
-        F: Fn(usize) -> &'s [u32] + Sync,
-    {
-        if stratum_ks.len() == 1 {
-            return Self::build(assign.len(), stratum_ks[0] as usize, seed, set);
-        }
-        let n_sets = assign.len();
-        let strata = BkStrata::new(Cow::Owned(assign), stratum_ks);
-        let family = HashFamily::new(1, seed);
-        let per_set: Vec<(Vec<u32>, Vec<u32>)> = {
-            let family = &family;
-            let set = &set;
-            let strata = &strata;
-            pg_parallel::parallel_init(n_sets, move |s| {
-                select_bottom_k(
-                    set(s),
-                    strata.ks[strata.assign[s] as usize] as usize,
-                    family,
-                )
-            })
-        };
-        let mut offsets = Vec::with_capacity(n_sets + 1);
-        offsets.push(0u32);
-        let mut total = 0usize;
-        let mut cap_total = 0usize;
-        for (s, (v, _)) in per_set.iter().enumerate() {
-            total += v.len();
-            cap_total += strata.ks[strata.assign[s] as usize] as usize;
-            assert!(
-                total <= u32::MAX as usize,
-                "sketch storage exceeds u32 offsets"
-            );
-            offsets.push(total as u32);
-        }
-        let mut elems = Vec::with_capacity(total);
-        let mut hashes = Vec::with_capacity(total);
-        for (v, h) in &per_set {
-            elems.extend_from_slice(v);
-            hashes.extend_from_slice(h);
-        }
-        let mut set_sizes = vec![0u32; n_sets];
-        pg_parallel::parallel_fill_with(&mut set_sizes, |s| set(s).len() as u32);
-        let lens: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
-        let strided = total == cap_total;
-        let k = *strata.ks.iter().max().unwrap() as usize;
-        BottomKCollectionIn {
-            elems: Cow::Owned(elems),
-            hashes: Cow::Owned(hashes),
-            offsets: Cow::Owned(offsets),
-            lens: Cow::Owned(lens),
-            set_sizes: Cow::Owned(set_sizes),
-            k,
-            family,
-            strided,
-            strata: Some(strata),
         }
     }
 
     /// Reconstructs a collection from already-materialized flat arrays
-    /// (the snapshot load path). Callers must pass arrays satisfying the
-    /// layout invariants of whichever form `strided` names: monotone
-    /// `offsets` with `offsets[0] == 0` and `offsets[n] == elems.len()`,
-    /// `lens[i]` live entries per region in ascending packed
-    /// `(hash, element)` order, and for the strided form
-    /// `offsets[i] == i·k`. The snapshot loader validates all of this
-    /// (plus hash integrity) before calling; the debug assertions here
-    /// only guard direct in-crate use.
+    /// (the snapshot load path); `geom` gives the per-set caps. Callers
+    /// must pass arrays satisfying the layout invariants of whichever form
+    /// `strided` names: monotone `offsets` with `offsets[0] == 0` and
+    /// `offsets[n] == elems.len()`, `lens[i]` live entries per region in
+    /// ascending packed `(hash, element)` order, and for the strided form
+    /// offsets that are the cumulative caps. The snapshot loader validates
+    /// all of this (plus hash integrity) before calling; the debug
+    /// assertions here only guard direct in-crate use.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         elems: impl Into<Cow<'a, [u32]>>,
@@ -480,76 +393,29 @@ impl<'a> BottomKCollectionIn<'a> {
         offsets: impl Into<Cow<'a, [u32]>>,
         lens: impl Into<Cow<'a, [u32]>>,
         set_sizes: impl Into<Cow<'a, [u32]>>,
-        k: usize,
+        geom: SetGeometry<'a>,
         seed: u64,
         strided: bool,
     ) -> Self {
         let (elems, hashes) = (elems.into(), hashes.into());
         let (offsets, lens, set_sizes) = (offsets.into(), lens.into(), set_sizes.into());
-        assert!(k > 0, "bottom-k needs k ≥ 1");
-        assert!(!offsets.is_empty(), "offsets must hold n + 1 entries");
-        let n = offsets.len() - 1;
+        let n = geom.len();
+        assert_eq!(offsets.len(), n + 1, "offsets must hold n + 1 entries");
         assert_eq!(lens.len(), n);
         assert_eq!(set_sizes.len(), n);
         assert_eq!(elems.len(), hashes.len());
         debug_assert_eq!(offsets[0], 0);
-        debug_assert_eq!(*offsets.last().expect("non-empty") as usize, elems.len());
+        debug_assert_eq!(offsets[n] as usize, elems.len());
         BottomKCollectionIn {
             elems,
             hashes,
             offsets,
             lens,
             set_sizes,
-            k,
+            geom,
             family: HashFamily::new(1, seed),
             strided,
-            strata: None,
         }
-    }
-
-    /// Stratified sibling of [`BottomKCollectionIn::from_raw_parts`]: the
-    /// per-set cap is `stratum_ks[assign[i]]`; for the strided form the
-    /// offsets must be the cumulative per-set caps. The snapshot loader
-    /// validates all of this before calling.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw_parts_stratified(
-        elems: impl Into<Cow<'a, [u32]>>,
-        hashes: impl Into<Cow<'a, [u32]>>,
-        offsets: impl Into<Cow<'a, [u32]>>,
-        lens: impl Into<Cow<'a, [u32]>>,
-        set_sizes: impl Into<Cow<'a, [u32]>>,
-        stratum_ks: Vec<u32>,
-        assign: impl Into<Cow<'a, [u8]>>,
-        seed: u64,
-        strided: bool,
-    ) -> Self {
-        let assign = assign.into();
-        if stratum_ks.len() == 1 {
-            return Self::from_raw_parts(
-                elems,
-                hashes,
-                offsets,
-                lens,
-                set_sizes,
-                stratum_ks[0] as usize,
-                seed,
-                strided,
-            );
-        }
-        let mut out = Self::from_raw_parts(
-            elems,
-            hashes,
-            offsets,
-            lens,
-            set_sizes,
-            *stratum_ks.iter().max().expect("non-empty strata") as usize,
-            seed,
-            strided,
-        );
-        let strata = BkStrata::new(assign, stratum_ks);
-        assert_eq!(strata.assign.len(), out.len());
-        out.strata = Some(strata);
-        out
     }
 
     /// The whole flat element array — the byte-stable payload snapshots
@@ -592,9 +458,10 @@ impl<'a> BottomKCollectionIn<'a> {
 
     /// Assembles one collection holding the concatenation of `parts`'
     /// samples, in order — the serving layer's copy-on-publish path. All
-    /// parts must share `(k, seed)`; they may be in either layout. The
-    /// result is always strided (offsets are the trivial `i·k` sequence),
-    /// with unused capacity slots zeroed so gathers are deterministic.
+    /// parts must share their caps and seed; they may be in either layout.
+    /// The result is always strided (offsets are the cumulative caps —
+    /// the trivial `i·k` sequence when uniform), with unused capacity
+    /// slots zeroed so gathers are deterministic.
     pub fn gather(parts: &[&BottomKCollectionIn<'_>]) -> BottomKCollection {
         let first = parts.first().expect("gather needs at least one part");
         let mut out = BottomKCollectionIn {
@@ -603,10 +470,9 @@ impl<'a> BottomKCollectionIn<'a> {
             offsets: Cow::Owned(Vec::new()),
             lens: Cow::Owned(Vec::new()),
             set_sizes: Cow::Owned(Vec::new()),
-            k: first.k,
+            geom: first.geom.clone().into_owned(),
             family: first.family.clone(),
             strided: true,
-            strata: None,
         };
         out.gather_into(parts);
         out
@@ -615,80 +481,27 @@ impl<'a> BottomKCollectionIn<'a> {
     /// In-place form of [`BottomKCollection::gather`], reusing `self`'s
     /// allocations (the double-buffer path).
     pub fn gather_into(&mut self, parts: &[&BottomKCollectionIn<'_>]) {
-        let first = parts.first().expect("gather needs at least one part");
-        if let Some(fs) = &first.strata {
-            // Stratified: regions get per-set capacity; offsets are the
-            // cumulative caps.
-            let ks = fs.ks.clone();
-            let mut assign: Vec<u8> = Vec::new();
-            for p in parts {
-                let ps = p
-                    .strata
-                    .as_ref()
-                    .expect("gather: mixed uniform/stratified parts");
-                assert_eq!(ps.ks, ks, "gather: mismatched stratum caps");
-                assign.extend_from_slice(&ps.assign);
-            }
-            let cap_total: usize = assign.iter().map(|&a| ks[a as usize] as usize).sum();
-            assert!(
-                cap_total <= u32::MAX as usize,
-                "gathered sketch storage exceeds u32 offsets"
-            );
-            let elems = cow_clear(&mut self.elems);
-            elems.resize(cap_total, 0);
-            let hashes = cow_clear(&mut self.hashes);
-            hashes.resize(cap_total, 0);
-            let offsets = cow_clear(&mut self.offsets);
-            offsets.push(0);
-            let mut off = 0u32;
-            for &a in &assign {
-                off += ks[a as usize];
-                offsets.push(off);
-            }
-            let lens = cow_clear(&mut self.lens);
-            let set_sizes = cow_clear(&mut self.set_sizes);
-            let mut out_set = 0usize;
-            for p in parts {
-                for i in 0..p.lens.len() {
-                    let src = p.offsets[i] as usize;
-                    let len = p.lens[i] as usize;
-                    let dst = offsets[out_set] as usize;
-                    elems[dst..dst + len].copy_from_slice(&p.elems[src..src + len]);
-                    hashes[dst..dst + len].copy_from_slice(&p.hashes[src..src + len]);
-                    out_set += 1;
-                }
-                lens.extend_from_slice(&p.lens);
-                set_sizes.extend_from_slice(&p.set_sizes);
-            }
-            self.k = first.k;
-            self.family = first.family.clone();
-            self.strided = true;
-            self.strata = Some(BkStrata::new(Cow::Owned(assign), ks));
-            return;
-        }
-        self.strata = None;
-        let k = self.k;
-        let n: usize = parts.iter().map(|p| p.lens.len()).sum();
+        self.geom.gather_into(parts.iter().map(|p| &p.geom));
+        let cap_total = self.geom.total();
         assert!(
-            n * k <= u32::MAX as usize,
+            cap_total <= u32::MAX as usize,
             "gathered sketch storage exceeds u32 offsets"
         );
         let elems = cow_clear(&mut self.elems);
-        elems.resize(n * k, 0);
+        elems.resize(cap_total, 0);
         let hashes = cow_clear(&mut self.hashes);
-        hashes.resize(n * k, 0);
+        hashes.resize(cap_total, 0);
         let offsets = cow_clear(&mut self.offsets);
-        offsets.extend((0..=n).map(|i| (i * k) as u32));
+        offsets.push(0);
+        offsets.extend((0..self.geom.len()).map(|i| self.geom.range(i).end as u32));
         let lens = cow_clear(&mut self.lens);
         let set_sizes = cow_clear(&mut self.set_sizes);
         let mut out_set = 0usize;
         for p in parts {
-            assert!(p.strata.is_none(), "gather: mixed uniform/stratified parts");
-            assert_eq!(p.k, k, "gather: mismatched sample sizes");
             for i in 0..p.lens.len() {
                 let src = p.offsets[i] as usize;
                 let len = p.lens[i] as usize;
-                let dst = out_set * k;
+                let dst = offsets[out_set] as usize;
                 elems[dst..dst + len].copy_from_slice(&p.elems[src..src + len]);
                 hashes[dst..dst + len].copy_from_slice(&p.hashes[src..src + len]);
                 out_set += 1;
@@ -708,10 +521,9 @@ impl<'a> BottomKCollectionIn<'a> {
             offsets: Cow::Owned(self.offsets.into_owned()),
             lens: Cow::Owned(self.lens.into_owned()),
             set_sizes: Cow::Owned(self.set_sizes.into_owned()),
-            k: self.k,
+            geom: self.geom.into_owned(),
             family: self.family,
             strided: self.strided,
-            strata: self.strata.map(BkStrata::into_owned),
         }
     }
 
@@ -723,7 +535,7 @@ impl<'a> BottomKCollectionIn<'a> {
             return;
         }
         let n = self.len();
-        let cap_total: usize = (0..n).map(|i| self.cap_of(i)).sum();
+        let cap_total = self.geom.total();
         assert!(
             cap_total <= u32::MAX as usize,
             "streaming sketch storage exceeds u32 offsets"
@@ -840,7 +652,7 @@ impl<'a> BottomKCollectionIn<'a> {
     /// Number of sketches.
     #[inline]
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.geom.len()
     }
 
     /// True when the collection holds no sketches.
@@ -853,28 +665,25 @@ impl<'a> BottomKCollectionIn<'a> {
     /// (per-set caps come from [`BottomKCollectionIn::cap_of`]).
     #[inline]
     pub fn k(&self) -> usize {
-        self.k
+        self.geom.max_width()
     }
 
     /// Sample cap of set `i`.
     #[inline]
     pub fn cap_of(&self, i: usize) -> usize {
-        match &self.strata {
-            Some(st) => st.ks[st.assign[i] as usize] as usize,
-            None => self.k,
-        }
+        self.geom.width_of(i)
     }
 
     /// Stratum index of set `i` (0 for uniform collections).
     #[inline]
     pub fn stratum_of(&self, i: usize) -> usize {
-        self.strata.as_ref().map_or(0, |st| st.assign[i] as usize)
+        self.geom.stratum_of(i)
     }
 
-    /// The stratified geometry, when present.
+    /// The per-set caps, as a window layout in sample slots.
     #[inline]
-    pub fn strata(&self) -> Option<&BkStrata<'a>> {
-        self.strata.as_ref()
+    pub fn geometry(&self) -> &SetGeometry<'a> {
+        &self.geom
     }
 
     /// The sample of set `i`, in ascending hash order.
@@ -1245,21 +1054,21 @@ mod tests {
             .map(|s| (0..5 + s * 9).map(|i| (i * 7 + s) as u32).collect())
             .collect();
         let uniform = BottomKCollection::build(sets.len(), 12, 7, |i| &sets[i][..]);
-        let strat =
-            BottomKCollection::build_stratified(
-                vec![12],
-                vec![0u8; sets.len()],
-                7,
-                |i| &sets[i][..],
-            );
+        let one = SetGeometry::stratified(vec![12], vec![0u8; sets.len()]);
+        let strat = BottomKCollection::build_on(one, 7, |i| &sets[i][..]);
         assert!(
-            strat.strata().is_none(),
+            strat.geometry().is_uniform(),
             "one stratum must lower to uniform"
         );
         assert_eq!(strat.raw_elems(), uniform.raw_elems());
         assert_eq!(strat.raw_hashes(), uniform.raw_hashes());
         assert_eq!(strat.raw_offsets(), uniform.raw_offsets());
         assert_eq!(strat.raw_lens(), uniform.raw_lens());
+    }
+
+    /// Stratified geometry with sample caps `ks`.
+    fn strata(ks: &[usize], assign: &[u8]) -> SetGeometry<'static> {
+        SetGeometry::stratified(ks.to_vec(), assign.to_vec())
     }
 
     #[test]
@@ -1270,12 +1079,11 @@ mod tests {
         let sets: Vec<Vec<u32>> = (0..12)
             .map(|s| (0..3 + s * 11).map(|i| (i * 5 + s) as u32).collect())
             .collect();
-        let ks = vec![24u32, 12, 6];
+        let ks = [24, 12, 6];
         let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 3) as u8).collect();
-        let strat =
-            BottomKCollection::build_stratified(ks.clone(), assign.clone(), 3, |i| &sets[i][..]);
+        let strat = BottomKCollection::build_on(strata(&ks, &assign), 3, |i| &sets[i][..]);
         for i in 0..sets.len() {
-            assert_eq!(strat.cap_of(i), ks[assign[i] as usize] as usize);
+            assert_eq!(strat.cap_of(i), ks[assign[i] as usize]);
             for j in 0..sets.len() {
                 let kmin = strat.cap_of(i).min(strat.cap_of(j));
                 let narrow = BottomKCollection::build(sets.len(), kmin, 3, |s| &sets[s][..]);
@@ -1319,12 +1127,10 @@ mod tests {
         let full: Vec<Vec<u32>> = (0..10)
             .map(|s| (0..2 + s * 9).map(|i| (i * 13 + s) as u32).collect())
             .collect();
-        let ks = vec![16u32, 5];
         let assign: Vec<u8> = (0..full.len()).map(|i| (i % 2) as u8).collect();
-        let want =
-            BottomKCollection::build_stratified(ks.clone(), assign.clone(), 23, |i| &full[i][..]);
-        let mut got =
-            BottomKCollection::build_stratified(ks, assign, 23, |i| &full[i][..full[i].len() / 3]);
+        let geom = strata(&[16, 5], &assign);
+        let want = BottomKCollection::build_on(geom.clone(), 23, |i| &full[i][..]);
+        let mut got = BottomKCollection::build_on(geom, 23, |i| &full[i][..full[i].len() / 3]);
         for (i, set) in full.iter().enumerate() {
             if i % 2 == 0 {
                 got.insert_batch(i, &set[set.len() / 3..]);
@@ -1346,21 +1152,14 @@ mod tests {
         let sets: Vec<Vec<u32>> = (0..8)
             .map(|s| (0..4 + s * 7).map(|i| (i * 3 + s) as u32).collect())
             .collect();
-        let ks = vec![10u32, 4];
+        let ks = [10, 4];
         let assign: Vec<u8> = (0..8).map(|i| (i % 2) as u8).collect();
-        let whole =
-            BottomKCollection::build_stratified(ks.clone(), assign.clone(), 5, |i| &sets[i][..]);
-        let left = BottomKCollection::build_stratified(ks.clone(), assign[..4].to_vec(), 5, |i| {
-            &sets[i][..]
-        });
-        let right =
-            BottomKCollection::build_stratified(ks, assign[4..].to_vec(), 5, |i| &sets[i + 4][..]);
+        let whole = BottomKCollection::build_on(strata(&ks, &assign), 5, |i| &sets[i][..]);
+        let left = BottomKCollection::build_on(strata(&ks, &assign[..4]), 5, |i| &sets[i][..]);
+        let right = BottomKCollection::build_on(strata(&ks, &assign[4..]), 5, |i| &sets[i + 4][..]);
         let gathered = BottomKCollection::gather(&[&left, &right]);
         assert!(gathered.is_strided());
-        assert_eq!(
-            gathered.strata().unwrap().assign(),
-            whole.strata().unwrap().assign()
-        );
+        assert_eq!(gathered.geometry(), whole.geometry());
         for i in 0..8 {
             assert_eq!(gathered.sample(i), whole.sample(i), "set {i}");
             assert_eq!(gathered.sample_hashes(i), whole.sample_hashes(i), "set {i}");

@@ -25,6 +25,7 @@
 //! what keeps cross-stratum estimates identical to both sketches having
 //! been built at the narrower geometry.
 
+use crate::geometry::SetGeometry;
 use std::fmt;
 
 /// Concrete parameters for one probabilistic representation.
@@ -44,6 +45,23 @@ pub enum SketchParams {
     Kmv { k: usize },
     /// HyperLogLog with `2^precision` one-byte registers per set.
     Hll { precision: u8 },
+}
+
+impl SketchParams {
+    /// Width of one set's sketch window in its collection's slot unit:
+    /// view words for (counting) Bloom filters, signature / sample slots
+    /// for MinHash, bottom-k and KMV, registers for HLL. Whether a width
+    /// is legal is for the collection to decide, not this mapping.
+    pub fn window_slots(&self) -> usize {
+        match *self {
+            SketchParams::Bloom { bits_per_set, .. }
+            | SketchParams::CountingBloom { bits_per_set, .. } => bits_per_set.div_ceil(64).max(1),
+            SketchParams::KHash { k } | SketchParams::OneHash { k } | SketchParams::Kmv { k } => k,
+            SketchParams::Hll { precision } => {
+                1usize.checked_shl(u32::from(precision)).unwrap_or(0)
+            }
+        }
+    }
 }
 
 /// Why a budget could not be resolved into usable sketch parameters.
@@ -408,16 +426,19 @@ impl StrataSpec {
 
 /// Resolved stratified parameters: one [`SketchParams`] per stratum plus
 /// the per-set stratum assignment. Stratum 0 is the highest-degree (and
-/// widest) stratum.
+/// widest) stratum. The uniform case is the one-stratum table, which keeps
+/// no assignment array.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StratifiedParams {
     strata: Vec<SketchParams>,
+    /// Per-set stratum indices — empty for one stratum.
     assign: Vec<u8>,
 }
 
 impl StratifiedParams {
     /// Bundles a per-stratum parameter table with a per-set assignment.
-    /// Panics if any assignment indexes past the table or the table
+    /// A one-stratum table drops the assignment (every set is in stratum
+    /// 0). Panics if any assignment indexes past the table or the table
     /// exceeds [`MAX_STRATA`].
     pub fn new(strata: Vec<SketchParams>, assign: Vec<u8>) -> Self {
         assert!(
@@ -425,11 +446,22 @@ impl StratifiedParams {
             "need 1..={MAX_STRATA} strata, got {}",
             strata.len()
         );
+        if strata.len() == 1 {
+            return Self::uniform(strata[0]);
+        }
         assert!(
             assign.iter().all(|&a| (a as usize) < strata.len()),
             "assignment references a stratum past the table"
         );
         StratifiedParams { strata, assign }
+    }
+
+    /// The one-stratum table: every set resolves to `params`.
+    pub fn uniform(params: SketchParams) -> Self {
+        StratifiedParams {
+            strata: vec![params],
+            assign: Vec::new(),
+        }
     }
 
     /// Per-stratum parameter table (stratum 0 = widest / highest degree).
@@ -438,16 +470,26 @@ impl StratifiedParams {
         &self.strata
     }
 
-    /// Per-set stratum indices.
+    /// Per-set stratum indices (empty for a one-stratum table).
     #[inline]
     pub fn assign(&self) -> &[u8] {
         &self.assign
     }
 
+    /// Stratum of set `i` (always 0 for a one-stratum table).
+    #[inline]
+    pub fn stratum_of(&self, i: usize) -> usize {
+        if self.is_uniform() {
+            0
+        } else {
+            self.assign[i] as usize
+        }
+    }
+
     /// The resolved parameters of set `i`.
     #[inline]
     pub fn params_of(&self, i: usize) -> SketchParams {
-        self.strata[self.assign[i] as usize]
+        self.strata[self.stratum_of(i)]
     }
 
     #[inline]
@@ -455,8 +497,7 @@ impl StratifiedParams {
         self.strata.len()
     }
 
-    /// True when there is only one stratum — the store layer lowers this
-    /// case onto the flat uniform fast path bit-identically.
+    /// True when there is only one stratum — the uniform layout.
     #[inline]
     pub fn is_uniform(&self) -> bool {
         self.strata.len() == 1
@@ -465,15 +506,56 @@ impl StratifiedParams {
     /// Canonical form: when every stratum resolved to the *same* params
     /// (e.g. floors swallowed the multiplier at tiny budgets), collapse to
     /// a single stratum so downstream layers take the uniform fast path.
-    pub fn collapsed(mut self) -> Self {
-        if self.strata.len() > 1 && self.strata.iter().all(|p| *p == self.strata[0]) {
-            self.strata.truncate(1);
-            self.assign.iter_mut().for_each(|a| *a = 0);
+    pub fn collapsed(self) -> Self {
+        if self.strata.iter().all(|p| *p == self.strata[0]) {
+            Self::uniform(self.strata[0])
+        } else {
+            self
         }
-        self
     }
 
-    /// Number of sets assigned to each stratum.
+    /// The same table over a subset of the sets, in `rows` order (row `t`
+    /// of the result is set `rows[t]` here).
+    pub fn select(&self, rows: impl IntoIterator<Item = usize>) -> Self {
+        if self.is_uniform() {
+            return self.clone();
+        }
+        StratifiedParams {
+            strata: self.strata.clone(),
+            assign: rows.into_iter().map(|u| self.assign[u]).collect(),
+        }
+    }
+
+    /// The window layout these parameters give `n_sets` sets, in the
+    /// collection's slot unit ([`SketchParams::window_slots`]). Every
+    /// stratum must be the same representation with the same hash count.
+    pub fn geometry(&self, n_sets: usize) -> SetGeometry<'static> {
+        let kind = |p: &SketchParams| match *p {
+            SketchParams::Bloom { b, .. } | SketchParams::CountingBloom { b, .. } => {
+                (std::mem::discriminant(p), b)
+            }
+            _ => (std::mem::discriminant(p), 0),
+        };
+        let widths: Vec<usize> = self
+            .strata
+            .iter()
+            .map(|p| {
+                assert!(
+                    kind(p) == kind(&self.strata[0]),
+                    "stratified params mix representations: {p:?}"
+                );
+                p.window_slots()
+            })
+            .collect();
+        if self.is_uniform() {
+            return SetGeometry::uniform(n_sets, widths[0]);
+        }
+        assert_eq!(self.assign.len(), n_sets, "assignment must cover every set");
+        SetGeometry::stratified(widths, self.assign.clone())
+    }
+
+    /// Number of sets assigned to each stratum (multi-stratum tables; a
+    /// one-stratum table has no assignment to count).
     pub fn counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.strata.len()];
         for &a in &self.assign {
@@ -502,17 +584,17 @@ impl StratifiedPlan {
     /// descending degree (ties by ascending id — deterministic), the top
     /// `ceil(fractions[0]·n)` go to stratum 0, and so on; the base stratum
     /// takes the tail. Returns the per-set assignment and per-stratum
-    /// counts.
+    /// counts. A one-stratum spec ignores `degrees`.
     pub fn assign(&self, degrees: &[u32]) -> (Vec<u8>, Vec<usize>) {
-        assert_eq!(
-            degrees.len(),
-            self.plan.n_sets,
-            "degrees must cover every set in the plan"
-        );
-        let n = degrees.len();
+        let n = self.plan.n_sets;
+        let k = self.spec.n_strata();
+        if k == 1 {
+            // Every set is in stratum 0: degrees are not consulted.
+            return (vec![0; n], vec![n]);
+        }
+        assert_eq!(degrees.len(), n, "degrees must cover every set in the plan");
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_unstable_by_key(|&i| (std::cmp::Reverse(degrees[i as usize]), i));
-        let k = self.spec.n_strata();
         let mut assign = vec![(k - 1) as u8; n];
         let mut counts = vec![0usize; k];
         let mut cut_prev = 0usize;

@@ -37,6 +37,7 @@
 
 use crate::bloom::BloomCollection;
 use crate::cowvec::cow_clear;
+use crate::geometry::SetGeometry;
 use pg_hash::HashFamily;
 use pg_parallel::parallel_for;
 use std::borrow::Cow;
@@ -53,6 +54,10 @@ pub const COUNTER_MAX: u64 = (1 << COUNTER_BITS) - 1;
 /// Counters per 64-bit word.
 const COUNTERS_PER_WORD: usize = 64 / COUNTER_BITS;
 
+/// Counter words per derived-view word: a set's counter window is always
+/// exactly this many times its view window.
+const CW_PER_VIEW_WORD: usize = 64 / COUNTERS_PER_WORD;
+
 /// All per-set counting Bloom filters of a ProbGraph representation:
 /// packed per-bucket counters plus the derived [`BloomCollection`] read
 /// view (see the module docs for the invariant tying them together).
@@ -64,26 +69,17 @@ const COUNTERS_PER_WORD: usize = 64 / COUNTER_BITS;
 pub struct CountingBloomCollectionIn<'a> {
     /// The derived insert-only view every estimator reads — a real
     /// `BloomCollection`, so the fused kernels and the memoized Swamidass
-    /// table work unchanged.
+    /// table work unchanged. Its geometry is the one layout of this
+    /// collection: set `i`'s counters occupy [`CW_PER_VIEW_WORD`]× its
+    /// view window's word range.
     view: BloomCollection,
-    /// Packed saturating counters, `n_sets × words_per_set` words of
-    /// [`COUNTERS_PER_WORD`] counters each (stratified collections store
-    /// variable-width windows back to back, addressed by `offsets`).
+    /// Packed saturating counters, [`COUNTERS_PER_WORD`] per word, laid
+    /// out by the view's geometry scaled by [`CW_PER_VIEW_WORD`].
     counters: Cow<'a, [u64]>,
-    /// Counter words per set (`bits_per_set / COUNTERS_PER_WORD`); for
-    /// stratified collections this is the **narrowest** stratum's width,
-    /// mirroring the view's convention.
-    words_per_set: usize,
-    /// Counter-word offset of each set's window (`n_sets + 1` entries) —
-    /// `Some` only when the view is stratified. Always exactly
-    /// `64 / COUNTERS_PER_WORD ×` the view's word offsets, since every
-    /// set's counter window packs [`COUNTERS_PER_WORD`] buckets per word.
-    offsets: Option<Vec<u64>>,
     /// The seeded hash family — identical to the view's (same `(b, seed)`
     /// construction), kept here so removals can re-derive bucket
     /// sequences without touching the view's private state.
     family: HashFamily,
-    bits_per_set: usize,
 }
 
 /// The owned (`'static`) form of [`CountingBloomCollectionIn`].
@@ -135,35 +131,12 @@ fn dec(window: &mut [u64], pos: usize) -> bool {
 }
 
 /// Derives the occupancy view words from packed counters: one view word
-/// gathers the occupancy of its 64 buckets from `64 / COUNTERS_PER_WORD`
-/// consecutive counter words. Shared by [`CountingBloomCollection::build`]
+/// gathers the occupancy of its 64 buckets from [`CW_PER_VIEW_WORD`]
+/// consecutive counter words. Shared by [`CountingBloomCollection::build_on`]
 /// and the snapshot reconstruction path so both produce bit-identical
-/// views. Works unchanged over stratified layouts: every per-set window
-/// is a whole number of view words (widths are multiples of 64 bits), so
-/// the global 4-counter-words-per-view-word grouping never straddles a
-/// set boundary.
-/// Counter-word offsets of a stratified layout (`n_sets + 1` entries):
-/// set `i` owns `stratum_bits[assign[i]] / COUNTERS_PER_WORD` words.
-/// Width validity (whole words, power-of-two multiples of the narrowest)
-/// is enforced by the derived view's [`crate::BloomStrata`] construction.
-fn counter_offsets(stratum_bits: &[u32], assign: &[u8]) -> Vec<u64> {
-    let mut offsets = Vec::with_capacity(assign.len() + 1);
-    let mut off = 0u64;
-    offsets.push(0);
-    for &a in assign {
-        let bits = stratum_bits[a as usize] as usize;
-        assert!(
-            bits > 0 && bits.is_multiple_of(64),
-            "stratum widths must be positive multiples of 64"
-        );
-        off += (bits / COUNTERS_PER_WORD) as u64;
-        offsets.push(off);
-    }
-    offsets
-}
-
+/// views. Every per-set window is a whole number of view words, so the
+/// global grouping never straddles a set boundary.
 fn derive_view_words(counters: &[u64], n_view_words: usize) -> Vec<u64> {
-    const CW_PER_VIEW_WORD: usize = 64 / COUNTERS_PER_WORD;
     let mut view_words = vec![0u64; n_view_words];
     pg_parallel::parallel_fill_with(&mut view_words, |w| {
         let mut bits = 0u64;
@@ -176,96 +149,51 @@ fn derive_view_words(counters: &[u64], n_view_words: usize) -> Vec<u64> {
 }
 
 impl<'a> CountingBloomCollectionIn<'a> {
-    /// Builds filters for `n_sets` sets in parallel. Each set is hashed
-    /// **once**, into its counters; the derived view is then one linear
-    /// occupancy sweep over the counter words (no second hashing pass),
-    /// which makes it bit-identical to [`BloomCollection::build`] with
-    /// the same parameters — the counters count exactly the bucket hits
-    /// that build would have set. `bits_per_set` is rounded up to a
-    /// multiple of 64 (whole view words; counter words pack
-    /// [`COUNTERS_PER_WORD`] buckets each).
+    /// Builds filters for `n_sets` sets in parallel. `bits_per_set` is
+    /// rounded up to a multiple of 64 (whole view words; counter words
+    /// pack [`COUNTERS_PER_WORD`] buckets each).
     pub fn build<'s, F>(n_sets: usize, bits_per_set: usize, b: usize, seed: u64, set: F) -> Self
     where
         F: Fn(usize) -> &'s [u32] + Sync,
     {
-        let view_words_per_set = bits_per_set.div_ceil(64).max(1);
-        let bits_per_set = view_words_per_set * 64;
-        let words_per_set = bits_per_set / COUNTERS_PER_WORD;
-        let family = HashFamily::new(b, seed);
-        let mut counters = vec![0u64; n_sets * words_per_set];
-        {
-            struct SendPtr(*mut u64);
-            unsafe impl Send for SendPtr {}
-            unsafe impl Sync for SendPtr {}
-            let base = SendPtr(counters.as_mut_ptr());
-            let base = &base;
-            let family = &family;
-            parallel_for(n_sets, |s| {
-                // SAFETY: window [s*wps, (s+1)*wps) is exclusive to set s.
-                let window = unsafe {
-                    std::slice::from_raw_parts_mut(base.0.add(s * words_per_set), words_per_set)
-                };
-                for &x in set(s) {
-                    family.for_each_bucket(x as u64, bits_per_set, |pos| {
-                        inc(window, pos as usize);
-                    });
-                }
-            });
-        }
-        let view_words = derive_view_words(&counters, n_sets * view_words_per_set);
-        CountingBloomCollectionIn {
-            view: BloomCollection::from_raw_words(view_words, view_words_per_set, b, seed),
-            counters: Cow::Owned(counters),
-            words_per_set,
-            offsets: None,
-            family,
-            bits_per_set,
-        }
+        let words = bits_per_set.div_ceil(64).max(1);
+        Self::build_on(SetGeometry::uniform(n_sets, words), b, seed, set)
     }
 
-    /// Builds a **stratified** collection: set `i` gets
-    /// `stratum_bits[assign[i]]` buckets (and as many counters), windows
-    /// stored back to back in set order. Width rules follow
-    /// [`crate::BloomStrata`] — whole words, power-of-two multiples of the
-    /// narrowest — because the derived read view is a stratified
-    /// [`BloomCollection`] and inherits its fold-based cross-stratum
-    /// estimators unchanged. With a single stratum this lowers onto
-    /// [`CountingBloomCollectionIn::build`] and is bit-identical to it.
-    pub fn build_stratified<'s, F>(
-        stratum_bits: Vec<u32>,
-        assign: Vec<u8>,
-        b: usize,
-        seed: u64,
-        set: F,
-    ) -> Self
+    /// Builds one filter per set of `geom` (widths in view words) in
+    /// parallel. Each set is hashed **once**, into its counters; the
+    /// derived view is then one linear occupancy sweep over the counter
+    /// words (no second hashing pass), which makes it bit-identical to
+    /// [`BloomCollection::build_on`] with the same geometry — the
+    /// counters count exactly the bucket hits that build would have set.
+    /// Width rules are the view's (whole words, power-of-two multiples of
+    /// the narrowest), so cross-stratum estimators run unchanged on top.
+    pub fn build_on<'s, F>(geom: SetGeometry<'static>, b: usize, seed: u64, set: F) -> Self
     where
         F: Fn(usize) -> &'s [u32] + Sync,
     {
-        if stratum_bits.len() == 1 {
-            return Self::build(assign.len(), stratum_bits[0] as usize, b, seed, set);
-        }
-        let n_sets = assign.len();
-        let offsets = counter_offsets(&stratum_bits, &assign);
-        let total_words = offsets[n_sets] as usize;
         let family = HashFamily::new(b, seed);
-        let mut counters = vec![0u64; total_words];
+        let mut counters = vec![0u64; geom.total() * CW_PER_VIEW_WORD];
         {
             struct SendPtr(*mut u64);
+            // SAFETY: the one field is a pointer into an array the parallel
+            // region below only touches through disjoint per-set windows.
             unsafe impl Send for SendPtr {}
             unsafe impl Sync for SendPtr {}
             let base = SendPtr(counters.as_mut_ptr());
             let base = &base;
-            let family = &family;
-            let offsets = &offsets;
-            let stratum_bits = &stratum_bits;
-            let assign_ref = &assign;
-            parallel_for(n_sets, |s| {
-                let start = offsets[s] as usize;
-                let len = (offsets[s + 1] - offsets[s]) as usize;
-                let bits = stratum_bits[assign_ref[s] as usize] as usize;
-                // SAFETY: offsets are strictly increasing, so each set's
-                // window is exclusive to it.
-                let window = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), len) };
+            let (family, geom) = (&family, &geom);
+            parallel_for(geom.len(), |s| {
+                let r = geom.range(s);
+                let bits = r.len() * 64;
+                // SAFETY: the geometry tiles the view, so the scaled window
+                // is exclusive to set s.
+                let window = unsafe {
+                    std::slice::from_raw_parts_mut(
+                        base.0.add(r.start * CW_PER_VIEW_WORD),
+                        r.len() * CW_PER_VIEW_WORD,
+                    )
+                };
                 for &x in set(s) {
                     family.for_each_bucket(x as u64, bits, |pos| {
                         inc(window, pos as usize);
@@ -273,111 +201,47 @@ impl<'a> CountingBloomCollectionIn<'a> {
                 }
             });
         }
-        const CW_PER_VIEW_WORD: usize = 64 / COUNTERS_PER_WORD;
-        let view_words = derive_view_words(&counters, total_words / CW_PER_VIEW_WORD);
-        let view =
-            BloomCollection::from_raw_words_stratified(view_words, stratum_bits, assign, b, seed);
-        let bits_per_set = view.bits_per_set();
+        let view_words = derive_view_words(&counters, geom.total());
         CountingBloomCollectionIn {
-            view,
+            view: BloomCollection::from_raw_words(view_words, geom, b, seed),
             counters: Cow::Owned(counters),
-            words_per_set: bits_per_set / COUNTERS_PER_WORD,
-            offsets: Some(offsets),
             family,
-            bits_per_set,
         }
     }
 
     /// Reconstructs a collection from already-materialized counter words
-    /// (the snapshot load path). The derived view is re-derived from the
-    /// counters with the same occupancy sweep as [`Self::build`], so the
-    /// `counter > 0 ⇔ bit set` invariant holds by construction — a caller
-    /// holding an independently persisted view can compare it against
-    /// [`Self::read_view`] to detect corruption. `bits_per_set` must be a
-    /// multiple of 64 (resolved filter sizes always are) and `counters`
-    /// must hold a whole number of per-set windows.
+    /// laid out by `geom` (widths in view words) — the snapshot load path.
+    /// The derived view is re-derived from the counters with the same
+    /// occupancy sweep as [`Self::build_on`], so the `counter > 0 ⇔ bit
+    /// set` invariant holds by construction — a caller holding an
+    /// independently persisted view can compare it against
+    /// [`Self::read_view`] to detect corruption. The view is always owned
+    /// bookkeeping, so the geometry is detached; the counters stay
+    /// zero-copy.
     pub fn from_counter_words(
         counters: impl Into<Cow<'a, [u64]>>,
-        bits_per_set: usize,
+        geom: SetGeometry<'_>,
         b: usize,
         seed: u64,
     ) -> Self {
         let counters = counters.into();
-        assert!(
-            bits_per_set > 0 && bits_per_set.is_multiple_of(64),
-            "bits_per_set must be a positive multiple of 64"
-        );
-        let words_per_set = bits_per_set / COUNTERS_PER_WORD;
-        let view_words_per_set = bits_per_set / 64;
         assert_eq!(
-            counters.len() % words_per_set,
-            0,
-            "counter array must hold whole per-set windows"
-        );
-        let n_sets = counters.len() / words_per_set;
-        let view_words = derive_view_words(&counters, n_sets * view_words_per_set);
-        CountingBloomCollectionIn {
-            view: BloomCollection::from_raw_words(view_words, view_words_per_set, b, seed),
-            counters,
-            words_per_set,
-            offsets: None,
-            family: HashFamily::new(b, seed),
-            bits_per_set,
-        }
-    }
-
-    /// Stratified sibling of
-    /// [`CountingBloomCollectionIn::from_counter_words`] — the snapshot
-    /// loader reassembles a stratified collection from validated counter
-    /// words plus the per-stratum width table and per-set assignment. The
-    /// derived view is re-derived from the counters with the same
-    /// occupancy sweep as [`CountingBloomCollectionIn::build_stratified`],
-    /// so the `counter > 0 ⇔ bit set` invariant holds by construction.
-    pub fn from_counter_words_stratified(
-        counters: impl Into<Cow<'a, [u64]>>,
-        stratum_bits: Vec<u32>,
-        assign: impl Into<Cow<'a, [u8]>>,
-        b: usize,
-        seed: u64,
-    ) -> Self {
-        let assign = assign.into();
-        if stratum_bits.len() == 1 {
-            return Self::from_counter_words(counters, stratum_bits[0] as usize, b, seed);
-        }
-        let counters = counters.into();
-        let n_sets = assign.len();
-        let offsets = counter_offsets(&stratum_bits, &assign);
-        assert_eq!(
-            offsets[n_sets] as usize,
             counters.len(),
-            "counter array does not match the stratified geometry"
+            geom.total() * CW_PER_VIEW_WORD,
+            "counter array does not match the geometry"
         );
-        const CW_PER_VIEW_WORD: usize = 64 / COUNTERS_PER_WORD;
-        let view_words = derive_view_words(&counters, counters.len() / CW_PER_VIEW_WORD);
-        // The view is always owned bookkeeping (recomputed at load), so the
-        // assignment is detached here; the counters stay zero-copy.
-        let view = BloomCollection::from_raw_words_stratified(
-            view_words,
-            stratum_bits,
-            assign.into_owned(),
-            b,
-            seed,
-        );
-        let bits_per_set = view.bits_per_set();
+        let view_words = derive_view_words(&counters, geom.total());
         CountingBloomCollectionIn {
-            view,
+            view: BloomCollection::from_raw_words(view_words, geom.into_owned(), b, seed),
             counters,
-            words_per_set: bits_per_set / COUNTERS_PER_WORD,
-            offsets: Some(offsets),
             family: HashFamily::new(b, seed),
-            bits_per_set,
         }
     }
 
     /// Assembles one collection holding the concatenation of `parts`'
     /// filters, in order — the serving layer's copy-on-publish path. All
-    /// parts must share `(bits_per_set, b)` and a common seed; both the
-    /// packed counters and the derived views concatenate as straight
+    /// parts must share their stratum widths, `b` and a common seed; both
+    /// the packed counters and the derived views concatenate as straight
     /// memcpys (shards own contiguous vertex ranges), so no re-derivation
     /// sweep runs.
     pub fn gather(parts: &[&CountingBloomCollectionIn<'_>]) -> CountingBloomCollection {
@@ -385,10 +249,7 @@ impl<'a> CountingBloomCollectionIn<'a> {
         let mut out = CountingBloomCollectionIn {
             view: BloomCollection::gather(&parts.iter().map(|p| &p.view).collect::<Vec<_>>()),
             counters: Cow::Owned(Vec::new()),
-            words_per_set: first.words_per_set,
-            offsets: None,
             family: first.family.clone(),
-            bits_per_set: first.bits_per_set,
         };
         out.gather_counters(parts);
         out
@@ -403,26 +264,13 @@ impl<'a> CountingBloomCollectionIn<'a> {
     }
 
     fn gather_counters(&mut self, parts: &[&CountingBloomCollectionIn<'_>]) {
-        // The view gather just ran and asserted shape compatibility
-        // (including per-stratum width tables for stratified parts), so
-        // the counter windows — back to back in both layouts — gather as
+        // The view gather just ran and asserted shape compatibility, so
+        // the counter windows — back to back, like the view's — gather as
         // one straight concatenation.
         let counters = cow_clear(&mut self.counters);
         for p in parts {
-            if self.view.strata().is_none() {
-                assert_eq!(
-                    p.words_per_set, self.words_per_set,
-                    "gather: mismatched counter widths"
-                );
-            }
             counters.extend_from_slice(&p.counters);
         }
-        self.bits_per_set = self.view.bits_per_set();
-        self.words_per_set = self.bits_per_set / COUNTERS_PER_WORD;
-        self.offsets = self.view.strata().map(|st| {
-            let bits: Vec<u32> = st.stratum_bits().to_vec();
-            counter_offsets(&bits, st.assign())
-        });
     }
 
     /// Detaches the collection from any borrowed snapshot buffer, cloning
@@ -431,10 +279,7 @@ impl<'a> CountingBloomCollectionIn<'a> {
         CountingBloomCollectionIn {
             view: self.view,
             counters: Cow::Owned(self.counters.into_owned()),
-            words_per_set: self.words_per_set,
-            offsets: self.offsets,
             family: self.family,
-            bits_per_set: self.bits_per_set,
         }
     }
 
@@ -464,12 +309,11 @@ impl<'a> CountingBloomCollectionIn<'a> {
         &self.view
     }
 
-    /// Per-set geometry of the derived view when the collection is
-    /// stratified; `None` on the uniform fast path. The counter windows
-    /// share the view's assignment and widths exactly.
+    /// The per-set window layout, widths in view words (the counters use
+    /// [`CW_PER_VIEW_WORD`]× each window).
     #[inline]
-    pub fn strata(&self) -> Option<&crate::BloomStrata<'static>> {
-        self.view.strata()
+    pub fn geometry(&self) -> &SetGeometry<'static> {
+        self.view.geometry()
     }
 
     /// Number of filters.
@@ -490,7 +334,7 @@ impl<'a> CountingBloomCollectionIn<'a> {
     /// of a specific set.
     #[inline]
     pub fn bits_per_set(&self) -> usize {
-        self.bits_per_set
+        self.view.bits_per_set()
     }
 
     /// Buckets (= counters = view bits) of set `i`.
@@ -508,10 +352,8 @@ impl<'a> CountingBloomCollectionIn<'a> {
     /// Counter-word range of set `i`'s window.
     #[inline]
     fn cw_range(&self, i: usize) -> std::ops::Range<usize> {
-        match &self.offsets {
-            Some(off) => off[i] as usize..off[i + 1] as usize,
-            None => i * self.words_per_set..(i + 1) * self.words_per_set,
-        }
+        let r = self.view.geometry().range(i);
+        r.start * CW_PER_VIEW_WORD..r.end * CW_PER_VIEW_WORD
     }
 
     /// Number of hash functions `b`.
@@ -534,8 +376,8 @@ impl<'a> CountingBloomCollectionIn<'a> {
         &self.counters[self.cw_range(i)]
     }
 
-    /// The whole flat counter array (`n_sets × words_per_set`) — the
-    /// byte-stable payload snapshots persist.
+    /// The whole flat counter array — the byte-stable payload snapshots
+    /// persist.
     #[inline]
     pub fn raw_counters(&self) -> &[u64] {
         &self.counters
@@ -741,42 +583,42 @@ mod tests {
     fn one_stratum_build_is_bit_identical_to_uniform() {
         let sets = sets(10);
         let uniform = CountingBloomCollection::build(sets.len(), 512, 2, 21, |i| &sets[i][..]);
-        let strat = CountingBloomCollection::build_stratified(
-            vec![512],
-            vec![0u8; sets.len()],
-            2,
-            21,
-            |i| &sets[i][..],
+        let one = || SetGeometry::stratified(vec![8], vec![0u8; sets.len()]);
+        let strat = CountingBloomCollection::build_on(one(), 2, 21, |i| &sets[i][..]);
+        assert!(
+            strat.geometry().is_uniform(),
+            "one stratum lowers to uniform"
         );
-        assert!(strat.strata().is_none(), "one stratum lowers to uniform");
         assert_eq!(uniform.raw_counters(), strat.raw_counters());
         for i in 0..sets.len() {
             assert_eq!(uniform.read_view().words(i), strat.read_view().words(i));
         }
-        let loaded = CountingBloomCollection::from_counter_words_stratified(
+        let loaded = CountingBloomCollection::from_counter_words(
             uniform.raw_counters().to_vec(),
-            vec![512],
-            vec![0u8; sets.len()],
+            one(),
             2,
             21,
         );
-        assert!(loaded.strata().is_none());
+        assert!(loaded.geometry().is_uniform());
         assert_eq!(loaded.raw_counters(), uniform.raw_counters());
+    }
+
+    /// Stratified geometry over `words` (view words per stratum).
+    fn strata(words: &[usize], assign: &[u8]) -> SetGeometry<'static> {
+        SetGeometry::stratified(words.to_vec(), assign.to_vec())
     }
 
     #[test]
     fn stratified_build_matches_per_stratum_uniform_builds() {
         let sets = sets(9);
-        let bits = vec![256u32, 128, 64];
+        let words = [4, 2, 1];
         let assign: Vec<u8> = (0..9).map(|i| (i % 3) as u8).collect();
         let strat =
-            CountingBloomCollection::build_stratified(bits.clone(), assign.clone(), 2, 5, |i| {
-                &sets[i][..]
-            });
+            CountingBloomCollection::build_on(strata(&words, &assign), 2, 5, |i| &sets[i][..]);
         // Each set's counters and view bits equal a single-set uniform
         // build at that set's width — same (b, seed) bucket sequence.
         for (i, set) in sets.iter().enumerate() {
-            let w = bits[assign[i] as usize] as usize;
+            let w = words[assign[i] as usize] * 64;
             assert_eq!(strat.bits_of(i), w);
             let solo = CountingBloomCollection::build(1, w, 2, 5, |_| &set[..]);
             assert_eq!(strat.counter_words(i), solo.counter_words(0), "set {i}");
@@ -787,7 +629,7 @@ mod tests {
         }
         // The view is a real stratified BloomCollection: its fold-based
         // cross-stratum estimators run unchanged on top of the counters.
-        let plain = pg_sketch_bloom_build(&bits, &assign, &sets);
+        let plain = BloomCollection::build_on(strata(&words, &assign), 2, 5, |i| &sets[i][..]);
         for i in 0..9 {
             for j in 0..9 {
                 assert_eq!(
@@ -798,10 +640,9 @@ mod tests {
             }
         }
         // Snapshot round-trip re-derives the identical view.
-        let loaded = CountingBloomCollection::from_counter_words_stratified(
+        let loaded = CountingBloomCollection::from_counter_words(
             strat.raw_counters().to_vec(),
-            bits,
-            assign,
+            strata(&words, &assign),
             2,
             5,
         );
@@ -811,29 +652,15 @@ mod tests {
         }
     }
 
-    fn pg_sketch_bloom_build(
-        bits: &[u32],
-        assign: &[u8],
-        sets: &[Vec<u32>],
-    ) -> crate::BloomCollection {
-        crate::BloomCollection::build_stratified(bits.to_vec(), assign.to_vec(), 2, 5, |i| {
-            &sets[i][..]
-        })
-    }
-
     #[test]
     fn stratified_insert_remove_matches_survivor_rebuild() {
         let all: Vec<Vec<u32>> = (0..6)
             .map(|s| (0..90).map(|i| (i * 13 + s * 7 + 1) as u32).collect())
             .collect();
-        let bits = vec![512u32, 128];
-        let assign: Vec<u8> = (0..6).map(|i| (i % 2) as u8).collect();
+        let geom = strata(&[8, 2], &(0..6).map(|i| (i % 2) as u8).collect::<Vec<_>>());
         // Start from the front halves, then stream in the back halves and
         // remove every third front element, mixing batch and scalar ops.
-        let mut cbf =
-            CountingBloomCollection::build_stratified(bits.clone(), assign.clone(), 2, 9, |i| {
-                &all[i][..45]
-            });
+        let mut cbf = CountingBloomCollection::build_on(geom.clone(), 2, 9, |i| &all[i][..45]);
         for (i, set) in all.iter().enumerate() {
             if i % 2 == 0 {
                 cbf.insert_batch(i, &set[45..]);
@@ -857,8 +684,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let rebuilt =
-            CountingBloomCollection::build_stratified(bits, assign, 2, 9, |i| &live[i][..]);
+        let rebuilt = CountingBloomCollection::build_on(geom, 2, 9, |i| &live[i][..]);
         for i in 0..6 {
             assert_eq!(cbf.counter_words(i), rebuilt.counter_words(i), "set {i}");
             assert_eq!(cbf.read_view().words(i), rebuilt.read_view().words(i));
@@ -872,10 +698,9 @@ mod tests {
     #[test]
     fn stratified_gather_concatenates_parts() {
         let sets = sets(8);
-        let bits = vec![256u32, 64];
         let build_part = |range: std::ops::Range<usize>| {
             let assign: Vec<u8> = range.clone().map(|i| (i % 2) as u8).collect();
-            CountingBloomCollection::build_stratified(bits.clone(), assign, 3, 11, |i| {
+            CountingBloomCollection::build_on(strata(&[4, 1], &assign), 3, 11, |i| {
                 &sets[range.start + i][..]
             })
         };
@@ -884,7 +709,7 @@ mod tests {
         let gathered = CountingBloomCollection::gather(&[&a, &b]);
         let assign: Vec<u8> = (0..8).map(|i| (i % 2) as u8).collect();
         let whole =
-            CountingBloomCollection::build_stratified(bits, assign, 3, 11, |i| &sets[i][..]);
+            CountingBloomCollection::build_on(strata(&[4, 1], &assign), 3, 11, |i| &sets[i][..]);
         assert_eq!(gathered.raw_counters(), whole.raw_counters());
         for i in 0..8 {
             assert_eq!(gathered.counter_words(i), whole.counter_words(i));

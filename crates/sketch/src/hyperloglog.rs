@@ -7,13 +7,15 @@
 //! linear-counting small-range correction, plus lossless merging, so
 //! `|X∩Y|` can be estimated by inclusion–exclusion exactly like KMV.
 //!
-//! A collection may be **stratified** ([`HllStrata`]): each set's
-//! precision comes from its stratum. Cross-precision pairs fold the wider
+//! A collection may be **stratified**: its [`SetGeometry`] gives each set
+//! a window of `2^p` registers, `p` chosen per stratum (the uniform layout
+//! is the one-stratum case). Cross-precision pairs fold the wider
 //! window down with [`fold_hll_registers_into`] — an *exact* downgrade
 //! (the folded registers equal the sketch built at the narrower precision
 //! directly) — then run the usual fused union pass at the narrow width.
 
 use crate::cowvec::cow_clear;
+use crate::geometry::SetGeometry;
 use pg_hash::HashFamily;
 use pg_parallel::parallel_for;
 use std::borrow::Cow;
@@ -243,68 +245,25 @@ impl HyperLogLog {
 #[derive(Clone, Debug)]
 pub struct HyperLogLogCollectionIn<'a> {
     registers: Cow<'a, [u8]>,
-    precision: u8,
+    /// Per-set register windows, `2^p` registers for precision `p`.
+    geom: SetGeometry<'a>,
     seed: u64,
     /// The seeded hash function — kept after construction so streamed
     /// elements can be absorbed in place (register max updates).
     family: HashFamily,
-    /// `Some` when the collection is stratified: per-set precisions and
-    /// window offsets live here and `precision` holds the **widest**
-    /// stratum's precision.
-    strata: Option<HllStrata<'a>>,
 }
 
 /// The owned (`'static`) form of [`HyperLogLogCollectionIn`].
 pub type HyperLogLogCollection = HyperLogLogCollectionIn<'static>;
 
-/// Per-set geometry of a stratified HLL collection: stratum assignment,
-/// per-stratum precisions, and the resulting register-window offsets.
-#[derive(Clone, Debug)]
-pub struct HllStrata<'a> {
-    assign: Cow<'a, [u8]>,
-    ps: Vec<u8>,
-    offsets: Vec<u64>,
-}
-
-impl<'a> HllStrata<'a> {
-    fn new(assign: Cow<'a, [u8]>, ps: Vec<u8>) -> Self {
-        assert!(!ps.is_empty(), "need at least one stratum");
+/// The HLL width rule: every window holds `2^p` registers with the
+/// precision `p` in the standard `4..=16` range.
+fn check_widths(geom: &SetGeometry<'_>) {
+    for &m in geom.widths() {
         assert!(
-            ps.iter().all(|p| (4..=16).contains(p)),
-            "precision outside 4..=16"
+            m.is_power_of_two() && (4..=16).contains(&m.trailing_zeros()),
+            "precision outside 4..=16 ({m} registers per set)"
         );
-        let mut offsets = Vec::with_capacity(assign.len() + 1);
-        let mut off = 0u64;
-        offsets.push(0);
-        for &a in assign.iter() {
-            off += 1u64 << ps[a as usize];
-            offsets.push(off);
-        }
-        HllStrata {
-            assign,
-            ps,
-            offsets,
-        }
-    }
-
-    /// Per-set stratum indices.
-    #[inline]
-    pub fn assign(&self) -> &[u8] {
-        &self.assign
-    }
-
-    /// Per-stratum precisions.
-    #[inline]
-    pub fn stratum_ps(&self) -> &[u8] {
-        &self.ps
-    }
-
-    fn into_owned(self) -> HllStrata<'static> {
-        HllStrata {
-            assign: Cow::Owned(self.assign.into_owned()),
-            ps: self.ps,
-            offsets: self.offsets,
-        }
     }
 }
 
@@ -319,68 +278,34 @@ impl<'a> HyperLogLogCollectionIn<'a> {
             (4..=16).contains(&precision),
             "precision {precision} outside 4..=16"
         );
-        let m = 1usize << precision;
-        let mut registers = vec![0u8; n_sets * m];
-        {
-            struct SendPtr(*mut u8);
-            unsafe impl Send for SendPtr {}
-            unsafe impl Sync for SendPtr {}
-            let base = SendPtr(registers.as_mut_ptr());
-            let base = &base;
-            let family = HashFamily::new(1, seed);
-            let family = &family;
-            let p = precision as u32;
-            parallel_for(n_sets, move |s| {
-                // SAFETY: window [s*m, (s+1)*m) is exclusive to set s.
-                let window = unsafe { std::slice::from_raw_parts_mut(base.0.add(s * m), m) };
-                for &x in set(s) {
-                    let (idx, rank) = split_hash(family.hash64(0, x as u64), p);
-                    if rank > window[idx] {
-                        window[idx] = rank;
-                    }
-                }
-            });
-        }
-        HyperLogLogCollectionIn {
-            registers: Cow::Owned(registers),
-            precision,
-            seed,
-            family: HashFamily::new(1, seed),
-            strata: None,
-        }
+        Self::build_on(SetGeometry::uniform(n_sets, 1 << precision), seed, set)
     }
 
-    /// Builds a **stratified** collection: set `i` gets
-    /// `2^stratum_ps[assign[i]]` registers. With a single stratum this
-    /// lowers onto [`HyperLogLogCollectionIn::build`] and is bit-identical
-    /// to it.
-    pub fn build_stratified<'s, F>(stratum_ps: Vec<u8>, assign: Vec<u8>, seed: u64, set: F) -> Self
+    /// Builds one sketch per set of `geom` (widths in registers) in
+    /// parallel: set `i` gets `geom.width_of(i)` registers.
+    pub fn build_on<'s, F>(geom: SetGeometry<'a>, seed: u64, set: F) -> Self
     where
         F: Fn(usize) -> &'s [u32] + Sync,
     {
-        if stratum_ps.len() == 1 {
-            return Self::build(assign.len(), stratum_ps[0], seed, set);
-        }
-        let n_sets = assign.len();
-        let strata = HllStrata::new(Cow::Owned(assign), stratum_ps);
-        let total = strata.offsets[n_sets] as usize;
-        let mut registers = vec![0u8; total];
+        check_widths(&geom);
+        let mut registers = vec![0u8; geom.total()];
+        let family = HashFamily::new(1, seed);
         {
             struct SendPtr(*mut u8);
+            // SAFETY: the one field is a pointer into an array the parallel
+            // region below only touches through disjoint per-set windows.
             unsafe impl Send for SendPtr {}
             unsafe impl Sync for SendPtr {}
             let base = SendPtr(registers.as_mut_ptr());
             let base = &base;
-            let family = HashFamily::new(1, seed);
-            let family = &family;
-            let strata_ref = &strata;
-            parallel_for(n_sets, move |s| {
-                let start = strata_ref.offsets[s] as usize;
-                let m = (strata_ref.offsets[s + 1] - strata_ref.offsets[s]) as usize;
-                let p = strata_ref.ps[strata_ref.assign[s] as usize] as u32;
-                // SAFETY: offsets are strictly increasing, so each set's
-                // window is exclusive to it.
-                let window = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), m) };
+            let (family, geom) = (&family, &geom);
+            parallel_for(geom.len(), move |s| {
+                let r = geom.range(s);
+                let p = r.len().trailing_zeros();
+                // SAFETY: the geometry tiles the array, so window `r` is
+                // exclusive to set s.
+                let window =
+                    unsafe { std::slice::from_raw_parts_mut(base.0.add(r.start), r.len()) };
                 for &x in set(s) {
                     let (idx, rank) = split_hash(family.hash64(0, x as u64), p);
                     if rank > window[idx] {
@@ -389,80 +314,41 @@ impl<'a> HyperLogLogCollectionIn<'a> {
                 }
             });
         }
-        let precision = *strata.ps.iter().max().unwrap();
         HyperLogLogCollectionIn {
             registers: Cow::Owned(registers),
-            precision,
+            geom,
             seed,
-            family: HashFamily::new(1, seed),
-            strata: Some(strata),
+            family,
         }
     }
 
     /// Reconstructs a collection from an already-materialized flat
-    /// register array (the snapshot load path; owned `Vec<u8>` or
-    /// borrowed `&'a [u8]`). `registers` must hold a whole number of
-    /// `2^precision`-byte windows with every rank in
-    /// `0..=(64 - precision + 1)`; the snapshot loader validates this
-    /// before calling.
+    /// register array laid out by `geom` (the snapshot load path; owned
+    /// `Vec<u8>` or borrowed `&'a [u8]`). Every rank must lie in
+    /// `0..=(64 - p + 1)` for its set's precision `p`; the snapshot loader
+    /// validates this before calling.
     pub fn from_raw_registers(
         registers: impl Into<Cow<'a, [u8]>>,
-        precision: u8,
+        geom: SetGeometry<'a>,
         seed: u64,
     ) -> Self {
         let registers = registers.into();
-        assert!(
-            (4..=16).contains(&precision),
-            "precision {precision} outside 4..=16"
-        );
+        check_widths(&geom);
         assert_eq!(
-            registers.len() % (1usize << precision),
-            0,
-            "register array must hold whole sketches"
-        );
-        HyperLogLogCollectionIn {
-            registers,
-            precision,
-            seed,
-            family: HashFamily::new(1, seed),
-            strata: None,
-        }
-    }
-
-    /// Stratified sibling of
-    /// [`HyperLogLogCollectionIn::from_raw_registers`] (the snapshot load
-    /// path): the register array must hold each set's
-    /// `2^stratum_ps[assign[i]]`-byte window back to back.
-    pub fn from_raw_registers_stratified(
-        registers: impl Into<Cow<'a, [u8]>>,
-        stratum_ps: Vec<u8>,
-        assign: impl Into<Cow<'a, [u8]>>,
-        seed: u64,
-    ) -> Self {
-        let assign = assign.into();
-        if stratum_ps.len() == 1 {
-            return Self::from_raw_registers(registers, stratum_ps[0], seed);
-        }
-        let registers = registers.into();
-        let n_sets = assign.len();
-        let strata = HllStrata::new(assign, stratum_ps);
-        assert_eq!(
-            strata.offsets[n_sets] as usize,
             registers.len(),
-            "register array does not match the stratified geometry"
+            geom.total(),
+            "register array does not match the geometry"
         );
-        let precision = *strata.ps.iter().max().unwrap();
         HyperLogLogCollectionIn {
             registers,
-            precision,
+            geom,
             seed,
             family: HashFamily::new(1, seed),
-            strata: Some(strata),
         }
     }
 
-    /// The whole flat register array (`n_sets × 2^precision`) — the
-    /// byte-stable payload snapshots persist.
+    /// The whole flat register array — the byte-stable payload snapshots
+    /// persist.
     #[inline]
     pub fn raw_registers(&self) -> &[u8] {
         &self.registers
@@ -470,15 +356,14 @@ impl<'a> HyperLogLogCollectionIn<'a> {
 
     /// Assembles one collection holding the concatenation of `parts`'
     /// register arrays, in order — the serving layer's copy-on-publish
-    /// path. All parts must share `(precision, seed)`.
+    /// path. All parts must share their precisions and seed.
     pub fn gather(parts: &[&HyperLogLogCollectionIn<'_>]) -> HyperLogLogCollection {
         let first = parts.first().expect("gather needs at least one part");
         let mut out = HyperLogLogCollectionIn {
             registers: Cow::Owned(Vec::new()),
-            precision: first.precision,
+            geom: first.geom.clone().into_owned(),
             seed: first.seed,
             family: first.family.clone(),
-            strata: None,
         };
         out.gather_into(parts);
         out
@@ -487,30 +372,9 @@ impl<'a> HyperLogLogCollectionIn<'a> {
     /// In-place form of [`HyperLogLogCollection::gather`], reusing `self`'s
     /// register allocation (the double-buffer path).
     pub fn gather_into(&mut self, parts: &[&HyperLogLogCollectionIn<'_>]) {
-        let first = parts.first().expect("gather needs at least one part");
-        if let Some(fs) = &first.strata {
-            let ps = fs.ps.clone();
-            let mut assign = Vec::new();
-            let registers = cow_clear(&mut self.registers);
-            for p in parts {
-                let pst = p
-                    .strata
-                    .as_ref()
-                    .expect("gather: mixed uniform/stratified parts");
-                assert_eq!(pst.ps, ps, "gather: mismatched stratum precisions");
-                assert_eq!(p.seed, self.seed, "gather: mismatched seeds");
-                registers.extend_from_slice(&p.registers);
-                assign.extend_from_slice(&pst.assign);
-            }
-            self.precision = first.precision;
-            self.strata = Some(HllStrata::new(Cow::Owned(assign), ps));
-            return;
-        }
-        self.strata = None;
+        self.geom.gather_into(parts.iter().map(|p| &p.geom));
         let registers = cow_clear(&mut self.registers);
         for p in parts {
-            assert!(p.strata.is_none(), "gather: mixed uniform/stratified parts");
-            assert_eq!(p.precision, self.precision, "gather: mismatched precision");
             assert_eq!(p.seed, self.seed, "gather: mismatched seeds");
             registers.extend_from_slice(&p.registers);
         }
@@ -521,10 +385,9 @@ impl<'a> HyperLogLogCollectionIn<'a> {
     pub fn into_owned(self) -> HyperLogLogCollection {
         HyperLogLogCollectionIn {
             registers: Cow::Owned(self.registers.into_owned()),
-            precision: self.precision,
+            geom: self.geom.into_owned(),
             seed: self.seed,
             family: self.family,
-            strata: self.strata.map(HllStrata::into_owned),
         }
     }
 
@@ -539,8 +402,8 @@ impl<'a> HyperLogLogCollectionIn<'a> {
     /// Batched per-set insert: absorbs all of `xs` into sketch `i` with
     /// the register window hoisted out of the element loop.
     pub fn insert_batch(&mut self, i: usize, xs: &[u32]) {
-        let r = self.reg_range(i);
-        let p = self.precision_of(i) as u32;
+        let r = self.geom.range(i);
+        let p = r.len().trailing_zeros();
         let window = &mut self.registers.to_mut()[r];
         for &x in xs {
             let (idx, rank) = split_hash(self.family.hash64(0, x as u64), p);
@@ -553,18 +416,13 @@ impl<'a> HyperLogLogCollectionIn<'a> {
     /// Number of sketches.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.strata {
-            Some(st) => st.assign.len(),
-            // precision is asserted into 4..=16 at build, so the register
-            // count per set is a nonzero power of two.
-            None => self.registers.len() >> self.precision,
-        }
+        self.geom.len()
     }
 
     /// True when the collection holds no sketches.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.registers.is_empty()
+        self.geom.is_empty()
     }
 
     /// Configured precision (`m = 2^precision` registers per set) — the
@@ -572,46 +430,31 @@ impl<'a> HyperLogLogCollectionIn<'a> {
     /// come from [`HyperLogLogCollectionIn::precision_of`]).
     #[inline]
     pub fn precision(&self) -> u8 {
-        self.precision
-    }
-
-    /// Register range of set `i` in the flat array.
-    #[inline]
-    fn reg_range(&self, i: usize) -> std::ops::Range<usize> {
-        match &self.strata {
-            Some(st) => st.offsets[i] as usize..st.offsets[i + 1] as usize,
-            None => {
-                let m = 1usize << self.precision;
-                i * m..(i + 1) * m
-            }
-        }
+        self.geom.max_width().trailing_zeros() as u8
     }
 
     /// Precision of set `i`.
     #[inline]
     pub fn precision_of(&self, i: usize) -> u8 {
-        match &self.strata {
-            Some(st) => st.ps[st.assign[i] as usize],
-            None => self.precision,
-        }
+        self.geom.width_of(i).trailing_zeros() as u8
     }
 
     /// Stratum index of set `i` (0 for uniform collections).
     #[inline]
     pub fn stratum_of(&self, i: usize) -> usize {
-        self.strata.as_ref().map_or(0, |st| st.assign[i] as usize)
+        self.geom.stratum_of(i)
     }
 
-    /// The stratified geometry, when present.
+    /// The per-set window layout, widths in registers.
     #[inline]
-    pub fn strata(&self) -> Option<&HllStrata<'a>> {
-        self.strata.as_ref()
+    pub fn geometry(&self) -> &SetGeometry<'a> {
+        &self.geom
     }
 
     /// The register window of set `i`.
     #[inline]
     pub fn registers(&self, i: usize) -> &[u8] {
-        &self.registers[self.reg_range(i)]
+        &self.registers[self.geom.range(i)]
     }
 
     /// `|X|̂` of set `i` (HLL's own estimate; callers usually have the
@@ -885,16 +728,19 @@ mod tests {
             .map(|s| (0..50 + s * 40).map(|i| (i * 13 + s) as u32).collect())
             .collect();
         let uniform = HyperLogLogCollection::build(sets.len(), 8, 11, |i| &sets[i][..]);
-        let strat =
-            HyperLogLogCollection::build_stratified(vec![8], vec![0u8; sets.len()], 11, |i| {
-                &sets[i][..]
-            });
+        let one = SetGeometry::stratified(vec![1 << 8], vec![0u8; sets.len()]);
+        let strat = HyperLogLogCollection::build_on(one, 11, |i| &sets[i][..]);
         assert!(
-            strat.strata().is_none(),
+            strat.geometry().is_uniform(),
             "one stratum must lower to uniform"
         );
         assert_eq!(strat.raw_registers(), uniform.raw_registers());
         assert_eq!(strat.precision(), uniform.precision());
+    }
+
+    /// Stratified geometry with per-stratum precisions `ps`.
+    fn strata(ps: &[u8], assign: &[u8]) -> SetGeometry<'static> {
+        SetGeometry::stratified(ps.iter().map(|&p| 1 << p).collect(), assign.to_vec())
     }
 
     #[test]
@@ -902,15 +748,9 @@ mod tests {
         let sets: Vec<Vec<u32>> = (0..9)
             .map(|s| (0..100 + s * 120).map(|i| (i * 5 + s) as u32).collect())
             .collect();
-        let ps = vec![10u8, 8, 6];
+        let ps = [10u8, 8, 6];
         let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 3) as u8).collect();
-        let strat =
-            HyperLogLogCollection::build_stratified(
-                ps.clone(),
-                assign.clone(),
-                7,
-                |i| &sets[i][..],
-            );
+        let strat = HyperLogLogCollection::build_on(strata(&ps, &assign), 7, |i| &sets[i][..]);
         for i in 0..sets.len() {
             assert_eq!(strat.precision_of(i), ps[assign[i] as usize]);
             assert_eq!(strat.registers(i).len(), 1usize << strat.precision_of(i));
@@ -954,18 +794,10 @@ mod tests {
         let full: Vec<Vec<u32>> = (0..8)
             .map(|s| (0..80 + s * 30).map(|i| (i * 13 + s) as u32).collect())
             .collect();
-        let ps = vec![9u8, 5];
         let assign: Vec<u8> = (0..full.len()).map(|i| (i % 2) as u8).collect();
-        let want =
-            HyperLogLogCollection::build_stratified(
-                ps.clone(),
-                assign.clone(),
-                17,
-                |i| &full[i][..],
-            );
-        let mut got = HyperLogLogCollection::build_stratified(ps, assign, 17, |i| {
-            &full[i][..full[i].len() / 2]
-        });
+        let geom = strata(&[9, 5], &assign);
+        let want = HyperLogLogCollection::build_on(geom.clone(), 17, |i| &full[i][..]);
+        let mut got = HyperLogLogCollection::build_on(geom, 17, |i| &full[i][..full[i].len() / 2]);
         for (i, set) in full.iter().enumerate() {
             got.insert_batch(i, &set[set.len() / 2..]);
             assert_eq!(got.registers(i), want.registers(i), "set {i}");
@@ -978,28 +810,15 @@ mod tests {
         let sets: Vec<Vec<u32>> = (0..8)
             .map(|s| (0..60 + s * 25).map(|i| (i * 3 + s) as u32).collect())
             .collect();
-        let ps = vec![8u8, 5];
+        let ps = [8u8, 5];
         let assign: Vec<u8> = (0..8).map(|i| (i % 2) as u8).collect();
-        let whole =
-            HyperLogLogCollection::build_stratified(
-                ps.clone(),
-                assign.clone(),
-                5,
-                |i| &sets[i][..],
-            );
-        let left =
-            HyperLogLogCollection::build_stratified(ps.clone(), assign[..4].to_vec(), 5, |i| {
-                &sets[i][..]
-            });
-        let right = HyperLogLogCollection::build_stratified(ps, assign[4..].to_vec(), 5, |i| {
-            &sets[i + 4][..]
-        });
+        let whole = HyperLogLogCollection::build_on(strata(&ps, &assign), 5, |i| &sets[i][..]);
+        let left = HyperLogLogCollection::build_on(strata(&ps, &assign[..4]), 5, |i| &sets[i][..]);
+        let right =
+            HyperLogLogCollection::build_on(strata(&ps, &assign[4..]), 5, |i| &sets[i + 4][..]);
         let gathered = HyperLogLogCollection::gather(&[&left, &right]);
         assert_eq!(gathered.raw_registers(), whole.raw_registers());
-        assert_eq!(
-            gathered.strata().unwrap().assign(),
-            whole.strata().unwrap().assign()
-        );
+        assert_eq!(gathered.geometry(), whole.geometry());
         for i in 0..8 {
             assert_eq!(gathered.registers(i), whole.registers(i));
         }

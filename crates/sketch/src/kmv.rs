@@ -7,6 +7,7 @@
 //! these estimators are Prop. A.7–A.9.
 
 use crate::estimators;
+use crate::geometry::SetGeometry;
 use crate::heap::{sift_down, sift_up};
 use pg_hash::HashFamily;
 use std::borrow::Cow;
@@ -381,53 +382,22 @@ fn union_match_walk_x2(
     ((m0, t0), (m1, t1))
 }
 
-/// Per-set geometry of a stratified KMV collection. Each sketch already
-/// stores its own `k` and every pairwise estimator takes `min(k)`, so
-/// this exists to keep the stratum table/assignment round-trippable
-/// through snapshots and queryable by the planners.
-#[derive(Clone, Debug)]
-pub struct KmvStrata<'a> {
-    assign: Cow<'a, [u8]>,
-    ks: Vec<u32>,
-}
-
-impl<'a> KmvStrata<'a> {
-    fn new(assign: Cow<'a, [u8]>, ks: Vec<u32>) -> Self {
-        assert!(!ks.is_empty(), "need at least one stratum");
-        assert!(ks.iter().all(|&k| k > 0), "KMV needs k ≥ 1");
-        KmvStrata { assign, ks }
-    }
-
-    /// Per-set stratum indices.
-    #[inline]
-    pub fn assign(&self) -> &[u8] {
-        &self.assign
-    }
-
-    /// Per-stratum sketch sizes.
-    #[inline]
-    pub fn stratum_ks(&self) -> &[u32] {
-        &self.ks
-    }
-
-    fn into_owned(self) -> KmvStrata<'static> {
-        KmvStrata {
-            assign: Cow::Owned(self.assign.into_owned()),
-            ks: self.ks,
-        }
-    }
-}
-
 /// All KMV sketches of a ProbGraph representation (flat storage).
+///
+/// A collection may be **stratified**: its [`SetGeometry`] gives each
+/// sketch its own `k` (the uniform layout is the one-stratum case).
+/// Cross-stratum estimators need no special casing — every pairwise path
+/// already truncates to `min(k)`, and a KMV sketch truncated to `k' < k`
+/// entries is exactly the sketch built at `k'`.
 #[derive(Clone, Debug)]
 pub struct KmvCollectionIn<'a> {
     sketches: Vec<KmvSketchIn<'a>>,
+    /// Per-set `k` (only the widths are read: each sketch holds its own
+    /// hash list).
+    geom: SetGeometry<'a>,
     /// The single seeded hash function — kept after construction so
     /// streamed elements can be hashed for in-place absorption.
     family: HashFamily,
-    /// `Some` when the collection is stratified (per-set `k` lives on the
-    /// sketches themselves; see [`KmvStrata`]).
-    strata: Option<KmvStrata<'a>>,
 }
 
 /// The owned (`'static`) form of [`KmvCollectionIn`].
@@ -439,86 +409,51 @@ impl<'a> KmvCollectionIn<'a> {
     where
         F: Fn(usize) -> &'s [u32] + Sync,
     {
-        let sketches = pg_parallel::parallel_init(n_sets, |s| KmvSketch::from_set(set(s), k, seed));
-        KmvCollectionIn {
-            sketches,
-            family: HashFamily::new(1, seed),
-            strata: None,
-        }
+        assert!(k > 0, "KMV needs k ≥ 1");
+        Self::build_on(SetGeometry::uniform(n_sets, k), seed, set)
     }
 
-    /// Builds a **stratified** collection: sketch `i` keeps the
-    /// `stratum_ks[assign[i]]` smallest hashes. With a single stratum this
-    /// lowers onto [`KmvCollectionIn::build`] and is bit-identical to it.
-    /// Cross-stratum estimators need no special casing — every pairwise
-    /// path already truncates to `min(k)`, and a KMV sketch truncated to
-    /// `k' < k` entries is exactly the sketch built at `k'`.
-    pub fn build_stratified<'s, F>(stratum_ks: Vec<u32>, assign: Vec<u8>, seed: u64, set: F) -> Self
+    /// Builds one sketch per set of `geom` in parallel: sketch `i` keeps
+    /// the `geom.width_of(i)` smallest hashes.
+    pub fn build_on<'s, F>(geom: SetGeometry<'a>, seed: u64, set: F) -> Self
     where
         F: Fn(usize) -> &'s [u32] + Sync,
     {
-        if stratum_ks.len() == 1 {
-            return Self::build(assign.len(), stratum_ks[0] as usize, seed, set);
-        }
-        let strata = KmvStrata::new(Cow::Owned(assign), stratum_ks);
-        let sketches = {
-            let strata = &strata;
-            pg_parallel::parallel_init(strata.assign.len(), |s| {
-                KmvSketch::from_set(set(s), strata.ks[strata.assign[s] as usize] as usize, seed)
-            })
-        };
+        let sketches = pg_parallel::parallel_init(geom.len(), |s| {
+            KmvSketch::from_set(set(s), geom.width_of(s), seed)
+        });
         KmvCollectionIn {
             sketches,
+            geom,
             family: HashFamily::new(1, seed),
-            strata: Some(strata),
         }
     }
 
     /// Reconstructs a collection from already-validated sketches built
-    /// under `seed` (the snapshot load path).
-    pub fn from_sketches(sketches: Vec<KmvSketchIn<'a>>, seed: u64) -> Self {
-        KmvCollectionIn {
-            sketches,
-            family: HashFamily::new(1, seed),
-            strata: None,
-        }
-    }
-
-    /// Stratified sibling of [`KmvCollectionIn::from_sketches`]: each
-    /// sketch's `k` must equal `stratum_ks[assign[i]]` (the snapshot
-    /// loader validates this before calling).
-    pub fn from_sketches_stratified(
-        sketches: Vec<KmvSketchIn<'a>>,
-        stratum_ks: Vec<u32>,
-        assign: impl Into<Cow<'a, [u8]>>,
-        seed: u64,
-    ) -> Self {
-        let assign = assign.into();
-        if stratum_ks.len() == 1 {
-            return Self::from_sketches(sketches, seed);
-        }
-        let strata = KmvStrata::new(assign, stratum_ks);
-        assert_eq!(strata.assign.len(), sketches.len());
+    /// under `seed` (the snapshot load path); sketch `i`'s `k` must be
+    /// `geom.width_of(i)`.
+    pub fn from_sketches(sketches: Vec<KmvSketchIn<'a>>, geom: SetGeometry<'a>, seed: u64) -> Self {
+        assert_eq!(sketches.len(), geom.len(), "one sketch per set");
         debug_assert!(sketches
             .iter()
-            .zip(strata.assign.iter())
-            .all(|(s, &a)| s.k == strata.ks[a as usize] as usize));
+            .enumerate()
+            .all(|(i, s)| s.k == geom.width_of(i)));
         KmvCollectionIn {
             sketches,
+            geom,
             family: HashFamily::new(1, seed),
-            strata: Some(strata),
         }
     }
 
     /// Assembles one collection holding the concatenation of `parts`'
     /// sketches, in order — the serving layer's copy-on-publish path. All
-    /// parts must have been built under one `(k, seed)`.
+    /// parts must have been built under one width table and seed.
     pub fn gather(parts: &[&KmvCollectionIn<'_>]) -> KmvCollection {
         let first = parts.first().expect("gather needs at least one part");
         let mut out = KmvCollectionIn {
             sketches: Vec::new(),
+            geom: first.geom.clone().into_owned(),
             family: first.family.clone(),
-            strata: None,
         };
         out.gather_into(parts);
         out
@@ -530,25 +465,7 @@ impl<'a> KmvCollectionIn<'a> {
     /// allocates nothing beyond hash vectors that grew since the last
     /// epoch.
     pub fn gather_into(&mut self, parts: &[&KmvCollectionIn<'_>]) {
-        let first = parts.first().expect("gather needs at least one part");
-        self.strata = if let Some(fs) = &first.strata {
-            let mut assign = Vec::new();
-            for p in parts {
-                let ps = p
-                    .strata
-                    .as_ref()
-                    .expect("gather: mixed uniform/stratified parts");
-                assert_eq!(ps.ks, fs.ks, "gather: mismatched stratum sizes");
-                assign.extend_from_slice(&ps.assign);
-            }
-            Some(KmvStrata::new(Cow::Owned(assign), fs.ks.clone()))
-        } else {
-            assert!(
-                parts.iter().all(|p| p.strata.is_none()),
-                "gather: mixed uniform/stratified parts"
-            );
-            None
-        };
+        self.geom.gather_into(parts.iter().map(|p| &p.geom));
         let total: usize = parts.iter().map(|p| p.sketches.len()).sum();
         self.sketches.truncate(total);
         let mut src = parts.iter().flat_map(|p| p.sketches.iter());
@@ -580,8 +497,8 @@ impl<'a> KmvCollectionIn<'a> {
                 .into_iter()
                 .map(KmvSketchIn::into_owned)
                 .collect(),
+            geom: self.geom.into_owned(),
             family: self.family,
-            strata: self.strata.map(KmvStrata::into_owned),
         }
     }
 
@@ -625,13 +542,13 @@ impl<'a> KmvCollectionIn<'a> {
     /// Stratum index of set `i` (0 for uniform collections).
     #[inline]
     pub fn stratum_of(&self, i: usize) -> usize {
-        self.strata.as_ref().map_or(0, |st| st.assign[i] as usize)
+        self.geom.stratum_of(i)
     }
 
-    /// The stratified geometry, when present.
+    /// The per-set `k`, as a window layout in hash slots.
     #[inline]
-    pub fn strata(&self) -> Option<&KmvStrata<'a>> {
-        self.strata.as_ref()
+    pub fn geometry(&self) -> &SetGeometry<'a> {
+        &self.geom
     }
 
     /// `|X∩Y|̂_K` between sets `i` and `j`.
@@ -825,15 +742,20 @@ mod tests {
             .map(|s| (0..20 + s * 30).map(|i| (i * 7 + s) as u32).collect())
             .collect();
         let uniform = KmvCollection::build(sets.len(), 32, 9, |i| &sets[i][..]);
-        let strat =
-            KmvCollection::build_stratified(vec![32], vec![0u8; sets.len()], 9, |i| &sets[i][..]);
+        let one = SetGeometry::stratified(vec![32], vec![0u8; sets.len()]);
+        let strat = KmvCollection::build_on(one, 9, |i| &sets[i][..]);
         assert!(
-            strat.strata().is_none(),
+            strat.geometry().is_uniform(),
             "one stratum must lower to uniform"
         );
         for i in 0..sets.len() {
             assert_eq!(strat.sketch(i), uniform.sketch(i), "set {i}");
         }
+    }
+
+    /// Stratified geometry with per-stratum `ks`.
+    fn strata(ks: &[usize], assign: &[u8]) -> SetGeometry<'static> {
+        SetGeometry::stratified(ks.to_vec(), assign.to_vec())
     }
 
     #[test]
@@ -844,12 +766,11 @@ mod tests {
         let sets: Vec<Vec<u32>> = (0..9)
             .map(|s| (0..10 + s * 60).map(|i| (i * 5 + s) as u32).collect())
             .collect();
-        let ks = vec![64u32, 32, 16];
+        let ks = [64, 32, 16];
         let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 3) as u8).collect();
-        let strat =
-            KmvCollection::build_stratified(ks.clone(), assign.clone(), 5, |i| &sets[i][..]);
+        let strat = KmvCollection::build_on(strata(&ks, &assign), 5, |i| &sets[i][..]);
         for i in 0..sets.len() {
-            assert_eq!(strat.k_of(i), ks[assign[i] as usize] as usize);
+            assert_eq!(strat.k_of(i), ks[assign[i] as usize]);
             for j in 0..sets.len() {
                 let kmin = strat.k_of(i).min(strat.k_of(j));
                 let narrow = KmvCollection::build(sets.len(), kmin, 5, |s| &sets[s][..]);
@@ -877,12 +798,10 @@ mod tests {
         let full: Vec<Vec<u32>> = (0..8)
             .map(|s| (0..5 + s * 17).map(|i| (i * 7 + s) as u32).collect())
             .collect();
-        let ks = vec![24u32, 8];
         let assign: Vec<u8> = (0..full.len()).map(|i| (i % 2) as u8).collect();
-        let want =
-            KmvCollection::build_stratified(ks.clone(), assign.clone(), 31, |i| &full[i][..]);
-        let mut got =
-            KmvCollection::build_stratified(ks, assign, 31, |i| &full[i][..full[i].len() / 3]);
+        let geom = strata(&[24, 8], &assign);
+        let want = KmvCollection::build_on(geom.clone(), 31, |i| &full[i][..]);
+        let mut got = KmvCollection::build_on(geom, 31, |i| &full[i][..full[i].len() / 3]);
         for (i, set) in full.iter().enumerate() {
             got.insert_batch(i, &set[set.len() / 3..]);
         }
@@ -896,19 +815,13 @@ mod tests {
         let sets: Vec<Vec<u32>> = (0..8)
             .map(|s| (0..10 + s * 11).map(|i| (i * 3 + s) as u32).collect())
             .collect();
-        let ks = vec![16u32, 4];
+        let ks = [16, 4];
         let assign: Vec<u8> = (0..8).map(|i| (i % 2) as u8).collect();
-        let whole =
-            KmvCollection::build_stratified(ks.clone(), assign.clone(), 5, |i| &sets[i][..]);
-        let left =
-            KmvCollection::build_stratified(ks.clone(), assign[..4].to_vec(), 5, |i| &sets[i][..]);
-        let right =
-            KmvCollection::build_stratified(ks, assign[4..].to_vec(), 5, |i| &sets[i + 4][..]);
+        let whole = KmvCollection::build_on(strata(&ks, &assign), 5, |i| &sets[i][..]);
+        let left = KmvCollection::build_on(strata(&ks, &assign[..4]), 5, |i| &sets[i][..]);
+        let right = KmvCollection::build_on(strata(&ks, &assign[4..]), 5, |i| &sets[i + 4][..]);
         let gathered = KmvCollection::gather(&[&left, &right]);
-        assert_eq!(
-            gathered.strata().unwrap().assign(),
-            whole.strata().unwrap().assign()
-        );
+        assert_eq!(gathered.geometry(), whole.geometry());
         for i in 0..8 {
             assert_eq!(gathered.sketch(i), whole.sketch(i), "set {i}");
         }

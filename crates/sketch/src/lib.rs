@@ -26,6 +26,9 @@
 //!   plus the pre-existing Papapetrou baseline the paper compares against.
 //! * [`budget`] — the storage-budget parameter `s` (§V-A): converts a
 //!   fraction of the CSR footprint into per-set sketch parameters.
+//! * [`SetGeometry`] — where each set's window lies in a collection's
+//!   flat arrays: the one layout of all six collections, with uniform as
+//!   its one-stratum, stride-indexed case.
 //!
 //! Sketches of *sets of `u32` vertex IDs* are the only case ProbGraph
 //! needs, so all APIs take sorted `&[u32]` sets; everything generalizes to
@@ -56,6 +59,7 @@ pub mod budget;
 pub mod counting_bloom;
 mod cowvec;
 pub mod estimators;
+pub mod geometry;
 mod heap;
 pub mod hyperloglog;
 pub mod kmv;
@@ -64,15 +68,16 @@ pub mod minhash;
 pub use bitvec::{and_or_ones_words, BitVec, PairOnes};
 pub use bloom::{
     fold_words_into, BfPairEstimates, BloomCollection, BloomCollectionIn, BloomFilter,
-    BloomFoldCache, BloomStrata, MAX_BLOOM_HASHES,
+    BloomFoldCache, MAX_BLOOM_HASHES,
 };
-pub use bottomk::{BkStrata, BottomK, BottomKCollection, BottomKCollectionIn};
+pub use bottomk::{BottomK, BottomKCollection, BottomKCollectionIn};
 pub use budget::{
     BudgetPlan, PlanError, SketchParams, StrataSpec, StratifiedParams, StratifiedPlan, MAX_STRATA,
 };
 pub use counting_bloom::{CountingBloomCollection, CountingBloomCollectionIn};
+pub use geometry::SetGeometry;
 pub use hyperloglog::{
-    fold_hll_registers_into, HllStrata, HyperLogLog, HyperLogLogCollection, HyperLogLogCollectionIn,
+    fold_hll_registers_into, HyperLogLog, HyperLogLogCollection, HyperLogLogCollectionIn,
 };
-pub use kmv::{KmvCollection, KmvCollectionIn, KmvSketch, KmvSketchIn, KmvStrata};
-pub use minhash::{MinHashCollection, MinHashCollectionIn, MinHashSignature, MinHashStrata};
+pub use kmv::{KmvCollection, KmvCollectionIn, KmvSketch, KmvSketchIn};
+pub use minhash::{MinHashCollection, MinHashCollectionIn, MinHashSignature};

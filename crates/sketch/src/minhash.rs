@@ -7,17 +7,18 @@
 //! `Ĵ = matches/k` unbiased and the Eq. (5) intersection estimator an MLE
 //! (Table II).
 //!
-//! A collection may be **stratified** ([`MinHashStrata`]): each set's
-//! signature width `k` is chosen per stratum, signatures stored back to
-//! back with per-set offsets. Cross-stratum pairs compare their first
-//! `min(k)` slots — exact, because [`HashFamily`] seeds are drawn
-//! sequentially from one stream, so families of different sizes share
-//! their function prefix and the first `min(k)` slots of both signatures
-//! are precisely the signatures both sets would have at the narrower
-//! width. Uniform collections keep the flat fast path unchanged.
+//! A collection may be **stratified**: its [`SetGeometry`] chooses each
+//! set's signature width `k` per stratum, signatures stored back to back;
+//! the uniform layout is the one-stratum case. Cross-stratum pairs compare
+//! their first `min(k)` slots — exact, because [`HashFamily`] seeds are
+//! drawn sequentially from one stream, so families of different sizes
+//! share their function prefix and the first `min(k)` slots of both
+//! signatures are precisely the signatures both sets would have at the
+//! narrower width.
 
 use crate::cowvec::cow_clear;
 use crate::estimators;
+use crate::geometry::SetGeometry;
 use pg_hash::HashFamily;
 use pg_parallel::parallel_for;
 use std::borrow::Cow;
@@ -89,8 +90,17 @@ impl MinHashSignature {
     }
 }
 
+/// One family per stratum width: `widths[s]` functions under `seed`.
+fn families_for(geom: &SetGeometry<'_>, seed: u64) -> Vec<HashFamily> {
+    geom.widths()
+        .iter()
+        .map(|&k| HashFamily::new(k, seed))
+        .collect()
+}
+
 /// All k-hash signatures of a ProbGraph representation, flat in one array
-/// (`n_sets × k` entries of 4 bytes — Table I: `W·k` bits per set).
+/// laid out by a [`SetGeometry`] in slots (`n_sets × k` entries of 4 bytes
+/// when uniform — Table I: `W·k` bits per set).
 ///
 /// The signature array is copy-on-write over `'a` (see
 /// [`crate::BloomCollectionIn`]): borrowed collections serve a validated
@@ -99,77 +109,17 @@ impl MinHashSignature {
 #[derive(Clone, Debug)]
 pub struct MinHashCollectionIn<'a> {
     sigs: Cow<'a, [u32]>,
-    k: usize,
-    /// The k seeded hash functions — kept after construction so streamed
-    /// elements can be absorbed in place (per-slot min updates).
-    family: HashFamily,
-    /// `Some` when the collection is stratified: per-set widths/offsets
-    /// live here and `k`/`family` hold the **widest** stratum's width
-    /// (every narrower family is its prefix).
-    strata: Option<MinHashStrata<'a>>,
+    /// Per-set signature windows, widths in slots.
+    geom: SetGeometry<'a>,
+    /// One seeded family per stratum, `widths[s]` functions each —
+    /// prefixes of one another by seed-stream construction — kept after
+    /// construction so streamed elements hash with exactly the width
+    /// their set was built at.
+    families: Vec<HashFamily>,
 }
 
 /// The owned (`'static`) form of [`MinHashCollectionIn`].
 pub type MinHashCollection = MinHashCollectionIn<'static>;
-
-/// Per-set geometry of a stratified MinHash collection: stratum
-/// assignment, per-stratum signature widths, and the resulting slot
-/// offsets.
-#[derive(Clone, Debug)]
-pub struct MinHashStrata<'a> {
-    assign: Cow<'a, [u8]>,
-    ks: Vec<u32>,
-    offsets: Vec<u64>,
-    /// Per-stratum hash families (prefixes of one another by seed-stream
-    /// construction) — kept so per-set inserts hash with exactly the
-    /// width the set was built at.
-    families: Vec<HashFamily>,
-}
-
-impl<'a> MinHashStrata<'a> {
-    fn new(assign: Cow<'a, [u8]>, ks: Vec<u32>, seed: u64) -> Self {
-        assert!(!ks.is_empty(), "need at least one stratum");
-        assert!(ks.iter().all(|&k| k > 0), "MinHash needs k ≥ 1");
-        let mut offsets = Vec::with_capacity(assign.len() + 1);
-        let mut off = 0u64;
-        offsets.push(0);
-        for &a in assign.iter() {
-            off += ks[a as usize] as u64;
-            offsets.push(off);
-        }
-        let families = ks
-            .iter()
-            .map(|&k| HashFamily::new(k as usize, seed))
-            .collect();
-        MinHashStrata {
-            assign,
-            ks,
-            offsets,
-            families,
-        }
-    }
-
-    /// Per-set stratum indices.
-    #[inline]
-    pub fn assign(&self) -> &[u8] {
-        &self.assign
-    }
-
-    /// Per-stratum signature widths.
-    #[inline]
-    pub fn stratum_ks(&self) -> &[u32] {
-        &self.ks
-    }
-
-    fn into_owned(self) -> MinHashStrata<'static> {
-        MinHashStrata {
-            assign: Cow::Owned(self.assign.into_owned()),
-            ks: self.ks,
-            offsets: self.offsets,
-            families: self.families,
-        }
-    }
-}
 
 impl<'a> MinHashCollectionIn<'a> {
     /// Builds signatures for `n_sets` sets in parallel; `set(i)` returns the
@@ -179,69 +129,33 @@ impl<'a> MinHashCollectionIn<'a> {
         F: Fn(usize) -> &'s [u32] + Sync,
     {
         assert!(k > 0, "MinHash needs k ≥ 1");
-        let family = HashFamily::new(k, seed);
-        let mut sigs = vec![EMPTY; n_sets * k];
-        {
-            struct SendPtr(*mut u32);
-            unsafe impl Send for SendPtr {}
-            unsafe impl Sync for SendPtr {}
-            let base = SendPtr(sigs.as_mut_ptr());
-            let base = &base;
-            let family = &family;
-            parallel_for(n_sets, |s| {
-                // SAFETY: window [s*k, (s+1)*k) is exclusive to set s.
-                let window = unsafe { std::slice::from_raw_parts_mut(base.0.add(s * k), k) };
-                let mut best = vec![u32::MAX; k];
-                let mut hashes = vec![0u32; k];
-                for &x in set(s) {
-                    family.hashes_into(x as u64, &mut hashes);
-                    for i in 0..k {
-                        let h = hashes[i];
-                        if h < best[i] || (h == best[i] && x < window[i]) {
-                            best[i] = h;
-                            window[i] = x;
-                        }
-                    }
-                }
-            });
-        }
-        MinHashCollectionIn {
-            sigs: Cow::Owned(sigs),
-            k,
-            family,
-            strata: None,
-        }
+        Self::build_on(SetGeometry::uniform(n_sets, k), seed, set)
     }
 
-    /// Builds a **stratified** collection: set `i`'s signature has
-    /// `stratum_ks[assign[i]]` slots, stored back to back in set order.
-    /// With a single stratum this lowers onto
-    /// [`MinHashCollectionIn::build`] and is bit-identical to it.
-    pub fn build_stratified<'s, F>(stratum_ks: Vec<u32>, assign: Vec<u8>, seed: u64, set: F) -> Self
+    /// Builds one signature per set of `geom` in parallel: set `i` gets
+    /// `geom.width_of(i)` slots.
+    pub fn build_on<'s, F>(geom: SetGeometry<'a>, seed: u64, set: F) -> Self
     where
         F: Fn(usize) -> &'s [u32] + Sync,
     {
-        if stratum_ks.len() == 1 {
-            return Self::build(assign.len(), stratum_ks[0] as usize, seed, set);
-        }
-        let n_sets = assign.len();
-        let strata = MinHashStrata::new(Cow::Owned(assign), stratum_ks, seed);
-        let total = strata.offsets[n_sets] as usize;
-        let mut sigs = vec![EMPTY; total];
+        let families = families_for(&geom, seed);
+        let mut sigs = vec![EMPTY; geom.total()];
         {
             struct SendPtr(*mut u32);
+            // SAFETY: the one field is a pointer into an array the parallel
+            // region below only touches through disjoint per-set windows.
             unsafe impl Send for SendPtr {}
             unsafe impl Sync for SendPtr {}
             let base = SendPtr(sigs.as_mut_ptr());
             let base = &base;
-            let strata_ref = &strata;
-            parallel_for(n_sets, |s| {
-                let start = strata_ref.offsets[s] as usize;
-                let k = (strata_ref.offsets[s + 1] - strata_ref.offsets[s]) as usize;
-                let family = &strata_ref.families[strata_ref.assign[s] as usize];
-                // SAFETY: offsets are strictly increasing, so each set's
-                // window is exclusive to it.
-                let window = unsafe { std::slice::from_raw_parts_mut(base.0.add(start), k) };
+            let (families, geom) = (&families, &geom);
+            parallel_for(geom.len(), |s| {
+                let r = geom.range(s);
+                let k = r.len();
+                let family = &families[geom.stratum_of(s)];
+                // SAFETY: the geometry tiles the array, so window `r` is
+                // exclusive to set s.
+                let window = unsafe { std::slice::from_raw_parts_mut(base.0.add(r.start), k) };
                 let mut best = vec![u32::MAX; k];
                 let mut hashes = vec![0u32; k];
                 for &x in set(s) {
@@ -256,65 +170,38 @@ impl<'a> MinHashCollectionIn<'a> {
                 }
             });
         }
-        let kmax = *strata.ks.iter().max().unwrap() as usize;
         MinHashCollectionIn {
             sigs: Cow::Owned(sigs),
-            k: kmax,
-            family: HashFamily::new(kmax, seed),
-            strata: Some(strata),
+            geom,
+            families,
         }
     }
 
     /// Reconstructs a collection from an already-materialized flat
-    /// signature array (the snapshot load path; owned `Vec<u32>` or
-    /// borrowed `&'a [u32]`). `sigs` must hold a whole number of `k`-slot
-    /// signatures produced under the same `(k, seed)` family; slots may
-    /// carry the `u32::MAX` empty sentinel.
-    pub fn from_raw_sigs(sigs: impl Into<Cow<'a, [u32]>>, k: usize, seed: u64) -> Self {
-        let sigs = sigs.into();
-        assert!(k > 0, "MinHash needs k ≥ 1");
-        assert_eq!(sigs.len() % k, 0, "signature array must hold whole sets");
-        MinHashCollectionIn {
-            sigs,
-            k,
-            family: HashFamily::new(k, seed),
-            strata: None,
-        }
-    }
-
-    /// Stratified sibling of [`MinHashCollectionIn::from_raw_sigs`]: the
-    /// snapshot loader reassembles a stratified collection from a
-    /// validated signature array plus the per-stratum width table and
-    /// per-set assignment.
-    pub fn from_raw_sigs_stratified(
+    /// signature array laid out by `geom` (the snapshot load path; owned
+    /// `Vec<u32>` or borrowed `&'a [u32]`). Signatures must have been
+    /// produced under the same seed; slots may carry the `u32::MAX` empty
+    /// sentinel.
+    pub fn from_raw_sigs(
         sigs: impl Into<Cow<'a, [u32]>>,
-        stratum_ks: Vec<u32>,
-        assign: impl Into<Cow<'a, [u8]>>,
+        geom: SetGeometry<'a>,
         seed: u64,
     ) -> Self {
-        let assign = assign.into();
-        if stratum_ks.len() == 1 {
-            return Self::from_raw_sigs(sigs, stratum_ks[0] as usize, seed);
-        }
         let sigs = sigs.into();
-        let n_sets = assign.len();
-        let strata = MinHashStrata::new(assign, stratum_ks, seed);
         assert_eq!(
-            strata.offsets[n_sets] as usize,
             sigs.len(),
-            "signature array does not match the stratified geometry"
+            geom.total(),
+            "signature array does not match the geometry"
         );
-        let kmax = *strata.ks.iter().max().unwrap() as usize;
         MinHashCollectionIn {
+            families: families_for(&geom, seed),
             sigs,
-            k: kmax,
-            family: HashFamily::new(kmax, seed),
-            strata: Some(strata),
+            geom,
         }
     }
 
-    /// The whole flat signature array (`n_sets × k`) — the byte-stable
-    /// payload snapshots persist.
+    /// The whole flat signature array — the byte-stable payload snapshots
+    /// persist.
     #[inline]
     pub fn raw_sigs(&self) -> &[u32] {
         &self.sigs
@@ -322,14 +209,13 @@ impl<'a> MinHashCollectionIn<'a> {
 
     /// Assembles one collection holding the concatenation of `parts`'
     /// signatures, in order — the serving layer's copy-on-publish path.
-    /// All parts must share `k` and a common seed.
+    /// All parts must share their widths and a common seed.
     pub fn gather(parts: &[&MinHashCollectionIn<'_>]) -> MinHashCollection {
         let first = parts.first().expect("gather needs at least one part");
         let mut out = MinHashCollectionIn {
             sigs: Cow::Owned(Vec::new()),
-            k: first.k,
-            family: first.family.clone(),
-            strata: None,
+            geom: first.geom.clone().into_owned(),
+            families: first.families.clone(),
         };
         out.gather_into(parts);
         out
@@ -339,32 +225,12 @@ impl<'a> MinHashCollectionIn<'a> {
     /// signature allocation (the double-buffer path).
     pub fn gather_into(&mut self, parts: &[&MinHashCollectionIn<'_>]) {
         let first = parts.first().expect("gather needs at least one part");
-        if let Some(fs) = &first.strata {
-            let seed_families = fs.families.clone();
-            let ks = fs.ks.clone();
-            let mut assign = Vec::new();
-            let sigs = cow_clear(&mut self.sigs);
-            for p in parts {
-                let ps = p
-                    .strata
-                    .as_ref()
-                    .expect("gather: mixed uniform/stratified parts");
-                assert_eq!(ps.ks, ks, "gather: mismatched stratum widths");
-                sigs.extend_from_slice(&p.sigs);
-                assign.extend_from_slice(&ps.assign);
-            }
-            self.k = first.k;
-            self.family = first.family.clone();
-            let mut strata = MinHashStrata::new(Cow::Owned(assign), ks, 0);
-            strata.families = seed_families;
-            self.strata = Some(strata);
-            return;
+        if self.geom.widths() != first.geom.widths() {
+            self.families.clone_from(&first.families);
         }
-        self.strata = None;
+        self.geom.gather_into(parts.iter().map(|p| &p.geom));
         let sigs = cow_clear(&mut self.sigs);
         for p in parts {
-            assert!(p.strata.is_none(), "gather: mixed uniform/stratified parts");
-            assert_eq!(p.k, self.k, "gather: mismatched signature widths");
             sigs.extend_from_slice(&p.sigs);
         }
     }
@@ -374,9 +240,8 @@ impl<'a> MinHashCollectionIn<'a> {
     pub fn into_owned(self) -> MinHashCollection {
         MinHashCollectionIn {
             sigs: Cow::Owned(self.sigs.into_owned()),
-            k: self.k,
-            family: self.family,
-            strata: self.strata.map(MinHashStrata::into_owned),
+            geom: self.geom.into_owned(),
+            families: self.families,
         }
     }
 
@@ -386,18 +251,16 @@ impl<'a> MinHashCollectionIn<'a> {
     /// Allocation-free: per slot, one scalar hash of `x` and — only when
     /// needed for the comparison — one recomputed hash of the stored min.
     pub fn insert(&mut self, i: usize, x: u32) {
-        // `self.family` is the widest stratum's family; by the seed-stream
-        // prefix property its first `k_of(i)` functions are exactly set
-        // `i`'s family, so one family serves every width here.
-        let r = self.sig_range(i);
+        let r = self.geom.range(i);
+        let family = &self.families[self.geom.stratum_of(i)];
         let window = &mut self.sigs.to_mut()[r];
         for (t, slot) in window.iter_mut().enumerate() {
-            let h = self.family.hash32(t, x as u64);
+            let h = family.hash32(t, x as u64);
             let e = *slot;
             let best = if e == EMPTY {
                 u32::MAX
             } else {
-                self.family.hash32(t, e as u64)
+                family.hash32(t, e as u64)
             };
             if h < best || (h == best && x < e) {
                 *slot = x;
@@ -422,16 +285,12 @@ impl<'a> MinHashCollectionIn<'a> {
         if xs.is_empty() {
             return;
         }
-        let r = self.sig_range(i);
+        let r = self.geom.range(i);
         let k = r.len();
-        let window = &mut self.sigs.to_mut()[r];
         // `hashes_into` wants a buffer of exactly the family's width, so a
-        // stratified set hashes through its own stratum's family (a prefix
-        // of `self.family` — bit-identical functions, right length).
-        let family = match &self.strata {
-            Some(st) => &st.families[st.assign[i] as usize],
-            None => &self.family,
-        };
+        // set hashes through its own stratum's family.
+        let family = &self.families[self.geom.stratum_of(i)];
+        let window = &mut self.sigs.to_mut()[r];
         let mut best: Vec<u32> = window
             .iter()
             .enumerate()
@@ -460,10 +319,7 @@ impl<'a> MinHashCollectionIn<'a> {
     /// Number of signatures.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.strata {
-            Some(st) => st.assign.len(),
-            None => self.sigs.len().checked_div(self.k).unwrap_or(0),
-        }
+        self.geom.len()
     }
 
     /// True when the collection holds no signatures.
@@ -477,43 +333,31 @@ impl<'a> MinHashCollectionIn<'a> {
     /// [`MinHashCollectionIn::k_of`]).
     #[inline]
     pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Slot range of set `i` in the flat signature array.
-    #[inline]
-    fn sig_range(&self, i: usize) -> std::ops::Range<usize> {
-        match &self.strata {
-            Some(st) => st.offsets[i] as usize..st.offsets[i + 1] as usize,
-            None => i * self.k..(i + 1) * self.k,
-        }
+        self.geom.max_width()
     }
 
     /// Signature width of set `i`.
     #[inline]
     pub fn k_of(&self, i: usize) -> usize {
-        match &self.strata {
-            Some(st) => st.ks[st.assign[i] as usize] as usize,
-            None => self.k,
-        }
+        self.geom.width_of(i)
     }
 
     /// Stratum index of set `i` (0 for uniform collections).
     #[inline]
     pub fn stratum_of(&self, i: usize) -> usize {
-        self.strata.as_ref().map_or(0, |st| st.assign[i] as usize)
+        self.geom.stratum_of(i)
     }
 
-    /// The stratified geometry, when present.
+    /// The per-set window layout, widths in slots.
     #[inline]
-    pub fn strata(&self) -> Option<&MinHashStrata<'a>> {
-        self.strata.as_ref()
+    pub fn geometry(&self) -> &SetGeometry<'a> {
+        &self.geom
     }
 
     /// Signature window of set `i`.
     #[inline]
     pub fn signature(&self, i: usize) -> &[u32] {
-        &self.sigs[self.sig_range(i)]
+        &self.sigs[self.geom.range(i)]
     }
 
     /// `|M_X ∩ M_Y|` between sets `i` and `j` — the `O(k)` kernel of
@@ -767,15 +611,19 @@ mod tests {
             .map(|s| (0..20 + s * 9).map(|i| (i * 7 + s) as u32).collect())
             .collect();
         let uniform = MinHashCollection::build(sets.len(), 24, 11, |i| &sets[i][..]);
-        let strat = MinHashCollection::build_stratified(vec![24], vec![0u8; sets.len()], 11, |i| {
-            &sets[i][..]
-        });
+        let one = SetGeometry::stratified(vec![24], vec![0u8; sets.len()]);
+        let strat = MinHashCollection::build_on(one, 11, |i| &sets[i][..]);
         assert!(
-            strat.strata().is_none(),
+            strat.geometry().is_uniform(),
             "one stratum must lower to uniform"
         );
         assert_eq!(strat.raw_sigs(), uniform.raw_sigs());
         assert_eq!(strat.k(), uniform.k());
+    }
+
+    /// Stratified geometry with signature widths `ks`.
+    fn strata(ks: &[usize], assign: &[u8]) -> SetGeometry<'static> {
+        SetGeometry::stratified(ks.to_vec(), assign.to_vec())
     }
 
     #[test]
@@ -785,13 +633,12 @@ mod tests {
         let sets: Vec<Vec<u32>> = (0..9)
             .map(|s| (0..50 + s * 17).map(|i| (i * 5 + s) as u32).collect())
             .collect();
-        let ks = vec![32u32, 16, 8];
+        let ks = [32, 16, 8];
         let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 3) as u8).collect();
-        let strat =
-            MinHashCollection::build_stratified(ks.clone(), assign.clone(), 7, |i| &sets[i][..]);
+        let strat = MinHashCollection::build_on(strata(&ks, &assign), 7, |i| &sets[i][..]);
         assert_eq!(strat.len(), sets.len());
         for i in 0..sets.len() {
-            assert_eq!(strat.k_of(i), ks[assign[i] as usize] as usize);
+            assert_eq!(strat.k_of(i), ks[assign[i] as usize]);
             assert_eq!(strat.signature(i).len(), strat.k_of(i));
         }
         for i in 0..sets.len() {
@@ -817,12 +664,10 @@ mod tests {
         let full: Vec<Vec<u32>> = (0..9)
             .map(|s| (0..40 + s * 13).map(|i| (i * 11 + s) as u32).collect())
             .collect();
-        let ks = vec![32u32, 8];
         let assign: Vec<u8> = (0..full.len()).map(|i| (i % 2) as u8).collect();
-        let want =
-            MinHashCollection::build_stratified(ks.clone(), assign.clone(), 19, |i| &full[i][..]);
-        let mut got =
-            MinHashCollection::build_stratified(ks, assign, 19, |i| &full[i][..full[i].len() / 4]);
+        let geom = strata(&[32, 8], &assign);
+        let want = MinHashCollection::build_on(geom.clone(), 19, |i| &full[i][..]);
+        let mut got = MinHashCollection::build_on(geom, 19, |i| &full[i][..full[i].len() / 4]);
         for (i, set) in full.iter().enumerate() {
             if i % 2 == 0 {
                 got.insert_batch(i, &set[set.len() / 4..]);
@@ -841,21 +686,14 @@ mod tests {
         let sets: Vec<Vec<u32>> = (0..8)
             .map(|s| (0..30 + s * 7).map(|i| (i * 3 + s) as u32).collect())
             .collect();
-        let ks = vec![16u32, 4];
+        let ks = [16, 4];
         let assign: Vec<u8> = (0..8).map(|i| (i % 2) as u8).collect();
-        let whole =
-            MinHashCollection::build_stratified(ks.clone(), assign.clone(), 5, |i| &sets[i][..]);
-        let left = MinHashCollection::build_stratified(ks.clone(), assign[..4].to_vec(), 5, |i| {
-            &sets[i][..]
-        });
-        let right =
-            MinHashCollection::build_stratified(ks, assign[4..].to_vec(), 5, |i| &sets[i + 4][..]);
+        let whole = MinHashCollection::build_on(strata(&ks, &assign), 5, |i| &sets[i][..]);
+        let left = MinHashCollection::build_on(strata(&ks, &assign[..4]), 5, |i| &sets[i][..]);
+        let right = MinHashCollection::build_on(strata(&ks, &assign[4..]), 5, |i| &sets[i + 4][..]);
         let gathered = MinHashCollection::gather(&[&left, &right]);
         assert_eq!(gathered.raw_sigs(), whole.raw_sigs());
-        assert_eq!(
-            gathered.strata().unwrap().assign(),
-            whole.strata().unwrap().assign()
-        );
+        assert_eq!(gathered.geometry(), whole.geometry());
         for i in 0..8 {
             assert_eq!(gathered.signature(i), whole.signature(i));
         }
