@@ -2,42 +2,54 @@
 //! `|X ∩ Y|`): for every oriented edge `(u, v)` materialize the 3-clique
 //! set `C3 = N⁺_u ∩ N⁺_v`, then for each `w ∈ C3` add `|N⁺_w ∩ C3|`.
 //!
-//! One generic kernel, [`count_on_dag`]: the inner `|N⁺_w ∩ C3|` goes
-//! through [`IntersectionOracle::estimate_vs_members`] — an exact merge
-//! for the exact oracle, membership queries for Bloom filters,
-//! sample/signature hit counting (scaled by `|N⁺_w|/k`) for MinHash.
-//! `C3` is an ad-hoc set with no prebuilt sketch, so the sketched side is
-//! always the expensive high-degree `N⁺_w` — which is where the paper's
-//! asymptotic advantage (Table VI: `O(n d² B/W)` vs `O(n d³)`) comes
-//! from. KMV/HLL store hash values, not elements, and are rejected by the
-//! oracle itself (the paper only evaluates BF and MH on clique counting).
+//! One generic kernel, [`count_on_dag`]: `C3` is an exact branchless
+//! merge, and the whole inner sum `Σ_{w∈C3} |N⁺_w ∩ C3|` is one
+//! [`IntersectionOracle::accumulate_member_sum`] call per oriented edge.
+//! Its default adds [`IntersectionOracle::estimate_vs_members`] per `w` —
+//! an exact merge for the exact oracle, sample/signature hit counting
+//! (scaled by `|N⁺_w|/k`) for MinHash. `C3` is an ad-hoc set with no
+//! prebuilt sketch, so the sketched side is always the expensive
+//! high-degree `N⁺_w` — which is where the paper's asymptotic advantage
+//! (Table VI: `O(n d² B/W)` vs `O(n d³)`) comes from. KMV/HLL store hash
+//! values, not elements, and are rejected by the oracle itself (the paper
+//! only evaluates BF and MH on clique counting).
+//!
+//! Bloom filters answer membership queries, and two facts cut their work.
+//! `N⁺_w` holds only vertices ranked above `w`, so the Bloom oracle orders
+//! `C3` by degree rank and probes each member's filter only with the
+//! members after it (the rank suffix). And a member's raw hashes do not
+//! depend on the filter probed, so each member is hashed once per edge
+//! and reduced to each filter's own width. The skipped lower-ranked
+//! members could only ever be false positives, and Bloom filters have no
+//! false negatives, so the Bloom count can only fall toward the exact
+//! count, never below it.
 
 use crate::grain::degree_power_grain;
 use crate::intersect::intersect_set;
-use crate::oracle::{ExactOracle, IntersectionOracle, OracleVisitor};
+use crate::oracle::{ExactOracle, IntersectionOracle, MemberScratch, OracleVisitor};
 use crate::pg::ProbGraph;
 use pg_graph::{orient_by_degree, CsrGraph, OrientedDag, VertexId};
 use pg_parallel::map_reduce_scratch;
 
 /// The single Listing-2 kernel, generic over the oracle.
 ///
-/// The materialized `C3` set lives in worker-local scratch — one buffer
-/// per worker for the whole run, zero per-vertex allocation — and the
-/// grain is cube-weighted (`work(u) ∝ d⁺_u³`) so hubs don't serialize.
+/// The materialized `C3` set and the oracle's [`MemberScratch`] live in
+/// worker-local scratch — one of each per worker for the whole run, zero
+/// per-vertex allocation — and the grain is cube-weighted
+/// (`work(u) ∝ d⁺_u³`) so hubs don't serialize.
 pub fn count_on_dag<O: IntersectionOracle>(dag: &OrientedDag, oracle: &O) -> f64 {
+    let rank = dag.rank();
     map_reduce_scratch(
         dag.num_vertices(),
         degree_power_grain(dag, 3),
         || 0f64,
-        Vec::new,
-        |c3, acc, u| {
+        <(Vec<u32>, MemberScratch)>::default,
+        |(c3, members), acc, u| {
             let nu = dag.neighbors_plus(u as VertexId);
             let mut local = 0.0f64;
             for &v in nu {
                 intersect_set(nu, dag.neighbors_plus(v), c3);
-                for &w in c3.iter() {
-                    local += oracle.estimate_vs_members(w, c3).max(0.0);
-                }
+                oracle.accumulate_member_sum(c3, rank, members, &mut local);
             }
             acc + local
         },

@@ -71,6 +71,18 @@ fn prepare_row_buf(out: &mut Vec<f64>, n: usize) {
     );
 }
 
+/// Worker-local scratch for
+/// [`IntersectionOracle::accumulate_member_sum`]: grows to the largest
+/// member list once, then is reused allocation-free. Only oracles that
+/// override the hook touch it.
+#[derive(Debug, Default)]
+pub struct MemberScratch {
+    /// Members keyed `rank << 32 | id`, sorted by rank.
+    by_rank: Vec<u64>,
+    /// Each member's raw hashes, in `by_rank` order.
+    hashes: Vec<u32>,
+}
+
 /// A pairwise set-intersection estimator over an indexed family of sets
 /// (vertex neighborhoods `N_v` or oriented out-neighborhoods `N⁺_v`).
 ///
@@ -79,7 +91,9 @@ fn prepare_row_buf(out: &mut Vec<f64>, n: usize) {
 /// [`jaccard`](Self::jaccard) replaces `J(N_u, N_v)`, and
 /// [`estimate_vs_members`](Self::estimate_vs_members) replaces
 /// `|N_w ∩ C|` against an ad-hoc explicit set `C` (the 4-clique inner
-/// operation). Exact adjacency is just another oracle, which is what lets
+/// operation), which
+/// [`accumulate_member_sum`](Self::accumulate_member_sum) sums over
+/// `w ∈ C`. Exact adjacency is just another oracle, which is what lets
 /// each algorithm keep a single body for its exact and approximate forms.
 pub trait IntersectionOracle: Sync {
     /// Exact size of set `v` (degrees are free in CSR; every estimator
@@ -166,16 +180,47 @@ pub trait IntersectionOracle: Sync {
     /// `|N_w ∩ C|̂` against an explicit **sorted** element list `C` with no
     /// prebuilt sketch (Listing 2's inner operation). Exact adjacency
     /// intersects directly; Bloom answers membership queries; MinHash
-    /// counts sample hits. Representations storing hash values instead of
-    /// elements (KMV, HLL) cannot answer this and panic loudly rather than
-    /// return a silently wrong number — exactly as the paper, which only
-    /// evaluates BF and MH on clique counting.
+    /// counts sample hits, scaled by `|N_w|` over set `w`'s own sample
+    /// size (its stratum's, on a stratified store). Against `C = N_w`
+    /// every one of these returns `|N_w|` exactly. Representations
+    /// storing hash values instead of elements (KMV, HLL) cannot answer
+    /// this and panic loudly rather than return a silently wrong number —
+    /// exactly as the paper, which only evaluates BF and MH on clique
+    /// counting.
     fn estimate_vs_members(&self, w: VertexId, members: &[u32]) -> f64 {
         let _ = (w, members);
         panic!(
             "this representation stores hash values, not elements, and cannot \
              estimate against an explicit member list (use exact, Bloom, or MinHash)"
         )
+    }
+
+    /// `*acc += Σ_{w ∈ C} |N_w ∩ C|̂` for one explicit **sorted** element
+    /// list `C` whose members are also sets of this family — 4-clique
+    /// counting's whole inner loop for one oriented edge, `C = C3`.
+    ///
+    /// `rank` must be the order the sets were oriented by
+    /// ([`OrientedDag::rank`]): every element of `N_w` ranks above `w`.
+    /// `scratch` is worker-local and reused across calls.
+    ///
+    /// The default adds [`estimate_vs_members`](Self::estimate_vs_members)
+    /// for each `w` in `C`'s order, each clamped at 0, so exact, k-hash
+    /// and 1-hash sums keep their bits and summation order. Bloom
+    /// overrides it: members that rank below `w` can never be in `N_w`,
+    /// so it probes each filter only with the members ranked above its
+    /// owner, and hashes each member once per call instead of once per
+    /// probe.
+    fn accumulate_member_sum(
+        &self,
+        members: &[u32],
+        rank: &[u32],
+        scratch: &mut MemberScratch,
+        acc: &mut f64,
+    ) {
+        let _ = (rank, scratch);
+        for &w in members {
+            *acc += self.estimate_vs_members(w, members).max(0.0);
+        }
     }
 
     /// True when one [`estimate`](Self::estimate) call costs `O(d)` rather
@@ -1192,6 +1237,49 @@ impl<S: BloomStrategy> IntersectionOracle for BloomOracle<'_, S> {
             .filter(|&&x| self.col.contains(wi, x))
             .count() as f64
     }
+
+    /// Rank-suffix membership: members are ordered by rank and hashed
+    /// once each; the `t`-th member's filter is then probed only with
+    /// members `t+1..`, reducing each raw hash at that filter's own width
+    /// — bit-identical to [`BloomCollectionIn::contains`]. The skipped
+    /// members rank below `w`, so they can only be false positives: the
+    /// sum drops those and never a true member (Bloom filters have no
+    /// false negatives). Integer hits, so the sum is exact in `f64`.
+    fn accumulate_member_sum(
+        &self,
+        members: &[u32],
+        rank: &[u32],
+        scratch: &mut MemberScratch,
+        acc: &mut f64,
+    ) {
+        let col = self.col;
+        let b = col.num_hashes();
+        let MemberScratch { by_rank, hashes } = scratch;
+        by_rank.clear();
+        by_rank.extend(
+            members
+                .iter()
+                .map(|&x| u64::from(rank[x as usize]) << 32 | u64::from(x)),
+        );
+        by_rank.sort_unstable();
+        hashes.resize(by_rank.len() * b, 0);
+        for (&key, h) in by_rank.iter().zip(hashes.chunks_exact_mut(b)) {
+            col.hashes_into(key as u32, h);
+        }
+        let mut hits = 0usize;
+        for (t, &key) in by_rank.iter().enumerate() {
+            let words = col.words(key as u32 as usize);
+            let bits = words.len() as u64 * 64;
+            for h in hashes[(t + 1) * b..].chunks_exact(b) {
+                let all_set = h.iter().fold(true, |all, &h| {
+                    let pos = ((u64::from(h) * bits) >> 32) as usize;
+                    all & ((words[pos / 64] >> (pos % 64)) & 1 == 1)
+                });
+                hits += usize::from(all_set);
+            }
+        }
+        *acc += hits as f64;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1396,10 +1484,11 @@ impl IntersectionOracle for OneHashOracle<'_> {
             .iter()
             .filter(|&&x| members.binary_search(&x).is_ok())
             .count();
-        if d <= self.col.k() {
+        let k = self.col.cap_of(wi);
+        if d <= k {
             hits as f64 // lossless sample: exact
         } else {
-            hits as f64 * d as f64 / self.col.k() as f64
+            hits as f64 * d as f64 / k as f64
         }
     }
 }

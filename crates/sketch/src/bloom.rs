@@ -813,6 +813,18 @@ impl<'a> BloomCollectionIn<'a> {
         *w &= !bit;
     }
 
+    /// The `b` raw 32-bit hashes of `item` into `out`
+    /// (`out.len() == num_hashes()`), one per hash function. They do not
+    /// depend on the filter: filter `i`'s bucket for hash `h` is
+    /// `(h · bits_of(i)) >> 32`, at every stratum width, so
+    /// [`contains`](Self::contains)`(i, item)` holds exactly when every
+    /// such bucket is set in [`words`](Self::words)`(i)`. Callers probing
+    /// one item against many filters hash it once here.
+    #[inline]
+    pub fn hashes_into(&self, item: u32, out: &mut [u32]) {
+        self.family.hashes_into(item as u64, out);
+    }
+
     /// Membership query against filter `i` (buckets batched).
     pub fn contains(&self, i: usize, item: u32) -> bool {
         let w = self.words(i);

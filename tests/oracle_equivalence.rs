@@ -8,12 +8,18 @@
 //!   `estimate_intersection` / `estimate_jaccard` path it replaced, for
 //!   Bloom (AND/Limit/OR), k-hash, 1-hash, and KMV;
 //! * the new HLL representation tracks exact triangle counts within a
-//!   sanity band on the generator families.
+//!   sanity band on the generator families;
+//! * every element-storing oracle answers a member query against a set's
+//!   own elements exactly, and the Bloom 4-clique count is exactly the
+//!   rank-suffix membership count, bounded by the exact count below and
+//!   the unrestricted membership loop above.
 
+use pg_graph::{orient_by_degree, OrientedDag};
+use pg_sketch::{BloomCollection, StrataSpec};
 use probgraph::algorithms::{cliques, clustering, clustering_coeff, triangles};
 use probgraph::intersect::{intersect_card, intersect_set};
 use probgraph::oracle::{ExactOracle, IntersectionOracle, OracleVisitor};
-use probgraph::{BfEstimator, PgConfig, ProbGraph, Representation};
+use probgraph::{BfEstimator, PgConfig, ProbGraph, Representation, SketchStoreIn};
 use proptest::prelude::*;
 
 /// Reference exact triangle count: the pre-refactor hand-written loop.
@@ -54,6 +60,92 @@ fn reference_tc_pg(dag: &pg_graph::OrientedDag, pg: &ProbGraph) -> f64 {
         }
     }
     tc
+}
+
+/// `C3 = N⁺_u ∩ N⁺_v`, sorted by ID, by a naive filter (independent of
+/// the library's merge).
+fn naive_c3(dag: &OrientedDag, u: u32, v: u32) -> Vec<u32> {
+    let nv = dag.neighbors_plus(v);
+    dag.neighbors_plus(u)
+        .iter()
+        .copied()
+        .filter(|x| nv.binary_search(x).is_ok())
+        .collect()
+}
+
+/// The per-member 4-clique loop the kernel ran before the member-sum hook,
+/// against a ProbGraph's resolved oracle: `estimate_vs_members` for each
+/// `w ∈ C3`, clamped at 0, summed in the order of a 1-thread run (per
+/// vertex, then across vertices).
+struct PerMember<'a>(&'a OrientedDag);
+impl OracleVisitor for PerMember<'_> {
+    type Output = f64;
+    fn visit<O: IntersectionOracle>(self, o: &O) -> f64 {
+        let dag = self.0;
+        let mut acc = 0.0f64;
+        for u in 0..dag.num_vertices() as u32 {
+            let mut local = 0.0f64;
+            for &v in dag.neighbors_plus(u) {
+                let c3 = naive_c3(dag, u, v);
+                for &w in &c3 {
+                    local += o.estimate_vs_members(w, &c3).max(0.0);
+                }
+            }
+            acc += local;
+        }
+        acc
+    }
+}
+
+/// The Bloom filters a Bloom or counting-Bloom store answers queries from.
+fn bloom_view(pg: &ProbGraph) -> &BloomCollection {
+    match pg.store() {
+        SketchStoreIn::Bloom(c) => c,
+        SketchStoreIn::CountingBloom(c) => c.read_view(),
+        _ => panic!("not a Bloom store"),
+    }
+}
+
+/// Bloom 4-clique membership count over every oriented edge:
+/// `Σ_{w∈C3} #{x ∈ C3 : contains(w, x)}`, restricted to `x` ranked above
+/// `w` when `rank_suffix` holds. Without the restriction it is the
+/// per-member loop the rank suffix replaced.
+fn reference_c4_bloom(dag: &OrientedDag, pg: &ProbGraph, rank_suffix: bool) -> f64 {
+    let col = bloom_view(pg);
+    let rank = dag.rank();
+    let mut c4 = 0u64;
+    for u in 0..dag.num_vertices() as u32 {
+        for &v in dag.neighbors_plus(u) {
+            let c3 = naive_c3(dag, u, v);
+            for &w in &c3 {
+                for &x in &c3 {
+                    let above = rank[x as usize] > rank[w as usize];
+                    if (above || !rank_suffix) && col.contains(w as usize, x) {
+                        c4 += 1;
+                    }
+                }
+            }
+        }
+    }
+    c4 as f64
+}
+
+/// The Bloom configurations whose 4-clique path the rank suffix serves.
+fn bloom_clique_reps() -> Vec<(PgConfig, &'static str)> {
+    let mk = |r| PgConfig::new(r, 0.25).with_seed(0xC11C);
+    vec![
+        (mk(Representation::Bloom { b: 1 }), "BF1"),
+        (mk(Representation::Bloom { b: 2 }), "BF2"),
+        (
+            mk(Representation::Bloom { b: 2 }).with_bf_estimator(BfEstimator::Limit),
+            "BF2-L",
+        ),
+        (mk(Representation::CountingBloom { b: 2 }), "CBF2"),
+        (
+            mk(Representation::Bloom { b: 2 }).with_strata(StrataSpec::skewed_default()),
+            "BF2-strat",
+        ),
+    ]
 }
 
 fn non_exact_reps() -> Vec<(PgConfig, &'static str)> {
@@ -217,6 +309,120 @@ proptest! {
             let pg = ProbGraph::build(&g, &cfg);
             prop_assert!(pg.with_oracle(RowCheck(&g)).is_ok(), "{}", label);
         }
+    }
+
+    /// Bloom 4-clique counts (plain, Limit, counting, stratified) equal
+    /// the naive rank-suffix membership count exactly, at 1 and 2
+    /// threads alike.
+    #[test]
+    fn bloom_cliques_equal_rank_suffix_reference(
+        n in 30usize..90,
+        edge_factor in 2usize..14,
+        seed in 0u64..200,
+    ) {
+        let g = pg_graph::gen::erdos_renyi_gnm(n, n * edge_factor, seed);
+        let dag = orient_by_degree(&g);
+        for (cfg, label) in bloom_clique_reps() {
+            let pg = ProbGraph::build_dag(&dag, g.memory_bytes(), &cfg);
+            let want = reference_c4_bloom(&dag, &pg, true);
+            let t1 = pg_parallel::with_threads(1, || cliques::count_approx_on_dag(&dag, &pg));
+            let t2 = pg_parallel::with_threads(2, || cliques::count_approx_on_dag(&dag, &pg));
+            prop_assert!(t1 == want, "{label}: kernel {t1} != reference {want}");
+            prop_assert!(t1.to_bits() == t2.to_bits(), "{label}: 1 thread {t1} != 2 threads {t2}");
+        }
+    }
+
+    /// k-hash and uniform 1-hash 4-clique counts keep the bits of the
+    /// per-member loop (same summation order at 1 thread). The exact
+    /// count's equivalent is `exact_oracle_cliques_bit_identical`.
+    #[test]
+    fn minhash_cliques_keep_per_member_bits(
+        n in 30usize..90,
+        edge_factor in 2usize..14,
+        seed in 0u64..200,
+    ) {
+        let g = pg_graph::gen::erdos_renyi_gnm(n, n * edge_factor, seed);
+        let dag = orient_by_degree(&g);
+        pg_parallel::with_threads(1, || {
+            for rep in [Representation::KHash, Representation::OneHash] {
+                let pg = ProbGraph::build_dag(&dag, g.memory_bytes(), &PgConfig::new(rep, 0.3));
+                let got = cliques::count_approx_on_dag(&dag, &pg);
+                let want = pg.with_oracle(PerMember(&dag));
+                prop_assert!(got.to_bits() == want.to_bits(), "{rep:?}: {got} != {want}");
+            }
+            Ok(())
+        })?;
+    }
+}
+
+/// A member query against a set's own elements is exact for every oracle
+/// that stores elements, uniform and stratified:
+/// `estimate_vs_members(w, N⁺_w) == |N⁺_w|` for every `w`. Bloom has no
+/// false negatives, every MinHash sample is drawn from the set, and the
+/// 1-hash scale must use `w`'s own stratum's sample size.
+#[test]
+fn member_queries_against_own_set_are_exact() {
+    struct OwnSet<'a>(&'a OrientedDag);
+    impl OracleVisitor for OwnSet<'_> {
+        /// The first `(w, estimate, |N⁺_w|)` that disagrees, if any.
+        type Output = Option<(u32, f64, usize)>;
+        fn visit<O: IntersectionOracle>(self, o: &O) -> Self::Output {
+            (0..self.0.num_vertices() as u32).find_map(|w| {
+                let nw = self.0.neighbors_plus(w);
+                let est = o.estimate_vs_members(w, nw);
+                (est != nw.len() as f64).then_some((w, est, nw.len()))
+            })
+        }
+    }
+    let reps = [
+        Representation::Bloom { b: 1 },
+        Representation::Bloom { b: 2 },
+        Representation::CountingBloom { b: 2 },
+        Representation::KHash,
+        Representation::OneHash,
+    ];
+    for seed in [1u64, 2, 3] {
+        let g = pg_graph::gen::chung_lu(1 << 10, 1 << 14, 2.5, seed);
+        let dag = orient_by_degree(&g);
+        assert_eq!(
+            OwnSet(&dag).visit(&ExactOracle::new(&dag)),
+            None,
+            "exact, seed {seed}"
+        );
+        for rep in reps {
+            for strata in [None, Some(StrataSpec::skewed_default())] {
+                let label = format!("{rep:?}, stratified {}, seed {seed}", strata.is_some());
+                let mut cfg = PgConfig::new(rep, 0.25).with_seed(seed);
+                if let Some(spec) = strata {
+                    cfg = cfg.with_strata(spec);
+                }
+                let pg = ProbGraph::build_dag(&dag, g.memory_bytes(), &cfg);
+                assert_eq!(pg.with_oracle(OwnSet(&dag)), None, "{label}");
+            }
+        }
+    }
+}
+
+/// Pinned on one seeded input: every Bloom 4-clique count sits at or above
+/// the exact count (no false negatives) and strictly below the
+/// unrestricted per-member loop it replaced, whose extra hits are all
+/// lower-ranked false positives. A reintroduced false-positive path fails
+/// here.
+#[test]
+fn bloom_cliques_between_exact_and_unrestricted_loop() {
+    let g = pg_graph::gen::erdos_renyi_gnm(160, 160 * 24, 5);
+    let dag = orient_by_degree(&g);
+    let exact = cliques::count_exact_on_dag(&dag) as f64;
+    assert!(exact > 0.0);
+    for (cfg, label) in bloom_clique_reps() {
+        let pg = ProbGraph::build_dag(&dag, g.memory_bytes(), &cfg);
+        let count = cliques::count_approx_on_dag(&dag, &pg);
+        let unrestricted = reference_c4_bloom(&dag, &pg, false);
+        assert!(exact <= count, "{label}: {count} below exact {exact}");
+        assert!(
+            count < unrestricted,
+            "{label}: {count} not below the unrestricted loop's {unrestricted}"
+        );
     }
 }
 
