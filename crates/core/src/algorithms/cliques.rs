@@ -2,8 +2,10 @@
 //! `|X ∩ Y|`): for every oriented edge `(u, v)` materialize the 3-clique
 //! set `C3 = N⁺_u ∩ N⁺_v`, then for each `w ∈ C3` add `|N⁺_w ∩ C3|`.
 //!
-//! One generic kernel, [`count_on_dag`]: `C3` is an exact branchless
-//! merge, and the whole inner sum `Σ_{w∈C3} |N⁺_w ∩ C3|` is one
+//! One generic kernel, [`count_on_dag`]: `C3` is exact, filtered out of
+//! `N⁺_v` through a bitmap of `N⁺_u` that is marked once per source `u`
+//! ([`crate::intersect::filter_marked`]), and the whole inner sum
+//! `Σ_{w∈C3} |N⁺_w ∩ C3|` is one
 //! [`IntersectionOracle::accumulate_member_sum`] call per oriented edge.
 //! Its default adds [`IntersectionOracle::estimate_vs_members`] per `w` —
 //! an exact merge for the exact oracle, sample/signature hit counting
@@ -25,32 +27,46 @@
 //! count, never below it.
 
 use crate::grain::degree_power_grain;
-use crate::intersect::intersect_set;
+use crate::intersect::{clear_marks, filter_marked, mark_set};
 use crate::oracle::{ExactOracle, IntersectionOracle, MemberScratch, OracleVisitor};
 use crate::pg::ProbGraph;
 use pg_graph::{orient_by_degree, CsrGraph, OrientedDag, VertexId};
 use pg_parallel::map_reduce_scratch;
+use pg_sketch::bitvec::prefetch_slice;
 
 /// The single Listing-2 kernel, generic over the oracle.
 ///
-/// The materialized `C3` set and the oracle's [`MemberScratch`] live in
-/// worker-local scratch — one of each per worker for the whole run, zero
-/// per-vertex allocation — and the grain is cube-weighted
+/// Each worker keeps three scratch values for the whole run, with zero
+/// per-vertex allocation: an `n`-bit mark bitmap (`n / 8` bytes, small
+/// enough for L1 on the graphs mined here), the materialized `C3` set,
+/// and the oracle's [`MemberScratch`]. Per source `u` the bitmap holds
+/// exactly `N⁺_u`: its bits are set before the edges of `u` and the words
+/// they touched are zeroed after, and since no other word was set, that
+/// leaves the whole bitmap zero for the next source. Per edge `(u, v)`,
+/// `C3` is `N⁺_v` filtered through the bitmap while the next `v`'s row is
+/// prefetched; it comes out ascending by ID, the set and order a merge of
+/// `N⁺_u` and `N⁺_v` gives. The grain is cube-weighted
 /// (`work(u) ∝ d⁺_u³`) so hubs don't serialize.
 pub fn count_on_dag<O: IntersectionOracle>(dag: &OrientedDag, oracle: &O) -> f64 {
     let rank = dag.rank();
+    let words = dag.num_vertices().div_ceil(64);
     map_reduce_scratch(
         dag.num_vertices(),
         degree_power_grain(dag, 3),
         || 0f64,
-        <(Vec<u32>, MemberScratch)>::default,
-        |(c3, members), acc, u| {
+        || (vec![0u64; words], Vec::new(), MemberScratch::default()),
+        |(marks, c3, members), acc, u| {
             let nu = dag.neighbors_plus(u as VertexId);
+            mark_set(marks, nu);
             let mut local = 0.0f64;
-            for &v in nu {
-                intersect_set(nu, dag.neighbors_plus(v), c3);
+            for (i, &v) in nu.iter().enumerate() {
+                if let Some(&next) = nu.get(i + 1) {
+                    prefetch_slice(dag.neighbors_plus(next));
+                }
+                filter_marked(marks, dag.neighbors_plus(v), c3);
                 oracle.accumulate_member_sum(c3, rank, members, &mut local);
             }
+            clear_marks(marks, nu);
             acc + local
         },
         |a, b| a + b,

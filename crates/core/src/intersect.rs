@@ -5,6 +5,15 @@
 //! (`O(d_u log d_v)` for `d_u ≪ d_v`). [`intersect_card`] picks between
 //! them with the standard size-ratio heuristic, which is what the tuned
 //! GMS/GAP baselines do.
+//!
+//! The third kernel is the *mark-bitmap filter*, for a run of
+//! intersections that share one fixed operand `A`, such as 4-clique
+//! counting's `N⁺_u ∩ N⁺_v` for every `v ∈ N⁺_u`. [`mark_set`] sets `A`'s
+//! bits in a bitmap over the vertex universe once; each
+//! [`filter_marked`] call then keeps the elements of `B` whose bit is set,
+//! in `|B|` independent probes of that bitmap where a merge takes up to
+//! `|A| + |B|` dependent steps; [`clear_marks`] zeroes the bitmap again
+//! by visiting `A`'s words only.
 
 /// Size-ratio threshold above which galloping beats merging.
 const GALLOP_RATIO: usize = 32;
@@ -74,8 +83,9 @@ pub fn intersect_card(a: &[u32], b: &[u32]) -> usize {
     }
 }
 
-/// Materialized intersection (for 4-clique counting, which iterates the
-/// common elements). `out` is overwritten; a warm buffer is reused.
+/// Materialized intersection of two sorted sets, in ascending order.
+/// `out` is overwritten; a warm buffer is reused. A run of intersections
+/// with one fixed operand is cheaper through [`filter_marked`].
 ///
 /// Branchless like [`merge_count`]: every step stores the current `a`
 /// element at the write cursor and advances the cursor only on a match,
@@ -98,6 +108,46 @@ pub fn intersect_set(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
         j += usize::from(y <= x);
     }
     out.truncate(k);
+}
+
+/// Sets the bit of every element of `a` in `marks`, a bitmap over the
+/// vertex universe (bit `x % 64` of word `x / 64`): the fixed operand of
+/// [`filter_marked`]. `marks` must hold at least `max(a) / 64 + 1` words.
+#[inline]
+pub fn mark_set(marks: &mut [u64], a: &[u32]) {
+    for &x in a {
+        marks[(x / 64) as usize] |= 1 << (x % 64);
+    }
+}
+
+/// Materialized `A ∩ B` for the set `A` marked in `marks` by
+/// [`mark_set`]: the elements of `b` whose bit is set, in `b`'s order, so
+/// for sorted inputs `out` equals what [`intersect_set`] returns. `out`
+/// is overwritten; a warm buffer is reused.
+///
+/// Branchless like [`intersect_set`]: every element of `b` is stored at
+/// the write cursor, and the cursor advances only when its bit is set.
+/// The probes do not depend on each other, and a bitmap of `n / 8` bytes
+/// stays in L1 for graphs up to a few hundred thousand vertices.
+pub fn filter_marked(marks: &[u64], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    out.resize(b.len(), 0);
+    let mut k = 0;
+    for &x in b {
+        out[k] = x;
+        k += ((marks[(x / 64) as usize] >> (x % 64)) & 1) as usize;
+    }
+    out.truncate(k);
+}
+
+/// Zeroes every word of `marks` that holds an element of `a`. Run after
+/// [`mark_set`]`(marks, a)` on a zeroed bitmap, it leaves the bitmap zeroed
+/// again: no other word was ever set. Costs `|a|` stores, not `n / 64`.
+#[inline]
+pub fn clear_marks(marks: &mut [u64], a: &[u32]) {
+    for &x in a {
+        marks[(x / 64) as usize] = 0;
+    }
 }
 
 /// Visits every common element (needed by Adamic–Adar / Resource
@@ -152,11 +202,16 @@ mod tests {
 
     #[test]
     fn auto_dispatch_agrees_with_both() {
-        // Exhaustive-ish randomized cross-check of all four kernels. The
-        // materializing merge reuses one warm buffer that starts longer
-        // than any intersection and holds stale values from every trial.
+        // Exhaustive-ish randomized cross-check of all five kernels. The
+        // materializing merge and the mark-bitmap filter each reuse one
+        // warm buffer that starts longer than any intersection and holds
+        // stale values from every trial. The bitmap covers the 0..3000
+        // universe in 47 words, the last one partial (3000 = 46·64 + 56),
+        // and must be all zero again after every trial's clear.
         let mut seed = 99u64;
         let mut set = vec![u32::MAX; 4096];
+        let mut filtered = vec![u32::MAX; 4096];
+        let mut marks = vec![0u64; 3000usize.div_ceil(64)];
         for trial in 0..200 {
             let la = (pg_hash::splitmix64(&mut seed) % 200) as usize;
             let lb = (pg_hash::splitmix64(&mut seed) % 2000) as usize;
@@ -182,6 +237,12 @@ mod tests {
             intersect_set(&a, &b, &mut set);
             let naive_set: Vec<u32> = a.iter().copied().filter(|x| b.contains(x)).collect();
             assert_eq!(set, naive_set, "trial {trial}");
+            mark_set(&mut marks, &a);
+            filter_marked(&marks, &b, &mut filtered);
+            let naive_filter: Vec<u32> = b.iter().copied().filter(|x| a.contains(x)).collect();
+            assert_eq!(filtered, naive_filter, "trial {trial}");
+            clear_marks(&mut marks, &a);
+            assert!(marks.iter().all(|&w| w == 0), "trial {trial}");
         }
     }
 

@@ -189,10 +189,11 @@ proptest! {
         prop_assert_eq!(triangles::count_exact_on_dag(&dag), reference_tc(&dag));
     }
 
-    /// Same for the 4-clique kernel.
+    /// Same for the 4-clique kernel. Up to 200 vertices, so the kernel's
+    /// per-source mark bitmap spans several 64-bit words.
     #[test]
     fn exact_oracle_cliques_bit_identical(
-        n in 8usize..60,
+        n in 8usize..200,
         edge_factor in 1usize..10,
         seed in 0u64..500,
     ) {
@@ -313,22 +314,33 @@ proptest! {
 
     /// Bloom 4-clique counts (plain, Limit, counting, stratified) equal
     /// the naive rank-suffix membership count exactly, at 1 and 2
-    /// threads alike.
+    /// threads alike. Each case also runs a Chung–Lu graph of 120–356
+    /// vertices with the same mean degree: its hubs have the lowest IDs
+    /// and the highest ranks, so rank order runs against ID order, and a
+    /// sixth to nearly all of its `C3` sets are empty or hold one member.
     #[test]
     fn bloom_cliques_equal_rank_suffix_reference(
         n in 30usize..90,
         edge_factor in 2usize..14,
         seed in 0u64..200,
     ) {
-        let g = pg_graph::gen::erdos_renyi_gnm(n, n * edge_factor, seed);
-        let dag = orient_by_degree(&g);
-        for (cfg, label) in bloom_clique_reps() {
-            let pg = ProbGraph::build_dag(&dag, g.memory_bytes(), &cfg);
-            let want = reference_c4_bloom(&dag, &pg, true);
-            let t1 = pg_parallel::with_threads(1, || cliques::count_approx_on_dag(&dag, &pg));
-            let t2 = pg_parallel::with_threads(2, || cliques::count_approx_on_dag(&dag, &pg));
-            prop_assert!(t1 == want, "{label}: kernel {t1} != reference {want}");
-            prop_assert!(t1.to_bits() == t2.to_bits(), "{label}: 1 thread {t1} != 2 threads {t2}");
+        let graphs = [
+            ("G(n, m)", pg_graph::gen::erdos_renyi_gnm(n, n * edge_factor, seed)),
+            ("Chung-Lu", pg_graph::gen::chung_lu(n * 4, n * 4 * edge_factor, 2.5, seed)),
+        ];
+        for (family, g) in graphs {
+            let dag = orient_by_degree(&g);
+            for (cfg, label) in bloom_clique_reps() {
+                let pg = ProbGraph::build_dag(&dag, g.memory_bytes(), &cfg);
+                let want = reference_c4_bloom(&dag, &pg, true);
+                let t1 = pg_parallel::with_threads(1, || cliques::count_approx_on_dag(&dag, &pg));
+                let t2 = pg_parallel::with_threads(2, || cliques::count_approx_on_dag(&dag, &pg));
+                prop_assert!(t1 == want, "{family}, {label}: kernel {t1} != reference {want}");
+                prop_assert!(
+                    t1.to_bits() == t2.to_bits(),
+                    "{family}, {label}: 1 thread {t1} != 2 threads {t2}"
+                );
+            }
         }
     }
 
