@@ -25,7 +25,8 @@ pub enum SimilarityKind {
 /// Result of one clustering run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Clustering {
-    /// Edges selected into `C` (indices into the edge list used).
+    /// Edges selected into `C`, indexed in [`CsrGraph::edges`] order (the
+    /// order of [`CsrGraph::edge_list`]).
     pub selected: Vec<bool>,
     /// Number of selected edges `|C|`.
     pub num_edges: usize,
@@ -33,10 +34,14 @@ pub struct Clustering {
     pub num_clusters: usize,
 }
 
-fn finish(n: usize, edges: &[(VertexId, VertexId)], selected: Vec<bool>) -> Clustering {
+fn finish(
+    n: usize,
+    edges: impl Iterator<Item = (VertexId, VertexId)>,
+    selected: Vec<bool>,
+) -> Clustering {
     let mut dsu = Dsu::new(n);
     let mut num_edges = 0;
-    for (i, &(u, v)) in edges.iter().enumerate() {
+    for (i, (u, v)) in edges.enumerate() {
         if selected[i] {
             num_edges += 1;
             dsu.union(u, v);
@@ -68,8 +73,9 @@ pub fn jarvis_patrick_with<O: IntersectionOracle>(
     tau: f64,
 ) -> Clustering {
     let n = g.num_vertices();
-    let edges = g.edge_list();
-    // Forward-run offsets: edges of source u live at offsets[u]..offsets[u+1].
+    // Forward-run offsets: edges of source u live at offsets[u]..offsets[u+1]
+    // of the edge order `g.edges()` yields (sources ascending, then each
+    // source's forward neighbors), so no edge list is materialized.
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0usize);
     let mut max_fwd = 0usize;
@@ -78,8 +84,8 @@ pub fn jarvis_patrick_with<O: IntersectionOracle>(
         max_fwd = max_fwd.max(fwd);
         offsets.push(offsets[u] + fwd);
     }
-    debug_assert_eq!(offsets[n], edges.len());
-    let mut selected = vec![false; edges.len()];
+    let m = offsets[n];
+    let mut selected = vec![false; m];
     {
         struct SendPtr(*mut bool);
         unsafe impl Send for SendPtr {}
@@ -141,7 +147,7 @@ pub fn jarvis_patrick_with<O: IntersectionOracle>(
                 |(), ()| (),
             );
         } else {
-            let grain = weighted_grain(n, edges.len() as u64, max_fwd as u64);
+            let grain = weighted_grain(n, m as u64, max_fwd as u64);
             parallel_for_scratch(n, grain, Vec::new, |row: &mut Vec<f64>, ui| {
                 let u = ui as VertexId;
                 let fwd = g.forward_neighbors(u);
@@ -177,7 +183,7 @@ pub fn jarvis_patrick_with<O: IntersectionOracle>(
             });
         }
     }
-    finish(n, &edges, selected)
+    finish(n, g.edges(), selected)
 }
 
 /// Exact Jarvis–Patrick clustering (tuned baseline): the generic kernel

@@ -65,17 +65,19 @@
 //! always has both endpoints ready — no waiting cycle can form. Socket
 //! read/write timeouts ([`ExchangeOptions::timeout`]) are the backstop for
 //! crashed peers, and the coordinator closing its copies of the mesh makes
-//! a dead worker's sockets read as EOF rather than hang.
+//! a dead worker's sockets read as EOF rather than hang. A worker stuck
+//! outside socket I/O is killed once the same timeout has passed after
+//! the result reads, and surfaces as [`ExchangeError::WorkerExit`].
 
 use crate::oracle::{IntersectionOracle, OracleVisitor};
-use crate::pg::{empty_store, gather_store_into, BfEstimator, ProbGraph, ProbGraphIn};
+use crate::pg::{BfEstimator, ProbGraph, ProbGraphIn};
 use crate::snapshot::{AlignedBytes, SnapshotError};
 use pg_graph::OrientedDag;
 use pg_hash::xxh64;
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pg_sketch::StratifiedParams;
 
@@ -369,6 +371,13 @@ pub enum Fault {
         /// The truncating part.
         part: u32,
     },
+    /// The given part parks forever before touching the mesh, like a
+    /// worker blocked on a lock that was held when it was forked; the
+    /// coordinator must kill it.
+    StallWorker {
+        /// The stalling part.
+        part: u32,
+    },
 }
 
 /// Tuning and fault-injection knobs for [`run_exchange`].
@@ -376,7 +385,9 @@ pub enum Fault {
 pub struct ExchangeOptions {
     /// Sketch rows per payload chunk (≥ 1).
     pub chunk_sets: usize,
-    /// Socket read/write timeout — the backstop against hung peers.
+    /// Socket read/write timeout — the backstop against hung peers — and
+    /// how long the coordinator waits, after the result reads, for the
+    /// workers to exit before it kills them.
     pub timeout: Duration,
     /// Optional injected fault.
     pub fault: Option<Fault>,
@@ -501,8 +512,11 @@ mod sys {
     extern "C" {
         pub fn fork() -> c_int;
         pub fn waitpid(pid: c_int, status: *mut c_int, options: c_int) -> c_int;
+        pub fn kill(pid: c_int, sig: c_int) -> c_int;
         pub fn _exit(code: c_int) -> !;
     }
+    pub const WNOHANG: c_int = 1;
+    pub const SIGKILL: c_int = 9;
 }
 
 /// Decoded worker result blob ("PGXR" over the coordinator link).
@@ -761,13 +775,29 @@ pub fn run_exchange(
     drop(links);
 
     // Always reap every child — no zombies, no leaked processes, whatever
-    // the outcome.
+    // the outcome. Socket timeouts bound a worker's I/O but not a stall
+    // elsewhere (a lock another thread held at fork time is never released
+    // in the child), so a worker still running `opts.timeout` after the
+    // result reads is killed and reports `-SIGKILL`.
+    let deadline = Instant::now() + opts.timeout;
     let mut codes: Vec<i32> = Vec::with_capacity(p);
     for &pid in &pids {
         let mut status: i32 = 0;
-        // SAFETY: waitpid on a child we forked; blocking is bounded by the
-        // workers' own socket timeouts.
-        let got = unsafe { sys::waitpid(pid, &mut status, 0) };
+        // SAFETY: waitpid and kill on a child we forked and have not yet
+        // reaped, so the pid cannot have been reused.
+        let got = unsafe {
+            loop {
+                let got = sys::waitpid(pid, &mut status, sys::WNOHANG);
+                if got != 0 {
+                    break got;
+                }
+                if Instant::now() >= deadline {
+                    sys::kill(pid, sys::SIGKILL);
+                    break sys::waitpid(pid, &mut status, 0);
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
         codes.push(if got < 0 {
             EXIT_REPORT_FAILED
         } else if status & 0x7f == 0 {
@@ -847,16 +877,16 @@ pub fn run_exchange(
 /// Child-process entry: runs the worker under `catch_unwind` so a bug can
 /// never unwind back into the forked copy of the coordinator's stack, and
 /// reports the outcome (or the typed error) over the coordinator link.
+/// The panic hook stays as inherited: swapping it would take std's
+/// process-wide hook lock, which another thread may have held at fork
+/// time.
 fn worker_entry(
     r: u32,
     ctx: &Ctx<'_>,
     peers: Vec<Option<UnixStream>>,
     mut link: UnixStream,
 ) -> i32 {
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let outcome = catch_unwind(AssertUnwindSafe(|| worker_run(r, ctx, peers)));
-    std::panic::set_hook(prev_hook);
     let result = match outcome {
         Ok(Ok(res)) => res,
         Ok(Err(e)) => WorkerResult {
@@ -889,12 +919,15 @@ fn worker_run(
     let chunk = ctx.opts.chunk_sets.max(1);
     let my = &ctx.owned[rr];
 
-    if let Some(Fault::KillWorker { part }) = ctx.opts.fault {
-        if part == r {
-            // Die before touching the mesh; peers see EOF, the
-            // coordinator sees an exit code and no result.
-            unsafe { sys::_exit(EXIT_KILLED) }
-        }
+    match ctx.opts.fault {
+        // Die before touching the mesh; peers see EOF, the coordinator
+        // sees an exit code and no result.
+        Some(Fault::KillWorker { part }) if part == r => unsafe { sys::_exit(EXIT_KILLED) },
+        // Never touch the mesh; peers time out, the coordinator kills it.
+        Some(Fault::StallWorker { part }) if part == r => loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        },
+        _ => {}
     }
 
     let own_pg = ctx.build_rows_of(my);
@@ -989,7 +1022,6 @@ fn worker_run(
     // Zero-copy validation of every received sketch chunk against the
     // rows this part expects from that sender.
     let mut remote_graphs: Vec<ProbGraphIn<'_>> = Vec::new();
-    let mut remote_sizes: Vec<u32> = Vec::new();
     for (q, bufs) in recv_bufs.iter().enumerate() {
         if q == rr {
             continue;
@@ -1006,7 +1038,6 @@ fn worker_run(
             let rows = &expect[row_off..(row_off + sub.len()).min(expect.len())];
             validate_remote_chunk(ctx, q as u32, &sub, rows)?;
             row_off += sub.len();
-            remote_sizes.extend_from_slice(sub.sizes());
             remote_graphs.push(sub);
         }
         if row_off != expect.len() {
@@ -1017,23 +1048,12 @@ fn worker_run(
         }
     }
 
-    // Combined local store: owned rows first, then each sender's ship set
+    // Combined local graph: owned rows first, then each sender's ship set
     // in ascending part order — the same order the local id map assigns.
-    let mut store = empty_store(ctx.params, ctx.seed);
-    let mut store_parts = vec![own_pg.store()];
-    store_parts.extend(remote_graphs.iter().map(|g| g.store()));
-    gather_store_into(&mut store, &store_parts);
-    let mut sizes = own_pg.sizes().to_vec();
-    sizes.extend_from_slice(&remote_sizes);
-    // Re-select the global assignment in the same owned-then-shipped order
-    // so the combined graph's geometry matches the gathered store.
-    let shipped = (0..p)
-        .filter(|&q| q != rr)
-        .flat_map(|q| ctx.ship[q][rr].iter());
-    let combined_params = ctx
-        .params
-        .select(my.iter().chain(shipped).map(|&u| u as usize));
-    let combined = ProbGraphIn::from_parts(store, sizes, ctx.est, combined_params, ctx.seed);
+    let mut combined = ctx.build_rows_of(&[]);
+    let mut parts = vec![&own_pg];
+    parts.extend(&remote_graphs);
+    combined.gather_from(&parts);
 
     let mut local_id = vec![u32::MAX; ctx.dag.num_vertices()];
     for (i, &v) in my.iter().enumerate() {

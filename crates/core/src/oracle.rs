@@ -20,8 +20,8 @@ use crate::intersect::intersect_card;
 use pg_graph::{CsrGraph, OrientedDag, VertexId};
 use pg_sketch::bitvec::{and_count_words, and_count_words_multi};
 use pg_sketch::{
-    estimators, BloomCollectionIn, BottomKCollectionIn, CountingBloomCollectionIn,
-    HyperLogLogCollection, HyperLogLogCollectionIn, KmvCollectionIn, MinHashCollectionIn,
+    estimators, BloomCollectionIn, BottomKCollectionIn, HyperLogLogCollection,
+    HyperLogLogCollectionIn, KmvCollectionIn, MinHashCollectionIn,
 };
 use std::marker::PhantomData;
 
@@ -326,9 +326,10 @@ pub trait IntersectionOracle: Sync {
 /// item, now closed under deletion for invertible representations).
 ///
 /// Where [`IntersectionOracle`] is the read path — borrowed views over
-/// built collections — `MutableOracle` is the write path, implemented
-/// directly by the owning sketch collections (and by
-/// [`crate::ProbGraph`], which also maintains the exact set sizes). Each
+/// built collections — `MutableOracle` is the write path, implemented by
+/// the store enum [`crate::SketchStore`] (which forwards to each
+/// collection's inherent `insert`/`insert_batch`) and by
+/// [`crate::ProbGraph`], which also maintains the exact set sizes. Each
 /// representation absorbs an element in place:
 ///
 /// * **Bloom** sets its `b` bits and bumps the cached popcount — filters
@@ -386,10 +387,7 @@ pub trait MutableOracle {
     /// routing deletions at a store.
     fn remove_from(&mut self, v: VertexId, x: u32) {
         let _ = (v, x);
-        panic!(
-            "this representation does not support removals \
-             (remove_supported() == false); use Representation::CountingBloom"
-        )
+        fail_remove_unsupported()
     }
 
     /// Batched per-set removal: removes all of `xs` from set `v`. Same
@@ -483,91 +481,15 @@ impl core::fmt::Display for UnsupportedOperation {
 
 impl std::error::Error for UnsupportedOperation {}
 
-impl MutableOracle for BloomCollectionIn<'_> {
-    #[inline]
-    fn insert_into(&mut self, v: VertexId, x: u32) {
-        self.insert(v as usize, x);
-    }
-
-    #[inline]
-    fn insert_into_many(&mut self, v: VertexId, xs: &[u32]) {
-        self.insert_batch(v as usize, xs);
-    }
-}
-
-impl MutableOracle for CountingBloomCollectionIn<'_> {
-    #[inline]
-    fn insert_into(&mut self, v: VertexId, x: u32) {
-        self.insert(v as usize, x);
-    }
-
-    #[inline]
-    fn insert_into_many(&mut self, v: VertexId, xs: &[u32]) {
-        self.insert_batch(v as usize, xs);
-    }
-
-    #[inline]
-    fn remove_from(&mut self, v: VertexId, x: u32) {
-        self.remove(v as usize, x);
-    }
-
-    #[inline]
-    fn remove_from_many(&mut self, v: VertexId, xs: &[u32]) {
-        self.remove_batch(v as usize, xs);
-    }
-
-    #[inline]
-    fn remove_supported(&self) -> bool {
-        true
-    }
-}
-
-impl MutableOracle for MinHashCollectionIn<'_> {
-    #[inline]
-    fn insert_into(&mut self, v: VertexId, x: u32) {
-        self.insert(v as usize, x);
-    }
-
-    #[inline]
-    fn insert_into_many(&mut self, v: VertexId, xs: &[u32]) {
-        self.insert_batch(v as usize, xs);
-    }
-}
-
-impl MutableOracle for BottomKCollectionIn<'_> {
-    #[inline]
-    fn insert_into(&mut self, v: VertexId, x: u32) {
-        self.insert(v as usize, x);
-    }
-
-    #[inline]
-    fn insert_into_many(&mut self, v: VertexId, xs: &[u32]) {
-        self.insert_batch(v as usize, xs);
-    }
-}
-
-impl MutableOracle for KmvCollectionIn<'_> {
-    #[inline]
-    fn insert_into(&mut self, v: VertexId, x: u32) {
-        self.insert(v as usize, x);
-    }
-
-    #[inline]
-    fn insert_into_many(&mut self, v: VertexId, xs: &[u32]) {
-        self.insert_batch(v as usize, xs);
-    }
-}
-
-impl MutableOracle for HyperLogLogCollectionIn<'_> {
-    #[inline]
-    fn insert_into(&mut self, v: VertexId, x: u32) {
-        self.insert(v as usize, x);
-    }
-
-    #[inline]
-    fn insert_into_many(&mut self, v: VertexId, xs: &[u32]) {
-        self.insert_batch(v as usize, xs);
-    }
+/// The loud removal panic every non-invertible store shares (the
+/// [`MutableOracle::remove_from`] default, the store enum's non-counting
+/// arms, and the serving layer's staged removals).
+#[cold]
+pub(crate) fn fail_remove_unsupported() -> ! {
+    panic!(
+        "this representation does not support removals \
+         (remove_supported() == false); use Representation::CountingBloom"
+    )
 }
 
 /// Rank-2 adapter for [`crate::ProbGraph::with_oracle`]: a closure cannot

@@ -8,8 +8,9 @@
 //! shows no single choice wins everywhere (§VIII-B).
 
 use crate::oracle::{
-    BloomAnd, BloomLimit, BloomOr, BloomOracle, HllOracle, IntersectionOracle, KHashOracle,
-    KmvOracle, MutableOracle, OneHashOracle, OracleVisitor, UnsupportedOperation,
+    fail_remove_unsupported, BloomAnd, BloomLimit, BloomOr, BloomOracle, HllOracle,
+    IntersectionOracle, KHashOracle, KmvOracle, MutableOracle, OneHashOracle, OracleVisitor,
+    UnsupportedOperation,
 };
 use pg_graph::{CsrGraph, OrientedDag, VertexId};
 use pg_sketch::{
@@ -147,88 +148,35 @@ pub enum SketchStoreIn<'a> {
 /// The owned (`'static`) form of [`SketchStoreIn`].
 pub type SketchStore = SketchStoreIn<'static>;
 
+/// Matches a [`SketchStoreIn`] (by value or by reference) and evaluates
+/// `$body` with `$c` bound to the concrete collection — the **one** list
+/// of the six variants behind every store-level operation that treats the
+/// collections alike. Only code that differs per representation matches
+/// by hand: the read side ([`ProbGraphIn::with_oracle`]), construction
+/// from resolved params (`build_store`), removals (counting Bloom only)
+/// and the snapshot codec (`crate::snapshot`). Inside `$body`, `Same`
+/// names the matched variant, so a body can rewrap a result
+/// (`Same(c.into_owned())`) or pick the same variant out of another store.
+macro_rules! each_store {
+    ($store:expr, $c:ident => $body:expr) => {
+        each_store!(@arms $store, $c, $body, Bloom CountingBloom KHash OneHash Kmv Hll)
+    };
+    (@arms $store:expr, $c:ident, $body:expr, $($variant:ident)*) => {
+        match $store {
+            $(SketchStoreIn::$variant($c) => {
+                #[allow(unused_imports)]
+                use SketchStoreIn::$variant as Same;
+                $body
+            })*
+        }
+    };
+}
+
 impl<'a> SketchStoreIn<'a> {
     /// Detaches the store from any borrowed snapshot buffer, cloning the
     /// backing arrays if they were served in place. No-op for owned data.
     pub fn into_owned(self) -> SketchStore {
-        match self {
-            SketchStoreIn::Bloom(c) => SketchStoreIn::Bloom(c.into_owned()),
-            SketchStoreIn::CountingBloom(c) => SketchStoreIn::CountingBloom(c.into_owned()),
-            SketchStoreIn::KHash(c) => SketchStoreIn::KHash(c.into_owned()),
-            SketchStoreIn::OneHash(c) => SketchStoreIn::OneHash(c.into_owned()),
-            SketchStoreIn::Kmv(c) => SketchStoreIn::Kmv(c.into_owned()),
-            SketchStoreIn::Hll(c) => SketchStoreIn::Hll(c.into_owned()),
-        }
-    }
-}
-
-/// Gathers per-part stores into `target` by concatenation, reusing
-/// `target`'s allocations (the serving layer's double-buffer publish path
-/// and the exchange layer's combined-store assembly both route here — the
-/// **one** place the six-way gather dispatch lives). Panics if the parts'
-/// representations disagree with `target`'s.
-pub(crate) fn gather_store_into(target: &mut SketchStore, parts: &[&SketchStoreIn<'_>]) {
-    match target {
-        SketchStoreIn::Bloom(dst) => {
-            let srcs: Vec<_> = parts
-                .iter()
-                .map(|p| match p {
-                    SketchStoreIn::Bloom(c) => c,
-                    _ => panic!("gather: mixed representations"),
-                })
-                .collect();
-            dst.gather_into(&srcs);
-        }
-        SketchStoreIn::CountingBloom(dst) => {
-            let srcs: Vec<_> = parts
-                .iter()
-                .map(|p| match p {
-                    SketchStoreIn::CountingBloom(c) => c,
-                    _ => panic!("gather: mixed representations"),
-                })
-                .collect();
-            dst.gather_into(&srcs);
-        }
-        SketchStoreIn::KHash(dst) => {
-            let srcs: Vec<_> = parts
-                .iter()
-                .map(|p| match p {
-                    SketchStoreIn::KHash(c) => c,
-                    _ => panic!("gather: mixed representations"),
-                })
-                .collect();
-            dst.gather_into(&srcs);
-        }
-        SketchStoreIn::OneHash(dst) => {
-            let srcs: Vec<_> = parts
-                .iter()
-                .map(|p| match p {
-                    SketchStoreIn::OneHash(c) => c,
-                    _ => panic!("gather: mixed representations"),
-                })
-                .collect();
-            dst.gather_into(&srcs);
-        }
-        SketchStoreIn::Kmv(dst) => {
-            let srcs: Vec<_> = parts
-                .iter()
-                .map(|p| match p {
-                    SketchStoreIn::Kmv(c) => c,
-                    _ => panic!("gather: mixed representations"),
-                })
-                .collect();
-            dst.gather_into(&srcs);
-        }
-        SketchStoreIn::Hll(dst) => {
-            let srcs: Vec<_> = parts
-                .iter()
-                .map(|p| match p {
-                    SketchStoreIn::Hll(c) => c,
-                    _ => panic!("gather: mixed representations"),
-                })
-                .collect();
-            dst.gather_into(&srcs);
-        }
+        each_store!(self, c => Same(c.into_owned()))
     }
 }
 
@@ -364,13 +312,36 @@ impl<'a> ProbGraphIn<'a> {
         }
     }
 
-    /// Mutable access to the store and size array together — the serving
-    /// layer's publish path gathers shard lanes into a reclaimed snapshot
-    /// in place (`crate::serving`), which is only sound because it
-    /// overwrites both halves from lanes built under this graph's own
-    /// params and seed.
-    pub(crate) fn parts_mut(&mut self) -> (&mut SketchStoreIn<'a>, &mut Vec<u32>) {
-        (&mut self.store, self.sizes.to_mut())
+    /// Overwrites this graph with the row concatenation of `parts`, in
+    /// order — sketches, recorded sizes and stratum assignment — reusing
+    /// its allocations. The serving layer gathers its shard lanes into a
+    /// reclaimed snapshot here, and an exchange worker gathers its owned
+    /// rows with the rows it received. Every part must share this graph's
+    /// representation, stratum table and seed (they were built from the
+    /// same resolved params); panics on a representation mismatch.
+    pub(crate) fn gather_from(&mut self, parts: &[&ProbGraphIn<'_>]) {
+        each_store!(&mut self.store, dst => {
+            let srcs: Vec<_> = parts
+                .iter()
+                .map(|p| match p.store() {
+                    Same(c) => c,
+                    _ => panic!("gather: mixed representations"),
+                })
+                .collect();
+            dst.gather_into(&srcs)
+        });
+        let sizes = self.sizes.to_mut();
+        sizes.clear();
+        for p in parts {
+            sizes.extend_from_slice(&p.sizes);
+        }
+        // Steady-state publishes gather the assignment the target already
+        // holds, so it is only rebuilt when it changed.
+        let assign = parts.iter().flat_map(|p| p.params.assign());
+        let strata = parts[0].params.strata();
+        if self.params.strata() != strata || !self.params.assign().iter().eq(assign.clone()) {
+            self.params = StratifiedParams::new(strata.to_vec(), assign.copied().collect());
+        }
     }
 
     /// Assembles a ProbGraph from already-validated parts — the snapshot
@@ -487,29 +458,21 @@ impl<'a> ProbGraphIn<'a> {
     /// ```
     pub fn with_oracle<V: OracleVisitor>(&self, visitor: V) -> V::Output {
         let sizes = &self.sizes[..];
-        match &self.store {
-            SketchStoreIn::Bloom(c) => match self.bf_estimator {
-                BfEstimator::And => visitor.visit(&BloomOracle::<BloomAnd>::new(c, sizes)),
-                BfEstimator::Limit => visitor.visit(&BloomOracle::<BloomLimit>::new(c, sizes)),
-                BfEstimator::Or => visitor.visit(&BloomOracle::<BloomOr>::new(c, sizes)),
-            },
+        let bloom: &BloomCollectionIn<'_> = match &self.store {
+            SketchStoreIn::Bloom(c) => c,
             // The counting store reads through its derived Bloom view, so
             // the very same monomorphized oracles (and estimator
             // strategies) serve it — deletions cost nothing on this path.
-            SketchStoreIn::CountingBloom(c) => {
-                let view = c.read_view();
-                match self.bf_estimator {
-                    BfEstimator::And => visitor.visit(&BloomOracle::<BloomAnd>::new(view, sizes)),
-                    BfEstimator::Limit => {
-                        visitor.visit(&BloomOracle::<BloomLimit>::new(view, sizes))
-                    }
-                    BfEstimator::Or => visitor.visit(&BloomOracle::<BloomOr>::new(view, sizes)),
-                }
-            }
-            SketchStoreIn::KHash(c) => visitor.visit(&KHashOracle::new(c, sizes)),
-            SketchStoreIn::OneHash(c) => visitor.visit(&OneHashOracle::new(c, sizes)),
-            SketchStoreIn::Kmv(c) => visitor.visit(&KmvOracle::new(c, sizes)),
-            SketchStoreIn::Hll(c) => visitor.visit(&HllOracle::new(c, sizes)),
+            SketchStoreIn::CountingBloom(c) => c.read_view(),
+            SketchStoreIn::KHash(c) => return visitor.visit(&KHashOracle::new(c, sizes)),
+            SketchStoreIn::OneHash(c) => return visitor.visit(&OneHashOracle::new(c, sizes)),
+            SketchStoreIn::Kmv(c) => return visitor.visit(&KmvOracle::new(c, sizes)),
+            SketchStoreIn::Hll(c) => return visitor.visit(&HllOracle::new(c, sizes)),
+        };
+        match self.bf_estimator {
+            BfEstimator::And => visitor.visit(&BloomOracle::<BloomAnd>::new(bloom, sizes)),
+            BfEstimator::Limit => visitor.visit(&BloomOracle::<BloomLimit>::new(bloom, sizes)),
+            BfEstimator::Or => visitor.visit(&BloomOracle::<BloomOr>::new(bloom, sizes)),
         }
     }
 
@@ -636,7 +599,7 @@ impl<'a> ProbGraphIn<'a> {
 
     /// Expands undirected edges into per-set `(set, element)` updates,
     /// dropping self-loops (duplicates die in `apply_updates`' dedup).
-    fn undirected_updates(edges: &[Edge]) -> Vec<(VertexId, u32)> {
+    pub(crate) fn undirected_updates(edges: &[Edge]) -> Vec<(VertexId, u32)> {
         let mut updates = Vec::with_capacity(edges.len() * 2);
         for &(u, v) in edges {
             if u != v {
@@ -648,17 +611,24 @@ impl<'a> ProbGraphIn<'a> {
     }
 
     /// Keeps arcs as they are, dropping self-loops.
-    fn arc_updates(arcs: &[Edge]) -> Vec<(VertexId, u32)> {
+    pub(crate) fn arc_updates(arcs: &[Edge]) -> Vec<(VertexId, u32)> {
         arcs.iter().copied().filter(|&(v, u)| v != u).collect()
     }
 
     /// Shared update path: sort `(set, element)` pairs so each touched
     /// set is one contiguous run, dedup within the batch (CSR rebuild
-    /// semantics — a duplicate edge contributes one neighbor), then one
-    /// batched store insert/remove per run.
+    /// semantics — a duplicate edge contributes one neighbor), then apply
+    /// the runs.
     fn apply_updates(&mut self, mut updates: Vec<(VertexId, u32)>, remove: bool) {
         updates.sort_unstable();
         updates.dedup();
+        self.apply_sorted_updates(&updates, remove);
+    }
+
+    /// Applies already sorted and deduped `(set, element)` updates, one
+    /// batched store insert/remove per set run — also the drain of every
+    /// serving lane, whose queued segments are slices of a sorted batch.
+    pub(crate) fn apply_sorted_updates(&mut self, updates: &[(VertexId, u32)], remove: bool) {
         let mut xs: Vec<u32> = Vec::new();
         let mut i = 0;
         while i < updates.len() {
@@ -720,49 +690,25 @@ impl<'a> ProbGraphIn<'a> {
     /// Bytes of additional storage used by the sketches — the quantity the
     /// paper's "relative memory" axis reports against the budget.
     pub fn memory_bytes(&self) -> usize {
-        let store = match &self.store {
-            SketchStoreIn::Bloom(c) => c.memory_bytes(),
-            SketchStoreIn::CountingBloom(c) => c.memory_bytes(),
-            SketchStoreIn::KHash(c) => c.memory_bytes(),
-            SketchStoreIn::OneHash(c) => c.memory_bytes(),
-            SketchStoreIn::Kmv(c) => c.memory_bytes(),
-            SketchStoreIn::Hll(c) => c.memory_bytes(),
-        };
-        store + self.sizes.len() * 4
+        each_store!(&self.store, c => c.memory_bytes()) + self.sizes.len() * 4
     }
 }
 
 impl MutableOracle for SketchStoreIn<'_> {
     #[inline]
     fn insert_into(&mut self, v: VertexId, x: u32) {
-        match self {
-            SketchStoreIn::Bloom(c) => c.insert_into(v, x),
-            SketchStoreIn::CountingBloom(c) => c.insert_into(v, x),
-            SketchStoreIn::KHash(c) => c.insert_into(v, x),
-            SketchStoreIn::OneHash(c) => c.insert_into(v, x),
-            SketchStoreIn::Kmv(c) => c.insert_into(v, x),
-            SketchStoreIn::Hll(c) => c.insert_into(v, x),
-        }
+        each_store!(self, c => c.insert(v as usize, x))
     }
 
     #[inline]
     fn insert_into_many(&mut self, v: VertexId, xs: &[u32]) {
-        match self {
-            SketchStoreIn::Bloom(c) => c.insert_into_many(v, xs),
-            SketchStoreIn::CountingBloom(c) => c.insert_into_many(v, xs),
-            SketchStoreIn::KHash(c) => c.insert_into_many(v, xs),
-            SketchStoreIn::OneHash(c) => c.insert_into_many(v, xs),
-            SketchStoreIn::Kmv(c) => c.insert_into_many(v, xs),
-            SketchStoreIn::Hll(c) => c.insert_into_many(v, xs),
-        }
+        each_store!(self, c => c.insert_batch(v as usize, xs))
     }
 
     #[inline]
     fn remove_from(&mut self, v: VertexId, x: u32) {
         match self {
-            SketchStoreIn::CountingBloom(c) => c.remove_from(v, x),
-            // Defer to the trait default's loud panic for the
-            // non-invertible stores.
+            SketchStoreIn::CountingBloom(c) => c.remove(v as usize, x),
             _ => fail_remove_unsupported(),
         }
     }
@@ -770,7 +716,7 @@ impl MutableOracle for SketchStoreIn<'_> {
     #[inline]
     fn remove_from_many(&mut self, v: VertexId, xs: &[u32]) {
         match self {
-            SketchStoreIn::CountingBloom(c) => c.remove_from_many(v, xs),
+            SketchStoreIn::CountingBloom(c) => c.remove_batch(v as usize, xs),
             _ => fail_remove_unsupported(),
         }
     }
@@ -825,14 +771,8 @@ pub(crate) fn resolve_stratified(
 /// Builds the concrete store for already-resolved parameters over
 /// `n_sets` sets, laid out by [`StratifiedParams::geometry`]. The params
 /// variant determines the representation, so a store built here always
-/// matches its params — serving constructs per-shard lanes (and empty
-/// snapshot buffers) with globally-resolved params but local set counts.
-pub(crate) fn build_store<'a, F>(
-    sparams: &StratifiedParams,
-    n_sets: usize,
-    seed: u64,
-    set: F,
-) -> SketchStore
+/// matches its params.
+fn build_store<'a, F>(sparams: &StratifiedParams, n_sets: usize, seed: u64, set: F) -> SketchStore
 where
     F: Fn(usize) -> &'a [u32] + Sync,
 {
@@ -855,22 +795,6 @@ where
             SketchStoreIn::Hll(HyperLogLogCollection::build_on(geom, seed, set))
         }
     }
-}
-
-/// An empty (zero-set) store under `sparams`' stratum table — the target
-/// the publish and exchange paths gather parts into.
-pub(crate) fn empty_store(sparams: &StratifiedParams, seed: u64) -> SketchStore {
-    build_store(&sparams.select([]), 0, seed, |_| &[][..])
-}
-
-/// The shared removal-unsupported panic (same message as the
-/// [`MutableOracle`] trait default, which `match` arms cannot call).
-#[cold]
-fn fail_remove_unsupported() -> ! {
-    panic!(
-        "this representation does not support removals \
-         (remove_supported() == false); use Representation::CountingBloom"
-    )
 }
 
 /// The [`ProbGraph`]-level write path: updates the stored sketch **and**
@@ -1395,37 +1319,56 @@ mod tests {
 
     #[test]
     fn stratified_row_builds_are_row_identical_to_full_build() {
-        // The exchange property, stratified: sub-stores built over row
-        // ranges with the sliced assignment match the full build row for
-        // row.
-        let g = gen::kronecker(9, 8, 5);
-        let cfg = PgConfig::stratified(
-            Representation::Bloom { b: 2 },
-            0.25,
-            pg_sketch::StrataSpec::skewed_default(),
-        );
-        let full = ProbGraph::build(&g, &cfg);
-        let sp = full.stratified_params().expect("stratified build").clone();
+        // The exchange property: sub-stores built over row ranges with the
+        // sliced assignment match the full build row for row, so gathering
+        // two halves into an empty graph reproduces the full build's
+        // snapshot bytes — every representation, uniform and stratified.
+        // The graph is dense enough for every representation's strata to
+        // clear their floors (as in the degree-assignment test above).
+        let g = gen::erdos_renyi_gnm(800, 24_000, 3);
         let mid = g.num_vertices() / 2;
-        let mk = |lo: usize, hi: usize| {
-            let sub = pg_sketch::StratifiedParams::new(
-                sp.strata().to_vec(),
-                sp.assign()[lo..hi].to_vec(),
-            );
-            ProbGraph::build_rows_stratified(hi - lo, sub, cfg.bf_estimator, cfg.seed, |i| {
-                g.neighbors((lo + i) as u32)
-            })
-        };
-        let lo_half = mk(0, mid);
-        let hi_half = mk(mid, g.num_vertices());
-        let (SketchStoreIn::Bloom(fc), SketchStoreIn::Bloom(lc), SketchStoreIn::Bloom(hc)) =
-            (full.store(), lo_half.store(), hi_half.store())
-        else {
-            panic!("expected Bloom stores");
-        };
-        for v in 0..g.num_vertices() {
-            let (part, row) = if v < mid { (lc, v) } else { (hc, v - mid) };
-            assert_eq!(fc.words(v), part.words(row), "v={v}");
+        for rep in all_reps() {
+            for strata in [None, Some(pg_sketch::StrataSpec::skewed_default())] {
+                let cfg = PgConfig {
+                    strata,
+                    ..PgConfig::new(rep, 0.25)
+                };
+                let full = ProbGraph::build(&g, &cfg);
+                assert_eq!(
+                    full.stratified_params().is_some(),
+                    cfg.strata.is_some(),
+                    "{rep:?}: budget collapsed to uniform; the input covers nothing"
+                );
+                let mk = |rows: std::ops::Range<usize>| {
+                    let (lo, sub) = (rows.start, full.resolved_params().select(rows.clone()));
+                    ProbGraph::build_rows_stratified(
+                        rows.len(),
+                        sub,
+                        cfg.bf_estimator,
+                        cfg.seed,
+                        |i| g.neighbors((lo + i) as u32),
+                    )
+                };
+                let mut gathered = mk(0..0);
+                gathered.gather_from(&[&mk(0..mid), &mk(mid..g.num_vertices())]);
+                // A static bottom-k build tight-packs its samples while a
+                // gather always lays them out strided, so the reference is
+                // the full build passed through the same gather — which,
+                // for the other five, must be the full build's own bytes.
+                let mut want = mk(0..0);
+                want.gather_from(&[&full]);
+                let want = want.snapshot_to_bytes();
+                assert!(
+                    rep == Representation::OneHash || want == full.snapshot_to_bytes(),
+                    "{rep:?} {:?}: a one-part gather changed the bytes",
+                    cfg.strata
+                );
+                assert!(
+                    gathered.snapshot_to_bytes() == want,
+                    "{rep:?} {:?}: gathered halves differ from the full build",
+                    cfg.strata
+                );
+            }
         }
     }
 

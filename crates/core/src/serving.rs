@@ -6,19 +6,22 @@
 //! existing read and write paths without touching either:
 //!
 //! * **Sharding.** The vertex universe is split into contiguous ranges,
-//!   one [`SketchStore`] *lane* per shard. Every lane is single-writer by
-//!   construction — update batches are routed to per-shard queues and each
-//!   lane is drained by exactly one worker (the `pg-parallel` fork/join
-//!   pool), so ingest parallelizes across shards in safe Rust with no
-//!   per-sketch synchronization at all.
+//!   one *lane* per shard — an ordinary [`ProbGraph`] over the range's
+//!   rows, so a lane updates through the serial graph's own per-set
+//!   update runs. Every lane is single-writer by construction — update
+//!   batches are routed to per-shard queues and each lane is drained by
+//!   exactly one worker (the `pg-parallel` fork/join pool), so ingest
+//!   parallelizes across shards in safe Rust with no per-sketch
+//!   synchronization at all.
 //! * **Epoch snapshots.** [`ShardedProbGraph::publish_epoch`] gathers the
-//!   lanes' already-flat word/slot arrays into one ordinary [`ProbGraph`]
-//!   (a per-collection memcpy concatenation — contiguous ranges mean no
-//!   permutation) and publishes it through a [`pg_parallel::EpochCell`].
-//!   Readers pin snapshots **lock-free** and run any [`OracleVisitor`]
-//!   row sweep against them while ingest keeps streaming; retired
-//!   snapshots come back as reusable buffers, so steady-state publishes
-//!   are allocation-free double-buffering.
+//!   lanes into one ordinary [`ProbGraph`] — the row gather an exchange
+//!   worker also runs (a per-collection memcpy concatenation of sketches,
+//!   sizes and stratum assignment; contiguous ranges mean no
+//!   permutation) — and publishes it through a
+//!   [`pg_parallel::EpochCell`]. Readers pin snapshots **lock-free** and
+//!   run any [`OracleVisitor`] row sweep against them while ingest keeps
+//!   streaming; retired snapshots come back as reusable buffers, so
+//!   steady-state publishes are allocation-free double-buffering.
 //! * **Serial equivalence.** Lanes resolve their sketch parameters against
 //!   the *global* set count and byte footprint ([`crate::pg`]'s shared
 //!   planner) and apply per-batch sorted/deduped update runs exactly like
@@ -29,11 +32,10 @@
 //! * **Stratified lanes.** Degree-stratified geometry shards the same
 //!   way: each lane slices the global per-set stratum assignment over its
 //!   contiguous range while sharing the stratum parameter table, so
-//!   per-lane builds stay bit-identical to the matching rows of
-//!   [`ProbGraph::build_rows_stratified`] and the publish gather
-//!   re-concatenates assignments along with the flat arrays (the uniform
-//!   table has no assignment to slice). Resolved geometry (from a real
-//!   degree distribution) enters through
+//!   each lane is a [`ProbGraph::build_rows_stratified`] graph over its
+//!   rows and the publish gather re-concatenates assignments along with
+//!   the flat arrays (the uniform table has no assignment to slice).
+//!   Resolved geometry (from a real degree distribution) enters through
 //!   [`ShardedProbGraph::with_shards_stratified`]; a [`PgConfig`] carrying
 //!   a strata spec plans against the empty stream exactly like
 //!   [`ProbGraph::stream_from`] does.
@@ -68,14 +70,12 @@
 //! assert!(snap.estimate_intersection(u, v) >= 0.0);
 //! ```
 
-use crate::oracle::{MutableOracle, OracleVisitor, UnsupportedOperation};
-use crate::pg::{
-    build_store, empty_store, gather_store_into, resolve_stratified, Edge, PgConfig, ProbGraph,
-    SketchStore,
-};
+use crate::oracle::{fail_remove_unsupported, MutableOracle, OracleVisitor, UnsupportedOperation};
+use crate::pg::{resolve_stratified, Edge, PgConfig, ProbGraph};
 use pg_graph::VertexId;
 use pg_parallel::{EpochCell, EpochGuard};
 use pg_sketch::{SketchParams, StratifiedParams};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Below this many pending `(set, element)` updates a drain runs on the
@@ -87,48 +87,27 @@ const PARALLEL_DRAIN_THRESHOLD: usize = 2048;
 /// sorted and deduped (the global batch was), applied FIFO per lane so the
 /// per-set element sequences match the serial [`ProbGraph::apply_batch`]
 /// order exactly.
+#[derive(Debug)]
 struct Segment {
     remove: bool,
     updates: Vec<(u32, u32)>,
 }
 
-/// One shard: a contiguous vertex range with its own single-writer store
-/// lane and update queue.
+/// One shard: a contiguous vertex range, held as an ordinary single-writer
+/// [`ProbGraph`] over its rows, and its update queue.
+#[derive(Debug)]
 struct Lane {
-    store: SketchStore,
-    sizes: Vec<u32>,
+    pg: ProbGraph,
     queue: Vec<Segment>,
 }
 
 impl Lane {
-    /// Applies every queued segment in arrival order, grouping per-set
-    /// runs into one batched store call each — the same shape as
-    /// `ProbGraph::apply_updates`, which the equivalence suite pins this
-    /// path against.
+    /// Applies every queued segment in arrival order through
+    /// [`ProbGraph`]'s own update runs, so a lane updates exactly as the
+    /// serial graph does.
     fn drain(&mut self) {
-        let Lane {
-            store,
-            sizes,
-            queue,
-        } = self;
-        let mut xs: Vec<u32> = Vec::new();
-        for seg in queue.drain(..) {
-            let mut i = 0;
-            while i < seg.updates.len() {
-                let s = seg.updates[i].0;
-                xs.clear();
-                while i < seg.updates.len() && seg.updates[i].0 == s {
-                    xs.push(seg.updates[i].1);
-                    i += 1;
-                }
-                if seg.remove {
-                    store.remove_from_many(s, &xs);
-                    sizes[s as usize] -= xs.len() as u32;
-                } else {
-                    store.insert_into_many(s, &xs);
-                    sizes[s as usize] += xs.len() as u32;
-                }
-            }
+        for seg in self.queue.drain(..) {
+            self.pg.apply_sorted_updates(&seg.updates, seg.remove);
         }
     }
 }
@@ -152,15 +131,6 @@ pub struct ShardedProbGraph {
     /// the uniform layout) — identical across lanes and epochs.
     params: StratifiedParams,
     n: usize,
-}
-
-impl std::fmt::Debug for Lane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Lane")
-            .field("sets", &self.sizes.len())
-            .field("queued_segments", &self.queue.len())
-            .finish()
-    }
 }
 
 impl ShardedProbGraph {
@@ -211,10 +181,10 @@ impl ShardedProbGraph {
     /// `sparams.assign()` must cover exactly `n_vertices` sets. Collapsed
     /// or one-stratum geometry is the uniform layout.
     ///
-    /// Lanes get contiguous bounds and empty stores that slice the global
-    /// assignment and share the stratum table, mirroring
-    /// [`ProbGraph::build_rows_stratified`]'s row-range property; the
-    /// epoch-0 snapshot is the empty graph.
+    /// Lanes get contiguous bounds and empty
+    /// [`ProbGraph::build_rows_stratified`] graphs that slice the global
+    /// assignment and share the stratum table (its row-range property);
+    /// the epoch-0 snapshot is the empty graph.
     pub fn with_shards_stratified(
         n_vertices: usize,
         cfg: &PgConfig,
@@ -238,27 +208,14 @@ impl ShardedProbGraph {
         for s in 0..=shards {
             bounds.push((n_vertices * s / shards) as u32);
         }
-        let empty_rows = |lo: usize, hi: usize| {
-            build_store(&params.select(lo..hi), hi - lo, cfg.seed, |_| &[][..])
-        };
         let lanes = bounds
             .windows(2)
-            .map(|w| {
-                let n_local = (w[1] - w[0]) as usize;
-                Lane {
-                    store: empty_rows(w[0] as usize, w[1] as usize),
-                    sizes: vec![0u32; n_local],
-                    queue: Vec::new(),
-                }
+            .map(|w| Lane {
+                pg: empty_rows(&params, cfg, w[0] as usize..w[1] as usize),
+                queue: Vec::new(),
             })
             .collect();
-        let initial = ProbGraph::from_parts(
-            empty_rows(0, n_vertices),
-            vec![0u32; n_vertices],
-            cfg.bf_estimator,
-            params.clone(),
-            cfg.seed,
-        );
+        let initial = empty_rows(&params, cfg, 0..n_vertices);
         ShardedProbGraph {
             lanes,
             bounds,
@@ -323,7 +280,7 @@ impl ShardedProbGraph {
     /// (counting Bloom).
     #[inline]
     pub fn remove_supported(&self) -> bool {
-        matches!(self.params(), SketchParams::CountingBloom { .. })
+        self.lanes[0].pg.remove_supported()
     }
 
     /// Stages a batch of new undirected edges on the per-shard queues
@@ -333,14 +290,14 @@ impl ShardedProbGraph {
     /// [`ProbGraph::apply_batch`]: self-loops dropped, in-batch duplicates
     /// applied once, endpoints in `0..len()`, edges not already present.
     pub fn stage_batch(&mut self, edges: &[Edge]) {
-        self.enqueue(Self::undirected_updates(edges), false);
+        self.enqueue(ProbGraph::undirected_updates(edges), false);
     }
 
     /// Directed form of [`ShardedProbGraph::stage_batch`]: each arc
     /// `(v, u)` inserts `u` into set `v` only (DAG out-neighborhood
     /// shape, as [`ProbGraph::apply_arcs`]).
     pub fn stage_arcs(&mut self, arcs: &[Edge]) {
-        self.enqueue(Self::arc_updates(arcs), false);
+        self.enqueue(ProbGraph::arc_updates(arcs), false);
     }
 
     /// Stages a batch of present undirected edges for removal. The
@@ -349,7 +306,7 @@ impl ShardedProbGraph {
     /// form).
     pub fn stage_removals(&mut self, edges: &[Edge]) {
         self.check_remove_supported();
-        self.enqueue(Self::undirected_updates(edges), true);
+        self.enqueue(ProbGraph::undirected_updates(edges), true);
     }
 
     /// Absorbs a batch of new undirected edges into the shard lanes —
@@ -398,7 +355,7 @@ impl ShardedProbGraph {
     /// Directed form of [`ShardedProbGraph::remove_batch`].
     pub fn remove_arcs(&mut self, arcs: &[Edge]) {
         self.check_remove_supported();
-        self.enqueue(Self::arc_updates(arcs), true);
+        self.enqueue(ProbGraph::arc_updates(arcs), true);
         self.apply_pending();
     }
 
@@ -462,27 +419,14 @@ impl ShardedProbGraph {
     /// steady-state publishes allocate nothing.
     pub fn publish_epoch(&mut self) -> u64 {
         self.apply_pending();
-        let mut snap = self.spares.pop().unwrap_or_else(|| {
-            // An empty 0-set buffer: `gather_into` grows it to size once
-            // (adopting the lanes' stratum tables when stratified), after
-            // which it cycles through the double buffer at capacity.
-            ProbGraph::from_parts(
-                empty_store(&self.params, self.cfg.seed),
-                Vec::new(),
-                self.cfg.bf_estimator,
-                self.params.clone(),
-                self.cfg.seed,
-            )
-        });
-        {
-            let (store, sizes) = snap.parts_mut();
-            let parts: Vec<&SketchStore> = self.lanes.iter().map(|l| &l.store).collect();
-            gather_store_into(store, &parts);
-            sizes.clear();
-            for lane in &self.lanes {
-                sizes.extend_from_slice(&lane.sizes);
-            }
-        }
+        // An empty 0-set buffer grows to size on its first gather, after
+        // which it cycles through the double buffer at capacity.
+        let mut snap = self
+            .spares
+            .pop()
+            .unwrap_or_else(|| empty_rows(&self.params, &self.cfg, 0..0));
+        let lanes: Vec<&ProbGraph> = self.lanes.iter().map(|l| &l.pg).collect();
+        snap.gather_from(&lanes);
         let (epoch, mut reclaimed) = self.cell.publish(snap);
         self.spares.append(&mut reclaimed);
         epoch
@@ -517,9 +461,7 @@ impl ShardedProbGraph {
     fn insert_direct(&mut self, set: VertexId, x: u32) {
         let lane_idx = self.lane_of(set);
         let local = set - self.bounds[lane_idx];
-        let lane = &mut self.lanes[lane_idx];
-        lane.store.insert_into(local, x);
-        lane.sizes[local as usize] += 1;
+        self.lanes[lane_idx].pg.insert_into(local, x);
     }
 
     /// The shard owning vertex `v`.
@@ -567,30 +509,19 @@ impl ShardedProbGraph {
     }
 
     fn check_remove_supported(&self) {
-        assert!(
-            self.remove_supported(),
-            "this representation does not support removals \
-             (remove_supported() == false); use Representation::CountingBloom"
-        );
-    }
-
-    /// Expands undirected edges into `(set, element)` updates, dropping
-    /// self-loops (mirrors `ProbGraph::undirected_updates`).
-    fn undirected_updates(edges: &[Edge]) -> Vec<(VertexId, u32)> {
-        let mut updates = Vec::with_capacity(edges.len() * 2);
-        for &(u, v) in edges {
-            if u != v {
-                updates.push((u, v));
-                updates.push((v, u));
-            }
+        if !self.remove_supported() {
+            fail_remove_unsupported()
         }
-        updates
     }
+}
 
-    /// Keeps arcs as they are, dropping self-loops.
-    fn arc_updates(arcs: &[Edge]) -> Vec<(VertexId, u32)> {
-        arcs.iter().copied().filter(|&(v, u)| v != u).collect()
-    }
+/// An empty graph over rows `rows` of the resolved table `params` — a
+/// lane, the epoch-0 snapshot, or (over no rows) a fresh publish buffer.
+fn empty_rows(params: &StratifiedParams, cfg: &PgConfig, rows: Range<usize>) -> ProbGraph {
+    let n = rows.len();
+    ProbGraph::build_rows_stratified(n, params.select(rows), cfg.bf_estimator, cfg.seed, |_| {
+        &[][..]
+    })
 }
 
 /// A cloneable, `Send + Sync` query handle: pins published epochs

@@ -425,42 +425,24 @@ fn u64le(b: &[u8], off: usize) -> u64 {
 /// The fixed section sequence each representation writes and expects —
 /// coarsest element type first (see the module docs' alignment note), so
 /// every section is naturally aligned when the buffer base is.
-fn layout_for(rep_tag: u32) -> Result<&'static [SectionKind], SnapshotError> {
+fn layout_for(rep_tag: u32) -> Result<Vec<SectionKind>, SnapshotError> {
     use SectionKind::*;
-    Ok(match rep_tag {
+    let base: &[SectionKind] = match rep_tag & !REP_STRATIFIED {
         0 => &[BloomWords, Sizes, BloomOnes],
         1 => &[CbfCounters, CbfView, Sizes],
         2 => &[Sizes, MinHashSigs],
         3 => &[Sizes, BkElems, BkHashes, BkOffsets, BkLens, BkSetSizes],
         4 => &[KmvHashes, KmvSetSizes, KmvLens, Sizes],
         5 => &[Sizes, HllRegisters],
-        // Stratified stores bracket the base layout with the stratum
-        // parameter table (u64 pairs, so it leads for alignment) and the
-        // per-set assignment bytes (which trail for the same reason).
-        8 => &[StratumParams, BloomWords, Sizes, BloomOnes, StratumAssign],
-        9 => &[StratumParams, CbfCounters, CbfView, Sizes, StratumAssign],
-        10 => &[StratumParams, Sizes, MinHashSigs, StratumAssign],
-        11 => &[
-            StratumParams,
-            Sizes,
-            BkElems,
-            BkHashes,
-            BkOffsets,
-            BkLens,
-            BkSetSizes,
-            StratumAssign,
-        ],
-        12 => &[
-            StratumParams,
-            KmvHashes,
-            KmvSetSizes,
-            KmvLens,
-            Sizes,
-            StratumAssign,
-        ],
-        13 => &[StratumParams, Sizes, HllRegisters, StratumAssign],
-        tag => return Err(SnapshotError::BadRepresentation { tag }),
-    })
+        _ => return Err(SnapshotError::BadRepresentation { tag: rep_tag }),
+    };
+    if rep_tag & REP_STRATIFIED == 0 {
+        return Ok(base.to_vec());
+    }
+    // Stratified stores bracket the base layout with the stratum
+    // parameter table (u64 pairs, so it leads for alignment) and the
+    // per-set assignment bytes (which trail for the same reason).
+    Ok([&[StratumParams][..], base, &[StratumAssign]].concat())
 }
 
 /// The wire `(param A, param B)` pair of one stratum's parameters, with
@@ -1495,7 +1477,7 @@ pub fn inspect(bytes: &[u8]) -> SnapshotReport {
 // ---------------------------------------------------------------------------
 
 impl<'a> ProbGraphIn<'a> {
-    /// Serializes this ProbGraph into the version-2 snapshot format — a
+    /// Serializes this ProbGraph into the version-3 snapshot format — a
     /// pure in-memory flatten (no I/O). Deterministic: the same store
     /// yields the same bytes, and a loaded snapshot re-serializes to the
     /// identical byte string, whether it was loaded copying or borrowed.

@@ -600,34 +600,16 @@ impl<'a> BloomCollectionIn<'a> {
         }
     }
 
-    /// Assembles one collection holding the concatenation of `parts`'
-    /// filters, in order — the copy-on-publish path of the sharded serving
-    /// layer, where each part is one shard's contiguous vertex range. All
-    /// parts must share the stratum widths and `b`, and have been built
-    /// under the same seed (the families are not comparable at runtime;
-    /// the serving layer constructs every shard from one config).
-    pub fn gather(parts: &[&BloomCollectionIn<'_>]) -> BloomCollection {
-        let first = parts.first().expect("gather needs at least one part");
-        let mut out = BloomCollectionIn {
-            data: Cow::Owned(Vec::new()),
-            geom: first.geom.clone().into_owned(),
-            b: first.b,
-            family: first.family.clone(),
-            ones: Vec::new(),
-            swami: first.swami.clone(),
-            folds: OnceLock::new(),
-        };
-        out.gather_into(parts);
-        out
-    }
-
-    /// In-place form of [`BloomCollection::gather`]: overwrites `self`
-    /// with the concatenation of `parts`, reusing `self`'s allocations —
-    /// the double-buffer path, fed by snapshots reclaimed from the epoch
-    /// cell. The word, popcount and assignment arrays are straight
-    /// memcpys, so a publish costs one linear pass over the store and
-    /// re-hashes nothing; the Swamidass tables are only re-derived when
-    /// `self` held a different width table.
+    /// Overwrites `self` with the concatenation of `parts`' filters, in
+    /// order, reusing `self`'s allocations — the copy-on-publish path of
+    /// the sharded serving layer, where each part is one shard's
+    /// contiguous vertex range. All parts must share the stratum widths
+    /// and `b`, and have been built under `self`'s seed (the families are
+    /// not comparable at runtime; the serving layer constructs every
+    /// shard from one config). The word, popcount and assignment arrays
+    /// are straight memcpys, so a publish costs one linear pass over the
+    /// store and re-hashes nothing; the Swamidass tables are only
+    /// re-derived when `self` held a different width table.
     pub fn gather_into(&mut self, parts: &[&BloomCollectionIn<'_>]) {
         self.folds.take();
         let first = parts.first().expect("gather needs at least one part");

@@ -456,30 +456,13 @@ impl<'a> BottomKCollectionIn<'a> {
         self.strided
     }
 
-    /// Assembles one collection holding the concatenation of `parts`'
-    /// samples, in order — the serving layer's copy-on-publish path. All
-    /// parts must share their caps and seed; they may be in either layout.
-    /// The result is always strided (offsets are the cumulative caps —
-    /// the trivial `i·k` sequence when uniform), with unused capacity
-    /// slots zeroed so gathers are deterministic.
-    pub fn gather(parts: &[&BottomKCollectionIn<'_>]) -> BottomKCollection {
-        let first = parts.first().expect("gather needs at least one part");
-        let mut out = BottomKCollectionIn {
-            elems: Cow::Owned(Vec::new()),
-            hashes: Cow::Owned(Vec::new()),
-            offsets: Cow::Owned(Vec::new()),
-            lens: Cow::Owned(Vec::new()),
-            set_sizes: Cow::Owned(Vec::new()),
-            geom: first.geom.clone().into_owned(),
-            family: first.family.clone(),
-            strided: true,
-        };
-        out.gather_into(parts);
-        out
-    }
-
-    /// In-place form of [`BottomKCollection::gather`], reusing `self`'s
-    /// allocations (the double-buffer path).
+    /// Overwrites `self` with the concatenation of `parts`' samples, in
+    /// order, reusing `self`'s allocations — the serving layer's
+    /// double-buffer publish path. All parts must share their caps and
+    /// seed; they may be in either layout. The result is always strided
+    /// (offsets are the cumulative caps — the trivial `i·k` sequence when
+    /// uniform), with unused capacity slots zeroed so gathers are
+    /// deterministic.
     pub fn gather_into(&mut self, parts: &[&BottomKCollectionIn<'_>]) {
         self.geom.gather_into(parts.iter().map(|p| &p.geom));
         let cap_total = self.geom.total();
@@ -1157,7 +1140,8 @@ mod tests {
         let whole = BottomKCollection::build_on(strata(&ks, &assign), 5, |i| &sets[i][..]);
         let left = BottomKCollection::build_on(strata(&ks, &assign[..4]), 5, |i| &sets[i][..]);
         let right = BottomKCollection::build_on(strata(&ks, &assign[4..]), 5, |i| &sets[i + 4][..]);
-        let gathered = BottomKCollection::gather(&[&left, &right]);
+        let mut gathered = left.clone();
+        gathered.gather_into(&[&left, &right]);
         assert!(gathered.is_strided());
         assert_eq!(gathered.geometry(), whole.geometry());
         for i in 0..8 {

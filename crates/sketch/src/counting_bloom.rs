@@ -238,35 +238,18 @@ impl<'a> CountingBloomCollectionIn<'a> {
         }
     }
 
-    /// Assembles one collection holding the concatenation of `parts`'
-    /// filters, in order — the serving layer's copy-on-publish path. All
-    /// parts must share their stratum widths, `b` and a common seed; both
-    /// the packed counters and the derived views concatenate as straight
-    /// memcpys (shards own contiguous vertex ranges), so no re-derivation
-    /// sweep runs.
-    pub fn gather(parts: &[&CountingBloomCollectionIn<'_>]) -> CountingBloomCollection {
-        let first = parts.first().expect("gather needs at least one part");
-        let mut out = CountingBloomCollectionIn {
-            view: BloomCollection::gather(&parts.iter().map(|p| &p.view).collect::<Vec<_>>()),
-            counters: Cow::Owned(Vec::new()),
-            family: first.family.clone(),
-        };
-        out.gather_counters(parts);
-        out
-    }
-
-    /// In-place form of [`CountingBloomCollection::gather`], reusing
-    /// `self`'s counter and view allocations (the double-buffer path).
+    /// Overwrites `self` with the concatenation of `parts`' filters, in
+    /// order, reusing `self`'s counter and view allocations — the serving
+    /// layer's double-buffer publish path. All parts must share their
+    /// stratum widths, `b` and a common seed; both the packed counters and
+    /// the derived views concatenate as straight memcpys (shards own
+    /// contiguous vertex ranges), so no re-derivation sweep runs.
     pub fn gather_into(&mut self, parts: &[&CountingBloomCollectionIn<'_>]) {
         let views: Vec<&BloomCollection> = parts.iter().map(|p| &p.view).collect();
         self.view.gather_into(&views);
-        self.gather_counters(parts);
-    }
-
-    fn gather_counters(&mut self, parts: &[&CountingBloomCollectionIn<'_>]) {
-        // The view gather just ran and asserted shape compatibility, so
-        // the counter windows — back to back, like the view's — gather as
-        // one straight concatenation.
+        // The view gather just asserted shape compatibility, so the
+        // counter windows — back to back, like the view's — gather as one
+        // straight concatenation.
         let counters = cow_clear(&mut self.counters);
         for p in parts {
             counters.extend_from_slice(&p.counters);
@@ -706,7 +689,8 @@ mod tests {
         };
         let a = build_part(0..5);
         let b = build_part(5..8);
-        let gathered = CountingBloomCollection::gather(&[&a, &b]);
+        let mut gathered = a.clone();
+        gathered.gather_into(&[&a, &b]);
         let assign: Vec<u8> = (0..8).map(|i| (i % 2) as u8).collect();
         let whole =
             CountingBloomCollection::build_on(strata(&[4, 1], &assign), 3, 11, |i| &sets[i][..]);

@@ -354,23 +354,10 @@ impl<'a> HyperLogLogCollectionIn<'a> {
         &self.registers
     }
 
-    /// Assembles one collection holding the concatenation of `parts`'
-    /// register arrays, in order — the serving layer's copy-on-publish
-    /// path. All parts must share their precisions and seed.
-    pub fn gather(parts: &[&HyperLogLogCollectionIn<'_>]) -> HyperLogLogCollection {
-        let first = parts.first().expect("gather needs at least one part");
-        let mut out = HyperLogLogCollectionIn {
-            registers: Cow::Owned(Vec::new()),
-            geom: first.geom.clone().into_owned(),
-            seed: first.seed,
-            family: first.family.clone(),
-        };
-        out.gather_into(parts);
-        out
-    }
-
-    /// In-place form of [`HyperLogLogCollection::gather`], reusing `self`'s
-    /// register allocation (the double-buffer path).
+    /// Overwrites `self` with the concatenation of `parts`' register
+    /// arrays, in order, reusing `self`'s register allocation — the
+    /// serving layer's double-buffer publish path. All parts must share
+    /// their precisions and seed.
     pub fn gather_into(&mut self, parts: &[&HyperLogLogCollectionIn<'_>]) {
         self.geom.gather_into(parts.iter().map(|p| &p.geom));
         let registers = cow_clear(&mut self.registers);
@@ -816,7 +803,8 @@ mod tests {
         let left = HyperLogLogCollection::build_on(strata(&ps, &assign[..4]), 5, |i| &sets[i][..]);
         let right =
             HyperLogLogCollection::build_on(strata(&ps, &assign[4..]), 5, |i| &sets[i + 4][..]);
-        let gathered = HyperLogLogCollection::gather(&[&left, &right]);
+        let mut gathered = left.clone();
+        gathered.gather_into(&[&left, &right]);
         assert_eq!(gathered.raw_registers(), whole.raw_registers());
         assert_eq!(gathered.geometry(), whole.geometry());
         for i in 0..8 {

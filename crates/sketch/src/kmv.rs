@@ -445,25 +445,12 @@ impl<'a> KmvCollectionIn<'a> {
         }
     }
 
-    /// Assembles one collection holding the concatenation of `parts`'
-    /// sketches, in order — the serving layer's copy-on-publish path. All
-    /// parts must have been built under one width table and seed.
-    pub fn gather(parts: &[&KmvCollectionIn<'_>]) -> KmvCollection {
-        let first = parts.first().expect("gather needs at least one part");
-        let mut out = KmvCollectionIn {
-            sketches: Vec::new(),
-            geom: first.geom.clone().into_owned(),
-            family: first.family.clone(),
-        };
-        out.gather_into(parts);
-        out
-    }
-
-    /// In-place form of [`KmvCollection::gather`]: sketches already
-    /// present in `self` keep their per-sketch hash allocations (owned
-    /// lists clear-and-refill), so a steady-state double-buffered publish
-    /// allocates nothing beyond hash vectors that grew since the last
-    /// epoch.
+    /// Overwrites `self` with the concatenation of `parts`' sketches, in
+    /// order — the serving layer's double-buffer publish path. All parts
+    /// must have been built under one width table and seed. Sketches
+    /// already present in `self` keep their per-sketch hash allocations
+    /// (owned lists clear-and-refill), so a steady-state publish allocates
+    /// nothing beyond hash vectors that grew since the last epoch.
     pub fn gather_into(&mut self, parts: &[&KmvCollectionIn<'_>]) {
         self.geom.gather_into(parts.iter().map(|p| &p.geom));
         let total: usize = parts.iter().map(|p| p.sketches.len()).sum();
@@ -820,7 +807,8 @@ mod tests {
         let whole = KmvCollection::build_on(strata(&ks, &assign), 5, |i| &sets[i][..]);
         let left = KmvCollection::build_on(strata(&ks, &assign[..4]), 5, |i| &sets[i][..]);
         let right = KmvCollection::build_on(strata(&ks, &assign[4..]), 5, |i| &sets[i + 4][..]);
-        let gathered = KmvCollection::gather(&[&left, &right]);
+        let mut gathered = left.clone();
+        gathered.gather_into(&[&left, &right]);
         assert_eq!(gathered.geometry(), whole.geometry());
         for i in 0..8 {
             assert_eq!(gathered.sketch(i), whole.sketch(i), "set {i}");

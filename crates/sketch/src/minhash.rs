@@ -207,22 +207,10 @@ impl<'a> MinHashCollectionIn<'a> {
         &self.sigs
     }
 
-    /// Assembles one collection holding the concatenation of `parts`'
-    /// signatures, in order — the serving layer's copy-on-publish path.
-    /// All parts must share their widths and a common seed.
-    pub fn gather(parts: &[&MinHashCollectionIn<'_>]) -> MinHashCollection {
-        let first = parts.first().expect("gather needs at least one part");
-        let mut out = MinHashCollectionIn {
-            sigs: Cow::Owned(Vec::new()),
-            geom: first.geom.clone().into_owned(),
-            families: first.families.clone(),
-        };
-        out.gather_into(parts);
-        out
-    }
-
-    /// In-place form of [`MinHashCollection::gather`], reusing `self`'s
-    /// signature allocation (the double-buffer path).
+    /// Overwrites `self` with the concatenation of `parts`' signatures, in
+    /// order, reusing `self`'s signature allocation — the serving layer's
+    /// double-buffer publish path. All parts must share their widths and
+    /// a common seed.
     pub fn gather_into(&mut self, parts: &[&MinHashCollectionIn<'_>]) {
         let first = parts.first().expect("gather needs at least one part");
         if self.geom.widths() != first.geom.widths() {
@@ -691,7 +679,8 @@ mod tests {
         let whole = MinHashCollection::build_on(strata(&ks, &assign), 5, |i| &sets[i][..]);
         let left = MinHashCollection::build_on(strata(&ks, &assign[..4]), 5, |i| &sets[i][..]);
         let right = MinHashCollection::build_on(strata(&ks, &assign[4..]), 5, |i| &sets[i + 4][..]);
-        let gathered = MinHashCollection::gather(&[&left, &right]);
+        let mut gathered = left.clone();
+        gathered.gather_into(&[&left, &right]);
         assert_eq!(gathered.raw_sigs(), whole.raw_sigs());
         assert_eq!(gathered.geometry(), whole.geometry());
         for i in 0..8 {

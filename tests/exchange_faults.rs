@@ -244,6 +244,35 @@ fn killed_worker_is_a_typed_error_and_coordinator_recovers() {
 }
 
 #[test]
+fn stalled_worker_is_killed_and_coordinator_recovers() {
+    // A worker blocked outside socket I/O (say, on a lock that was held
+    // at fork time) never exits on its own: the coordinator must kill it
+    // once the timeout has passed, not wait forever.
+    let (dag, pg) = setup(Representation::Bloom { b: 2 }, 7);
+    let p = 3;
+    let parts = partition(dag.num_vertices(), p);
+    let opts = ExchangeOptions {
+        fault: Some(Fault::StallWorker { part: 1 }),
+        timeout: std::time::Duration::from_secs(1),
+        ..ExchangeOptions::default()
+    };
+    let start = std::time::Instant::now();
+    match run_exchange(&dag, &pg, &parts, p, &opts) {
+        Err(ExchangeError::WorkerExit { part, code }) => {
+            assert_eq!(part, 1);
+            assert_eq!(code, -9, "the stalled worker is killed with SIGKILL");
+        }
+        other => panic!("expected WorkerExit, got {other:?}"),
+    }
+    let waited = start.elapsed();
+    assert!(waited.as_secs() < 15, "coordinator took {waited:?}");
+    // The coordinator reaped everything; a clean run still works.
+    let report = run_exchange(&dag, &pg, &parts, p, &ExchangeOptions::default()).unwrap();
+    let reference: f64 = single_process_partials(&dag, &pg, &parts, p).iter().sum();
+    assert_eq!(report.distributed_tc.to_bits(), reference.to_bits());
+}
+
+#[test]
 fn corrupt_payload_is_rejected_by_snapshot_validation() {
     let (dag, pg) = setup(Representation::Bloom { b: 2 }, 7);
     let p = 2;
