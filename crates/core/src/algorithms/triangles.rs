@@ -137,6 +137,27 @@ mod tests {
     }
 
     #[test]
+    fn bf2_count_repeats_bit_for_bit() {
+        // The per-vertex `f64` estimates are summed in chunk order, so runs
+        // at one thread count agree bitwise; on this input a grouping that
+        // followed the schedule differs in the last ulps between runs.
+        let g = gen::chung_lu(2_000, 20_000, 2.5, 7);
+        let dag = orient_by_degree(&g);
+        let cfg = PgConfig::new(Representation::Bloom { b: 2 }, 0.25);
+        let pg = ProbGraph::build_dag(&dag, g.memory_bytes(), &cfg);
+        let count = || pg_parallel::with_threads(2, || count_approx_on_dag(&dag, &pg));
+        let first = count();
+        for run in 0..20 {
+            let again = count();
+            assert_eq!(
+                again.to_bits(),
+                first.to_bits(),
+                "run {run}: {again} != {first}"
+            );
+        }
+    }
+
+    #[test]
     fn approx_counts_track_exact_on_dense_graph() {
         let g = gen::erdos_renyi_gnm(400, 400 * 30, 11);
         let exact = count_exact(&g) as f64;

@@ -152,8 +152,9 @@ struct BlockScratch {
 /// with fewer batches than workers the grain shrinks to split one batch's
 /// tiles across cores. Per-destination values are bit-identical to the
 /// untiled row sweep for any plan (pinned by the tiled-equivalence suite);
-/// only the `fold`/`combine` order varies, exactly like every other
-/// [`pg_parallel::map_reduce`] reduction.
+/// only the `fold`/`combine` grouping differs from the untiled sweep. As
+/// in every [`pg_parallel::map_reduce`] reduction, that grouping follows
+/// from the plan and the grain, never from scheduling.
 #[allow(clippy::too_many_arguments)]
 pub fn tiled_block_sweep<'g, O, T, FRow, FId, FFold, FComb>(
     n_sources: usize,

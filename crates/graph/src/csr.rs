@@ -6,8 +6,7 @@
 //! **sorted** array, which is what makes the exact merge/galloping
 //! intersections of Fig. 1 possible.
 
-use pg_parallel::{parallel_for, sum_u64};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use pg_parallel::{parallel_init, sum_u64};
 
 /// Vertex identifier. The paper models `V = {1, …, n}`; we use `0..n`.
 pub type VertexId = u32;
@@ -30,93 +29,65 @@ impl CsrGraph {
     /// Accepts duplicates, self loops, and either edge orientation; the
     /// result is a clean simple undirected graph over vertices
     /// `0..num_vertices`. Edges that mention vertices `>= num_vertices`
-    /// panic. Construction is parallel: degree counting, scatter, per-vertex
-    /// sort, and dedup all run over `pg-parallel`.
+    /// panic. The result does not depend on the edge order or the thread
+    /// count, and `offsets` and `neighbors` are allocated to their exact
+    /// final lengths.
+    ///
+    /// A counting sort with plain writes: one serial pass counts the
+    /// degrees, a second scatters both arcs of every edge into its rows
+    /// through per-row cursors. The rows are then sorted and deduplicated
+    /// in parallel, each by one worker, and compacted serially. Besides
+    /// the result it allocates two `n`-entry arrays (cursors, then row
+    /// lengths), whatever the thread count.
     pub fn from_edges(num_vertices: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        assert!(
-            num_vertices <= u32::MAX as usize,
-            "vertex ids are u32; got n={num_vertices}"
-        );
-        // 1. Count tentative degrees (both directions, self loops dropped).
-        let degrees: Vec<AtomicUsize> = (0..num_vertices).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(edges.len(), |i| {
-            let (u, v) = edges[i];
+        let n = num_vertices;
+        assert!(n <= u32::MAX as usize, "vertex ids are u32; got n={n}");
+        // 1. Degrees (both directions, self loops dropped), shifted by one
+        //    slot so the prefix sum leaves `offsets[v]` = start of row v.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in edges {
             assert!(
-                (u as usize) < num_vertices && (v as usize) < num_vertices,
-                "edge ({u},{v}) out of range for n={num_vertices}"
+                (u as usize) < n && (v as usize) < n,
+                "edge ({u},{v}) out of range for n={n}"
             );
             if u != v {
-                degrees[u as usize].fetch_add(1, Ordering::Relaxed);
-                degrees[v as usize].fetch_add(1, Ordering::Relaxed);
+                offsets[u as usize + 1] += 1;
+                offsets[v as usize + 1] += 1;
             }
-        });
-        // 2. Exclusive prefix sum -> provisional offsets.
-        let mut offsets = Vec::with_capacity(num_vertices + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degrees {
-            acc += d.load(Ordering::Relaxed);
-            offsets.push(acc);
         }
-        // 3. Scatter neighbor IDs with per-vertex atomic cursors.
-        let cursors: Vec<AtomicUsize> = offsets[..num_vertices]
-            .iter()
-            .map(|&o| AtomicUsize::new(o))
-            .collect();
-        let slots: Vec<AtomicU32> = (0..acc).map(|_| AtomicU32::new(0)).collect();
-        parallel_for(edges.len(), |i| {
-            let (u, v) = edges[i];
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // 2. Scatter both arcs of every edge through per-row cursors.
+        let mut neighbors = vec![0 as VertexId; offsets[n]];
+        let mut cursor = offsets[..n].to_vec();
+        for &(u, v) in edges {
             if u != v {
-                let su = cursors[u as usize].fetch_add(1, Ordering::Relaxed);
-                slots[su].store(v, Ordering::Relaxed);
-                let sv = cursors[v as usize].fetch_add(1, Ordering::Relaxed);
-                slots[sv].store(u, Ordering::Relaxed);
+                neighbors[cursor[u as usize]] = v;
+                cursor[u as usize] += 1;
+                neighbors[cursor[v as usize]] = u;
+                cursor[v as usize] += 1;
             }
+        }
+        drop(cursor);
+        // 3. Sort and dedup each row in parallel.
+        let lens = map_rows_mut(&mut neighbors, &offsets, |row| {
+            row.sort_unstable();
+            dedup_sorted_by_key(row, |&w| w)
         });
-        let mut neighbors: Vec<VertexId> = slots.into_iter().map(AtomicU32::into_inner).collect();
-        // 4. Sort + dedup each neighborhood in parallel, compact afterwards.
-        let new_len: Vec<AtomicUsize> = (0..num_vertices).map(|_| AtomicUsize::new(0)).collect();
-        {
-            // Split the flat array into per-vertex windows; windows are
-            // disjoint so parallel mutation is safe. We use raw parts to
-            // hand each worker its own window.
-            struct SendPtr(*mut VertexId);
-            unsafe impl Send for SendPtr {}
-            unsafe impl Sync for SendPtr {}
-            let base = SendPtr(neighbors.as_mut_ptr());
-            let base = &base;
-            let offsets_ref = &offsets;
-            parallel_for(num_vertices, |v| {
-                let (s, e) = (offsets_ref[v], offsets_ref[v + 1]);
-                // SAFETY: [s, e) windows are pairwise disjoint across v.
-                let window = unsafe { std::slice::from_raw_parts_mut(base.0.add(s), e - s) };
-                window.sort_unstable();
-                let mut w = 0usize;
-                for r in 0..window.len() {
-                    if r == 0 || window[r] != window[r - 1] {
-                        window[w] = window[r];
-                        w += 1;
-                    }
-                }
-                new_len[v].store(w, Ordering::Relaxed);
-            });
-        }
-        // 5. Compact to final CSR (sequential; bounded by one memcpy pass).
-        let mut final_offsets = Vec::with_capacity(num_vertices + 1);
-        final_offsets.push(0usize);
+        // 4. Compact the deduplicated rows to the front, rewriting each
+        //    `offsets[v]` after its old value has been read.
         let mut write = 0usize;
-        for v in 0..num_vertices {
-            let (s, len) = (offsets[v], new_len[v].load(Ordering::Relaxed));
-            neighbors.copy_within(s..s + len, write);
-            write += len;
-            final_offsets.push(write);
+        for v in 0..n {
+            let start = offsets[v];
+            offsets[v] = write;
+            neighbors.copy_within(start..start + lens[v], write);
+            write += lens[v];
         }
+        offsets[n] = write;
         neighbors.truncate(write);
         neighbors.shrink_to_fit();
-        CsrGraph {
-            offsets: final_offsets,
-            neighbors,
-        }
+        CsrGraph { offsets, neighbors }
     }
 
     /// Builds a graph directly from already-clean sorted adjacency arrays.
@@ -246,6 +217,53 @@ impl CsrGraph {
     }
 }
 
+/// Runs `f` on every row of the flat array `data`, row `v` being
+/// `data[offsets[v]..offsets[v + 1]]`, in parallel over rows, and returns
+/// the results in row order. Panics unless `offsets` is non-decreasing and
+/// ends within `data`.
+pub(crate) fn map_rows_mut<T, R, F>(data: &mut [T], offsets: &[usize], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(&mut [T]) -> R + Sync,
+{
+    assert!(
+        offsets.windows(2).all(|w| w[0] <= w[1])
+            && offsets.last().is_none_or(|&end| end <= data.len()),
+        "row offsets must be non-decreasing and end within the data"
+    );
+    struct Rows<T>(*mut T);
+    // SAFETY: `Rows` points into `data`, which outlives the loop below, its
+    // only use. Iteration v touches only row v, rows are pairwise disjoint
+    // (checked above), and `parallel_init` runs each iteration once, so no
+    // element is shared; `T: Send` lets the rows move between threads.
+    unsafe impl<T: Send> Sync for Rows<T> {}
+    let rows = Rows(data.as_mut_ptr());
+    let rows = &rows;
+    parallel_init(offsets.len().saturating_sub(1), |v| {
+        let (s, e) = (offsets[v], offsets[v + 1]);
+        // SAFETY: `s <= e <= data.len()` and no other iteration touches
+        // `s..e` (see `Rows`).
+        f(unsafe { std::slice::from_raw_parts_mut(rows.0.add(s), e - s) })
+    })
+}
+
+/// Moves the first element of every run of equal `key`s in sorted `row` to
+/// the front, in order, and returns how many there are.
+pub(crate) fn dedup_sorted_by_key<T: Copy, K: PartialEq>(
+    row: &mut [T],
+    key: impl Fn(&T) -> K,
+) -> usize {
+    let mut w = 0usize;
+    for r in 0..row.len() {
+        if w == 0 || key(&row[r]) != key(&row[w - 1]) {
+            row[w] = row[r];
+            w += 1;
+        }
+    }
+    w
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,6 +351,137 @@ mod tests {
     #[should_panic(expected = "asymmetric")]
     fn from_adjacency_rejects_asymmetry() {
         CsrGraph::from_adjacency(vec![vec![1], vec![]]);
+    }
+
+    /// Reference builder: atomic degree counts and atomic per-row cursors
+    /// on a parallel scatter.
+    fn from_edges_atomic_reference(
+        num_vertices: usize,
+        edges: &[(VertexId, VertexId)],
+    ) -> CsrGraph {
+        use pg_parallel::parallel_for;
+        use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+        let degrees: Vec<AtomicUsize> = (0..num_vertices).map(|_| AtomicUsize::new(0)).collect();
+        parallel_for(edges.len(), |i| {
+            let (u, v) = edges[i];
+            if u != v {
+                degrees[u as usize].fetch_add(1, Ordering::Relaxed);
+                degrees[v as usize].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let mut offsets = Vec::with_capacity(num_vertices + 1);
+        let mut acc = 0usize;
+        offsets.push(0);
+        for d in &degrees {
+            acc += d.load(Ordering::Relaxed);
+            offsets.push(acc);
+        }
+        let cursors: Vec<AtomicUsize> = offsets[..num_vertices]
+            .iter()
+            .map(|&o| AtomicUsize::new(o))
+            .collect();
+        let slots: Vec<AtomicU32> = (0..acc).map(|_| AtomicU32::new(0)).collect();
+        parallel_for(edges.len(), |i| {
+            let (u, v) = edges[i];
+            if u != v {
+                let su = cursors[u as usize].fetch_add(1, Ordering::Relaxed);
+                slots[su].store(v, Ordering::Relaxed);
+                let sv = cursors[v as usize].fetch_add(1, Ordering::Relaxed);
+                slots[sv].store(u, Ordering::Relaxed);
+            }
+        });
+        let mut adj: Vec<Vec<VertexId>> = offsets
+            .windows(2)
+            .map(|w| {
+                slots[w[0]..w[1]]
+                    .iter()
+                    .map(|s| s.load(Ordering::Relaxed))
+                    .collect()
+            })
+            .collect();
+        for row in &mut adj {
+            row.sort_unstable();
+            row.dedup();
+        }
+        CsrGraph::from_adjacency(adj)
+    }
+
+    /// The naive reference: every arc into one ordered set.
+    fn btreeset_reference(n: usize, edges: &[(VertexId, VertexId)]) -> CsrGraph {
+        let arcs: std::collections::BTreeSet<(VertexId, VertexId)> = edges
+            .iter()
+            .filter(|(u, v)| u != v)
+            .flat_map(|&(u, v)| [(u, v), (v, u)])
+            .collect();
+        let mut adj = vec![Vec::new(); n];
+        for (u, v) in arcs {
+            adj[u as usize].push(v);
+        }
+        CsrGraph::from_adjacency(adj)
+    }
+
+    fn random_multigraph(n: u32, m: usize, seed: u64) -> Vec<(VertexId, VertexId)> {
+        let mut s = seed;
+        (0..m)
+            .map(|_| {
+                let a = pg_hash::splitmix64(&mut s);
+                ((a % n as u64) as u32, ((a >> 32) % n as u64) as u32)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn from_edges_matches_btreeset_reference() {
+        let star: Vec<_> = (1..40)
+            .flat_map(|v| [(0, v), (v, 0), (0, v), (v, 0)])
+            .collect();
+        let loops = vec![(0, 0), (1, 1), (1, 2), (2, 2), (2, 1), (3, 3)];
+        let isolated = vec![(2, 7), (7, 2), (4, 9)];
+        let kron = crate::gen::kronecker(9, 8, 3).edge_list();
+        let kron_both: Vec<_> = kron.iter().flat_map(|&(u, v)| [(v, u), (u, v)]).collect();
+        type Case<'a> = (&'a str, usize, &'a [(VertexId, VertexId)]);
+        let cases: [Case; 8] = [
+            ("star, every arc twice both ways", 40, &star),
+            ("self loops", 4, &loops),
+            ("isolated vertices", 12, &isolated),
+            ("n = 0", 0, &[]),
+            ("n = 1", 1, &[]),
+            ("n = 1, self loop", 1, &[(0, 0), (0, 0)]),
+            ("kronecker", 512, &kron),
+            ("kronecker, both orientations", 512, &kron_both),
+        ];
+        for threads in [1, 2] {
+            for (name, n, edges) in cases {
+                let g = pg_parallel::with_threads(threads, || CsrGraph::from_edges(n, edges));
+                let want = btreeset_reference(n, edges);
+                assert_eq!(g, want, "{name}, {threads} threads");
+                assert_eq!(g.num_vertices(), n, "{name}");
+                assert_eq!(g.offsets.capacity(), n + 1, "{name}: offsets capacity");
+                assert_eq!(
+                    g.neighbors.capacity(),
+                    g.neighbors.len(),
+                    "{name}: neighbors capacity"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn from_edges_matches_atomic_reference_on_random_multigraphs() {
+        for (case, (n, m)) in [(1, 0), (2, 5), (50, 2_000), (500, 20_000), (3_000, 9_000)]
+            .into_iter()
+            .enumerate()
+        {
+            let edges = random_multigraph(n, m, 77 + case as u64);
+            let want = from_edges_atomic_reference(n as usize, &edges);
+            for threads in [1, 2] {
+                let g =
+                    pg_parallel::with_threads(threads, || CsrGraph::from_edges(n as usize, &edges));
+                assert_eq!(g, want, "n={n} m={m} threads={threads}");
+                assert_eq!(g.neighbors.capacity(), g.neighbors.len());
+                assert_eq!(g.offsets.capacity(), n as usize + 1);
+            }
+        }
     }
 
     #[test]

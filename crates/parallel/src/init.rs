@@ -58,12 +58,27 @@ where
     Mk: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
+    init_scratch_grain(n, crate::auto_grain(n), make_scratch, f)
+}
+
+/// [`parallel_init_scratch`] with an explicit scheduling grain.
+pub(crate) fn init_scratch_grain<T, S, Mk, F>(
+    n: usize,
+    grain: usize,
+    make_scratch: Mk,
+    f: F,
+) -> Vec<T>
+where
+    T: Send,
+    Mk: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
     let mut storage: Vec<MaybeUninit<T>> = Vec::with_capacity(n);
     // SAFETY: MaybeUninit<T> needs no initialization; len==capacity==n.
     unsafe { storage.set_len(n) };
     let ptr = SendPtr(storage.as_mut_ptr());
     let ptr = &ptr;
-    crate::parallel_for_scratch(n, crate::auto_grain(n), make_scratch, |scratch, i| {
+    crate::parallel_for_scratch(n, grain, make_scratch, |scratch, i| {
         // SAFETY: each index is written exactly once (see SendPtr docs).
         unsafe { (*ptr.0.add(i)).write(f(scratch, i)) };
     });

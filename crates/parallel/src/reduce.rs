@@ -1,16 +1,17 @@
-//! Parallel reductions: thread-local accumulation + final combine.
+//! Parallel reductions: per-chunk accumulation + ordered combine.
 //!
 //! Every ProbGraph algorithm ends in a reduction — triangle counts are sums
 //! of per-edge intersection cardinalities, clustering collects per-edge
-//! decisions, etc. The pattern here is the classic tree-free OpenMP
-//! `reduction(+:x)` implementation: each worker folds into a private
-//! accumulator, and the per-worker results are combined at join time
-//! (combine order is unspecified, so `f64` sums may differ across runs in
-//! the last ulps; integer reductions are exact and deterministic).
+//! decisions, etc. Workers claim chunks of `grain` consecutive iterations
+//! dynamically, as OpenMP `schedule(dynamic, grain)` does, and fold each
+//! chunk into a fresh accumulator; after the join the chunk partials are
+//! combined in chunk order. The association of every `combine` is thus
+//! fixed by `n` and `grain` alone, never by scheduling, so `f64` sums
+//! repeat bit for bit from run to run at a given thread count (the
+//! default grains depend on the thread count, so different counts may
+//! differ in the last ulps). Integer reductions are exact at any count.
 
 use crate::config::current_threads;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Parallel map-reduce over `0..n`.
 ///
@@ -57,6 +58,13 @@ where
 /// join time, scratch is *discarded* — putting a reusable buffer into the
 /// accumulator (the old 4-clique trick) forces `combine` to arbitrate
 /// which buffer to keep, whereas scratch needs no such ceremony.
+///
+/// With one thread, or `n <= grain`, everything folds into one
+/// accumulator in index order. Otherwise each chunk `[c·grain,
+/// (c+1)·grain)` folds into a fresh `identity()`, and the partials are
+/// combined as `combine(…combine(combine(identity(), p_0), p_1)…, p_last)`
+/// after the join, so the result does not depend on which worker ran
+/// which chunk. The partials are held until the join: one `T` per chunk.
 pub fn map_reduce_scratch<T, S, Id, Mk, M, C>(
     n: usize,
     grain: usize,
@@ -82,48 +90,15 @@ where
         }
         return acc;
     }
-    let threads = threads.min(n.div_ceil(grain));
-    let cursor = AtomicUsize::new(0);
-    let partials: Mutex<Vec<T>> = Mutex::new(Vec::with_capacity(threads));
-    {
-        let cursor = &cursor;
-        let partials = &partials;
-        let identity = &identity;
-        let make_scratch = &make_scratch;
-        let map = &map;
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(threads - 1);
-            let work = move || {
-                let mut scratch = make_scratch();
-                let mut acc = identity();
-                loop {
-                    let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + grain).min(n);
-                    for i in start..end {
-                        acc = map(&mut scratch, acc, i);
-                    }
-                }
-                partials.lock().unwrap_or_else(|e| e.into_inner()).push(acc);
-            };
-            for _ in 1..threads {
-                handles.push(s.spawn(work));
+    let partials =
+        crate::init::init_scratch_grain(n.div_ceil(grain), 1, make_scratch, |scratch, c| {
+            let mut acc = identity();
+            for i in c * grain..((c + 1) * grain).min(n) {
+                acc = map(scratch, acc, i);
             }
-            work();
-            for h in handles {
-                if let Err(p) = h.join() {
-                    std::panic::resume_unwind(p);
-                }
-            }
+            acc
         });
-    }
-    let mut acc = identity();
-    for p in partials.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        acc = combine(acc, p);
-    }
-    acc
+    partials.into_iter().fold(identity(), combine)
 }
 
 /// Parallel sum of `f(i)` for `i in 0..n` as `u64`. Exact and deterministic.
@@ -134,9 +109,10 @@ pub fn sum_u64<F: Fn(usize) -> u64 + Sync>(n: usize, f: F) -> u64 {
 
 /// Parallel sum of `f(i)` for `i in 0..n` as `f64`.
 ///
-/// Combine order is unspecified, so results can differ across runs by
-/// floating-point association; all ProbGraph estimators tolerate this (the
-/// estimator error dominates by many orders of magnitude).
+/// Repeats bit for bit at a given thread count (see the module doc);
+/// different thread counts group the terms differently and may differ by
+/// floating-point association, which all ProbGraph estimators tolerate
+/// (the estimator error dominates by many orders of magnitude).
 #[inline]
 pub fn sum_f64<F: Fn(usize) -> f64 + Sync>(n: usize, f: F) -> f64 {
     map_reduce(n, || 0f64, |acc, i| acc + f(i), |a, b| a + b)
@@ -187,6 +163,24 @@ mod tests {
         let expect: f64 = (0..n).map(|i| 1.0 / (1.0 + i as f64)).sum();
         let got = with_threads(8, || sum_f64(n, |i| 1.0 / (1.0 + i as f64)));
         assert!((got - expect).abs() < 1e-9 * expect.abs());
+    }
+
+    #[test]
+    fn float_sum_repeats_bit_for_bit() {
+        // Association matters: every 1.0 added to an accumulator already
+        // holding 1e17 is lost (half an ulp there is 8), while a fresh
+        // accumulator keeps them, so any grouping that followed the
+        // schedule would show up as differing bits between runs.
+        let term = |i: usize| if i == 0 { 1e17 } else { 1.0 };
+        let first = with_threads(2, || sum_f64(10_000, term));
+        for run in 0..50 {
+            let again = with_threads(2, || sum_f64(10_000, term));
+            assert_eq!(
+                again.to_bits(),
+                first.to_bits(),
+                "run {run}: {again} != {first}"
+            );
+        }
     }
 
     #[test]

@@ -331,8 +331,8 @@ proptest! {
                 ProbGraph::stream_from(dag.num_vertices(), g.memory_bytes(), &cfg, &[]);
             inc_dag.apply_arcs(&arcs[..split]);
             inc_dag.apply_arcs(&arcs[split..]);
-            // f64 reductions combine in an unspecified order under the
-            // parallel runtime, so compare serial runs exactly.
+            // f64 reductions group their terms by thread count, so
+            // compare runs at one fixed count (serial) exactly.
             let (tc_full, tc_inc) = pg_parallel::with_threads(1, || {
                 (
                     triangles::count_approx_on_dag(&dag, &full_dag),
