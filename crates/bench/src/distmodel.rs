@@ -468,4 +468,32 @@ mod tests {
             );
         }
     }
+
+    /// The headline cell of `--bin distributed` (§VIII-F): the
+    /// `dimacs-c500-9` stand-in at scale 4, BF2 at s = 25 % of the oriented
+    /// DAG's CSR bytes, 4 parts of `random_partition(n, 4, 11)`, 512-set
+    /// chunks. The measured socket bytes must be at least 2× below
+    /// shipping exact `N⁺` rows (3.53× when this gate was written).
+    #[cfg(unix)]
+    #[test]
+    fn bloom_four_part_exchange_ships_at_least_2x_fewer_bytes() {
+        use probgraph::exchange::{run_exchange, ExchangeOptions};
+        let g = gen::instance("dimacs-c500-9", 4).expect("known family");
+        let dag = orient_by_degree(&g);
+        let n = dag.num_vertices();
+        let dag_bytes = 4 * (n + 1) + 4 * g.num_edges();
+        let cfg = PgConfig::new(Representation::Bloom { b: 2 }, 0.25);
+        let pg = ProbGraph::build_dag(&dag, dag_bytes, &cfg);
+        let parts = random_partition(n, 4, 11);
+        let opts = ExchangeOptions {
+            chunk_sets: 512,
+            ..ExchangeOptions::default()
+        };
+        let report = run_exchange(&dag, &pg, &parts, 4, &opts).expect("exchange runs");
+        assert!(
+            report.reduction() >= 2.0,
+            "BF2 at 4 parts cuts the exchange only {:.3}x",
+            report.reduction()
+        );
+    }
 }

@@ -2,13 +2,27 @@
 
 use pg_graph::{gen, CsrGraph};
 
-/// Reads `PG_SCALE` (≥ 1); `default` applies when unset/invalid.
+/// Reads `PG_SCALE` (≥ 1); `default` applies only when it is unset. A
+/// set value that is not a positive integer ends the process with a
+/// message naming it, so a typo never runs the default scale unnoticed.
 pub fn env_scale(default: usize) -> usize {
-    std::env::var("PG_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(default)
+    let value = std::env::var_os("PG_SCALE").map(|v| v.to_string_lossy().into_owned());
+    parse_scale(value.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses a `PG_SCALE` value: `None` (unset) is `default`, a positive
+/// integer is itself, and anything else is an error naming the value.
+fn parse_scale(value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => match v.parse::<usize>() {
+            Ok(s) if s >= 1 => Ok(s),
+            _ => Err(format!("PG_SCALE={v:?} is not a positive integer")),
+        },
+    }
 }
 
 /// A representative subset of the Table VIII stand-ins spanning the
@@ -67,7 +81,15 @@ mod tests {
 
     #[test]
     fn env_scale_default() {
-        std::env::remove_var("PG_SCALE");
-        assert_eq!(env_scale(7), 7);
+        assert_eq!(parse_scale(None, 7), Ok(7));
+        assert_eq!(parse_scale(Some("4"), 7), Ok(4));
+    }
+
+    #[test]
+    fn bad_scale_is_an_error_naming_the_value() {
+        for bad in ["0", "abc", "-1", "", " 4", "4.0"] {
+            let err = parse_scale(Some(bad), 7).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{bad:?}: {err}");
+        }
     }
 }

@@ -15,8 +15,8 @@
 //!   are near-complete: e.g. `bn-mouse_brain_1` has 96 % of all pairs).
 //!
 //! The quantities the paper's conclusions depend on — average degree m/n,
-//! degree skew, and absolute size — are matched; see DESIGN.md for the
-//! substitution argument. Every family is deterministic (fixed seed).
+//! degree skew, and absolute size — are matched, class by class as
+//! listed above. Every family is deterministic (fixed seed).
 
 use crate::csr::CsrGraph;
 use crate::gen::models::watts_strogatz;

@@ -50,17 +50,6 @@ use std::sync::OnceLock;
 /// `b ∈ {1, 2}` best and never evaluates past 4; 16 leaves generous slack.
 pub const MAX_BLOOM_HASHES: usize = 16;
 
-/// All three Bloom intersection estimates of one pair, from one fused pass.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BfPairEstimates {
-    /// `|X∩Y|̂_AND` (Eq. 2).
-    pub and_est: f64,
-    /// `|X∩Y|̂_L` (Eq. 4).
-    pub limit_est: f64,
-    /// `|X∩Y|̂_OR` (Eq. 29).
-    pub or_est: f64,
-}
-
 /// A standalone Bloom filter over `u32` items with `b` hash functions.
 #[derive(Clone, Debug)]
 pub struct BloomFilter {
@@ -170,24 +159,6 @@ impl BloomFilter {
         let and_ones = self.bits.and_count(&other.bits);
         let or_ones = self.ones + other.ones - and_ones;
         estimators::bf_intersect_or(or_ones, self.len_bits(), self.num_hashes(), nx, ny)
-    }
-
-    /// All three intersection estimators from **one** fused pass over the
-    /// pair (plus the cached popcounts).
-    pub fn estimate_intersection_all(
-        &self,
-        other: &BloomFilter,
-        nx: usize,
-        ny: usize,
-    ) -> BfPairEstimates {
-        let and_ones = self.bits.and_count(&other.bits);
-        let or_ones = self.ones + other.ones - and_ones;
-        let (bits, b) = (self.len_bits(), self.num_hashes());
-        BfPairEstimates {
-            and_est: estimators::bf_intersect_and(and_ones, bits, b),
-            limit_est: estimators::bf_intersect_limit(and_ones, b),
-            or_est: estimators::bf_intersect_or(or_ones, bits, b, nx, ny),
-        }
     }
 }
 
@@ -1001,17 +972,6 @@ impl<'a> BloomCollectionIn<'a> {
         (nx + ny) as f64 - self.swamidass_at(s, p.or_ones)
     }
 
-    /// All three estimators of the pair from one fused pass.
-    #[inline]
-    pub fn estimate_all(&self, i: usize, j: usize, nx: usize, ny: usize) -> BfPairEstimates {
-        let (p, s) = self.pair_stats(i, j);
-        BfPairEstimates {
-            and_est: self.swamidass_at(s, p.and_ones),
-            limit_est: estimators::bf_intersect_limit(p.and_ones, self.b),
-            or_est: (nx + ny) as f64 - self.swamidass_at(s, p.or_ones),
-        }
-    }
-
     /// Bytes of sketch storage — what the paper's budget `s` accounts for.
     pub fn memory_bytes(&self) -> usize {
         self.data.len() * 8
@@ -1111,23 +1071,20 @@ mod tests {
     }
 
     #[test]
-    fn estimate_all_matches_individual_estimators() {
+    fn filter_estimators_match_collection_estimators() {
         let x: Vec<u32> = (0..300).collect();
         let y: Vec<u32> = (200..500).collect();
         let col = BloomCollection::build(2, 1 << 13, 2, 9, |i| if i == 0 { &x } else { &y });
-        let all = col.estimate_all(0, 1, x.len(), y.len());
-        assert_eq!(all.and_est, col.estimate_and(0, 1));
-        assert_eq!(all.limit_est, col.estimate_limit(0, 1));
-        assert_eq!(all.or_est, col.estimate_or(0, 1, x.len(), y.len()));
-        // And the standalone-filter fused path agrees with the collection.
         let fx = BloomFilter::from_set(&x, 1 << 13, 2, 9);
         let fy = BloomFilter::from_set(&y, 1 << 13, 2, 9);
-        let fall = fx.estimate_intersection_all(&fy, x.len(), y.len());
-        assert_eq!(fall.and_est, fx.estimate_intersection_and(&fy));
-        assert_eq!(fall.limit_est, fx.estimate_intersection_limit(&fy));
+        assert_eq!(fx.estimate_intersection_and(&fy), col.estimate_and(0, 1));
         assert_eq!(
-            fall.or_est,
-            fx.estimate_intersection_or(&fy, x.len(), y.len())
+            fx.estimate_intersection_limit(&fy),
+            col.estimate_limit(0, 1)
+        );
+        assert_eq!(
+            fx.estimate_intersection_or(&fy, x.len(), y.len()),
+            col.estimate_or(0, 1, x.len(), y.len())
         );
         // or_ones via inclusion–exclusion equals the direct OR pass.
         assert_eq!(col.pair_ones(0, 1).or_ones, col.or_ones(0, 1));

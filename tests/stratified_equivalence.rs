@@ -19,8 +19,13 @@
 //! Snapshot bytes are the equality oracle: they cover every word,
 //! counter, signature, element, hash, and register of every store, plus
 //! the geometry header — stricter than any per-field comparison.
+//!
+//! One accuracy gate rides along: on a fixed skewed input, a two-stratum
+//! BF2 plan counts triangles no less accurately than the uniform plan at
+//! the same budget.
 
 use pg_sketch::{StrataSpec, StratifiedParams};
+use probgraph::algorithms::triangles;
 use probgraph::oracle::MutableOracle;
 use probgraph::serving::ShardedProbGraph;
 use probgraph::{BfEstimator, PgConfig, ProbGraph, Representation};
@@ -233,4 +238,42 @@ fn skewed_spec_stays_stratified_and_round_trips() {
             "{label}: sharded stratified ingest diverged from the serial stream"
         );
     }
+}
+
+/// The stratified accuracy gate. Input: a Chung–Lu power-law graph
+/// (n = 8192, m = 131,072, γ = 2.0, seed 7), oriented by degree, with the
+/// undirected CSR bytes as the budget base and s = 0.15. The stratified
+/// plan gives the top 5 % of vertices by degree twice the base stratum's
+/// bytes. It must resolve at least two strata, and its total triangle
+/// count must be no further from exact than the uniform plan's (0.3637
+/// against 0.4128 when this gate was written). Both plans pin the AND
+/// estimator (Eq. 2), the one this ordering was measured under, so a
+/// change of the library default does not change what the gate checks.
+#[test]
+fn stratified_bf2_tc_error_at_most_uniform_on_skewed_input() {
+    let g = pg_graph::gen::chung_lu(8192, 131_072, 2.0, 7);
+    let dag = pg_graph::orient_by_degree(&g);
+    let exact = triangles::count_exact_on_dag(&dag) as f64;
+    let bf2 = Representation::Bloom { b: 2 };
+    let relerr = |cfg: PgConfig| {
+        let pg = ProbGraph::build_dag(
+            &dag,
+            g.memory_bytes(),
+            &cfg.with_bf_estimator(BfEstimator::And),
+        );
+        let strata = pg.stratified_params().map_or(1, |sp| sp.n_strata());
+        let err = (triangles::count_approx_on_dag(&dag, &pg) / exact - 1.0).abs();
+        (err, strata)
+    };
+    let (uniform, _) = relerr(PgConfig::new(bf2, 0.15));
+    let spec = StrataSpec::new(vec![0.05], vec![2, 1]);
+    let (stratified, strata) = relerr(PgConfig::stratified(bf2, 0.15, spec));
+    assert!(
+        strata >= 2,
+        "the stratified plan collapsed to {strata} stratum"
+    );
+    assert!(
+        stratified <= uniform,
+        "stratified BF2 TC error {stratified:.4} exceeds uniform's {uniform:.4}"
+    );
 }

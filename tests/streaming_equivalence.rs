@@ -17,6 +17,10 @@
 //! * the `estimate_row_into` buffer-reuse contract holds **across a
 //!   mutation**: a warm row buffer is truncated, never reallocated, and
 //!   every slot is overwritten after an `insert_edge`.
+//!
+//! It also gates counting-Bloom sticky saturation at zero on a dense
+//! arc stream, where a counter frozen at its maximum would stop removals
+//! from restoring rebuild equality.
 
 use probgraph::algorithms::{clustering, triangles};
 use probgraph::oracle::{IntersectionOracle, MutableOracle, OracleVisitor};
@@ -622,6 +626,32 @@ fn same_edge_insert_remove_cycle_matches_rebuild() {
             );
         }
     }
+}
+
+/// Sticky saturation on the dense removal workload: CBF2 at s = 0.25 on
+/// the `econ-psmigr1` stand-in at scale 4, its oriented arcs streamed in
+/// `neighbors_plus` order — all but a 1 % live tail (at most 4096 arcs),
+/// then the tail. No 4-bit counter may reach its frozen maximum: one that
+/// does survives every later removal, so a nonzero count means the budget
+/// planner or the counter packing regressed.
+#[test]
+fn counting_bloom_removal_workload_saturates_no_counter() {
+    let g = pg_graph::gen::instance("econ-psmigr1", 4).expect("known family");
+    let dag = pg_graph::orient_by_degree(&g);
+    let n = dag.num_vertices();
+    let arcs: Vec<(u32, u32)> = (0..n as u32)
+        .flat_map(|v| dag.neighbors_plus(v).iter().map(move |&u| (v, u)))
+        .collect();
+    let tail_len = (arcs.len() / 100).clamp(1, 4096);
+    let (hist, tail) = arcs.split_at(arcs.len() - tail_len);
+    let cfg = PgConfig::new(Representation::CountingBloom { b: 2 }, 0.25);
+    let mut pg = ProbGraph::stream_from(n, g.memory_bytes(), &cfg, &[]);
+    pg.apply_arcs(hist);
+    pg.apply_arcs(tail);
+    let SketchStore::CountingBloom(c) = pg.store() else {
+        unreachable!("a counting-Bloom config builds a counting-Bloom store")
+    };
+    assert_eq!(c.saturated_counters(), 0, "sticky-saturated counters");
 }
 
 /// The `estimate_row_into` reuse contract across a mutation: a row sweep
