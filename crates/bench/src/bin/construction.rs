@@ -3,6 +3,7 @@
 //! execution in the majority of cases (and is amortized across runs).
 
 use pg_bench::harness::{print_header, print_row, time_median, time_once};
+use pg_bench::outln;
 use pg_bench::workloads::{env_scale, real_world_suite};
 use pg_graph::orient_by_degree;
 use probgraph::algorithms::triangles;
@@ -10,8 +11,8 @@ use probgraph::{PgConfig, ProbGraph, Representation};
 
 fn main() {
     let scale = env_scale(4);
-    println!("# §VIII-G — construction cost vs one TC execution (PG_SCALE={scale})");
-    println!();
+    outln!("# §VIII-G — construction cost vs one TC execution (PG_SCALE={scale})");
+    outln!();
     print_header(&[
         "graph",
         "representation",

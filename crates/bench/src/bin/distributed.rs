@@ -26,13 +26,14 @@ fn main() {
 
 #[cfg(not(unix))]
 fn main() {
-    eprintln!("the distributed exchange bench requires a Unix platform (fork + socketpair)");
+    eoutln!("the distributed exchange bench requires a Unix platform (fork + socketpair)");
 }
 
 #[cfg(unix)]
 mod run {
     use pg_bench::distmodel::{model_pair_bytes, random_partition, wire_cost};
     use pg_bench::harness::{print_header, print_row};
+    use pg_bench::outln;
     use pg_bench::workloads::{env_scale, real_world_suite};
     use probgraph::algorithms::triangles;
     use probgraph::exchange::{run_exchange, single_process_partials, ExchangeOptions};
@@ -44,8 +45,8 @@ mod run {
     pub fn main() {
         let scale = env_scale(4);
         let chunk_sets = 512usize;
-        println!("# §VIII-F — measured multi-process exchange (PG_SCALE={scale})");
-        println!();
+        outln!("# §VIII-F — measured multi-process exchange (PG_SCALE={scale})");
+        outln!();
         print_header(&[
             "graph",
             "parts",

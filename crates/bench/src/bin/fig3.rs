@@ -6,6 +6,7 @@
 //! adjacent vertex pairs — the data behind the paper's boxplots.
 
 use pg_bench::harness::{print_header, print_row};
+use pg_bench::outln;
 use pg_bench::workloads::env_scale;
 use pg_graph::gen;
 use pg_stats::Summary;
@@ -21,8 +22,8 @@ fn main() {
         "bn-mouse_brain_1",
         "econ-beacxc",
     ];
-    println!("# Fig. 3 — |X∩Y| estimator accuracy (PG_SCALE={scale})");
-    println!();
+    outln!("# Fig. 3 — |X∩Y| estimator accuracy (PG_SCALE={scale})");
+    outln!();
     print_header(&[
         "graph",
         "s",

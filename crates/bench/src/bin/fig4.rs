@@ -7,6 +7,7 @@
 //! memory (sketch bytes / CSR bytes).
 
 use pg_bench::harness::{print_header, print_row, time_median};
+use pg_bench::outln;
 use pg_bench::workloads::{env_scale, kronecker_suite, real_world_suite};
 use pg_graph::{orient_by_degree, CsrGraph};
 use probgraph::algorithms::{clustering, triangles};
@@ -79,8 +80,8 @@ fn run_clustering(name: &str, g: &CsrGraph, kind: clustering::SimilarityKind, ta
 
 fn main() {
     let scale = env_scale(4);
-    println!("# Fig. 4 — TC + Clustering: speedup / accuracy / memory (PG_SCALE={scale})");
-    println!();
+    outln!("# Fig. 4 — TC + Clustering: speedup / accuracy / memory (PG_SCALE={scale})");
+    outln!();
     print_header(&[
         "problem",
         "graph",

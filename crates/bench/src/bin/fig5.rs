@@ -2,6 +2,7 @@
 //! on real-world stand-ins and Kronecker graphs.
 
 use pg_bench::harness::{print_header, print_row, time_median};
+use pg_bench::outln;
 use pg_bench::workloads::{env_scale, kronecker_suite};
 use pg_graph::{gen, orient_by_degree, CsrGraph};
 use probgraph::algorithms::cliques;
@@ -32,8 +33,8 @@ fn run(name: &str, g: &CsrGraph) {
 
 fn main() {
     let scale = env_scale(8);
-    println!("# Fig. 5 — 4-clique counting (PG_SCALE={scale})");
-    println!();
+    outln!("# Fig. 5 — 4-clique counting (PG_SCALE={scale})");
+    outln!();
     print_header(&["graph", "scheme", "speedup", "rel-count", "rel-mem"]);
     for name in [
         "bio-SC-GT",

@@ -4,6 +4,7 @@
 //! Execution, Partial Graph Processing, AutoApprox 1/2).
 
 use pg_bench::harness::{print_header, print_row, time_median};
+use pg_bench::outln;
 use pg_bench::workloads::{env_scale, real_world_suite};
 use pg_graph::orient_by_degree;
 use probgraph::algorithms::triangles;
@@ -12,8 +13,8 @@ use probgraph::{PgConfig, ProbGraph, Representation};
 
 fn main() {
     let scale = env_scale(4);
-    println!("# Fig. 6 — Triangle Counting vs all baselines (PG_SCALE={scale})");
-    println!();
+    outln!("# Fig. 6 — Triangle Counting vs all baselines (PG_SCALE={scale})");
+    outln!();
     print_header(&["graph", "scheme", "speedup", "rel-count", "rel-mem"]);
     for (name, g) in real_world_suite(scale) {
         let dag = orient_by_degree(&g);

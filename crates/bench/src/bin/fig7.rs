@@ -3,6 +3,7 @@
 //! plot), relative memory.
 
 use pg_bench::harness::{print_header, print_row, time_median};
+use pg_bench::outln;
 use pg_bench::workloads::{env_scale, real_world_suite};
 use probgraph::algorithms::clustering::{jarvis_patrick_exact, jarvis_patrick_pg, SimilarityKind};
 use probgraph::{PgConfig, ProbGraph, Representation};
@@ -11,8 +12,8 @@ fn main() {
     let scale = env_scale(4);
     let tau = 0.05;
     let kind = SimilarityKind::Jaccard;
-    println!("# Fig. 7 — Clustering (Jaccard), τ={tau} (PG_SCALE={scale})");
-    println!();
+    outln!("# Fig. 7 — Clustering (Jaccard), τ={tau} (PG_SCALE={scale})");
+    outln!();
     print_header(&["graph", "scheme", "speedup", "rel-count(≤10)", "rel-mem"]);
     for (name, g) in real_world_suite(scale) {
         let exact = time_median(3, || jarvis_patrick_exact(&g, kind, tau));

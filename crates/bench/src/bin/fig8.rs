@@ -5,6 +5,7 @@
 //! (m/n doubling twice per thread doubling, as in the paper, scaled down).
 
 use pg_bench::harness::{print_header, print_row, time_median};
+use pg_bench::outln;
 use pg_bench::workloads::env_scale;
 use pg_graph::{gen, orient_by_degree, CsrGraph};
 use pg_parallel::{available_threads, with_threads};
@@ -79,8 +80,8 @@ fn clustering_row(
 fn main() {
     let scale = env_scale(1);
     let strong_scale = 13 - (scale.min(4) as u32 - 1); // PG_SCALE shrinks graphs
-    println!("# Fig. 8 — strong & weak scaling (runtimes in seconds)");
-    println!();
+    outln!("# Fig. 8 — strong & weak scaling (runtimes in seconds)");
+    outln!();
     print_header(&[
         "panel", "graph", "threads", "exact", "doulion", "colorful", "PG-BF", "PG-1H",
     ]);

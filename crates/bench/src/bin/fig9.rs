@@ -4,6 +4,7 @@
 //! `|X ∩ Y|`.
 
 use pg_bench::harness::{print_header, print_row, time_median};
+use pg_bench::outln;
 use pg_bench::workloads::env_scale;
 use pg_graph::gen;
 use pg_parallel::{available_threads, with_threads};
@@ -16,8 +17,8 @@ fn main() {
     let g = gen::kronecker(kscale, 16, 123);
     let kind = SimilarityKind::CommonNeighbors;
     let tau = 2.0;
-    println!("# Fig. 9 — Clustering (Common Neighbors): BF vs 1H scaling");
-    println!();
+    outln!("# Fig. 9 — Clustering (Common Neighbors): BF vs 1H scaling");
+    outln!();
     print_header(&["threads", "PG-BF [s]", "PG-1H [s]"]);
     let pg_bf = ProbGraph::build(&g, &PgConfig::new(Representation::Bloom { b: 2 }, 0.25));
     let pg_1h = ProbGraph::build(&g, &PgConfig::new(Representation::OneHash, 0.25));

@@ -7,6 +7,7 @@
 //!   Eq. 6/7 for MinHash — exponential).
 
 use pg_bench::harness::{print_header, print_row};
+use pg_bench::outln;
 use pg_sketch::estimators;
 use pg_sketch::{BloomFilter, BottomK, MinHashSignature};
 
@@ -20,9 +21,9 @@ fn main() {
     let (nx, ny, inter) = (600usize, 600usize, 200usize);
     let (x, y) = make_sets(inter, nx);
     let _ = ny;
-    println!("# Tables II/III — estimator properties, |X|=|Y|=600, |X∩Y|=200");
-    println!();
-    println!("## Convergence (asymptotic unbiasedness / consistency)");
+    outln!("# Tables II/III — estimator properties, |X|=|Y|=600, |X∩Y|=200");
+    outln!();
+    outln!("## Convergence (asymptotic unbiasedness / consistency)");
     print_header(&[
         "estimator",
         "sketch size",
@@ -85,8 +86,8 @@ fn main() {
         ]);
     }
 
-    println!();
-    println!("## Concentration bounds (violation frequency vs bound)");
+    outln!();
+    outln!("## Concentration bounds (violation frequency vs bound)");
     print_header(&[
         "estimator",
         "t",
@@ -137,10 +138,10 @@ fn main() {
             (freq <= bound + 1e-9).to_string(),
         ]);
     }
-    println!();
-    println!("## Sanity: Eq. (1) single-set estimator");
+    outln!();
+    outln!("## Sanity: Eq. (1) single-set estimator");
     let fx = BloomFilter::from_set(&x, 1 << 14, 2, 9);
-    println!(
+    outln!(
         "|X|=600, Swamidass estimate = {:.2}, Papapetrou baseline = {:.2}",
         fx.estimate_size(),
         estimators::bf_size_papapetrou(fx.count_ones(), fx.len_bits(), fx.num_hashes())

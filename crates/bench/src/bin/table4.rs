@@ -4,14 +4,15 @@
 //! each kernel on equal-budget sketches.
 
 use pg_bench::harness::{print_header, print_row, time_median};
+use pg_bench::outln;
 use pg_graph::gen;
 use pg_sketch::{BloomCollection, BottomKCollection};
 use probgraph::intersect::{gallop_count, merge_count};
 use probgraph::workdepth;
 
 fn main() {
-    println!("# Table IV — |N_u ∩ N_v| kernel work");
-    println!();
+    outln!("# Table IV — |N_u ∩ N_v| kernel work");
+    outln!();
     print_header(&[
         "d_u",
         "d_v",
@@ -43,8 +44,8 @@ fn main() {
         ]);
     }
 
-    println!();
-    println!("## Measured kernel latency (same pair, ns/op; sketches at B=2048 bits / k=64)");
+    outln!();
+    outln!("## Measured kernel latency (same pair, ns/op; sketches at B=2048 bits / k=64)");
     print_header(&["kernel", "ns per intersection"]);
     let n = g.num_vertices();
     let bloom = BloomCollection::build(n, 2048, 2, 7, |i| g.neighbors(i as u32));

@@ -4,6 +4,7 @@
 //! with low depth and is not a bottleneck).
 
 use pg_bench::harness::{print_header, print_row, time_median};
+use pg_bench::outln;
 use pg_bench::workloads::env_scale;
 use pg_graph::gen;
 use pg_parallel::{available_threads, with_threads};
@@ -13,12 +14,12 @@ use probgraph::{PgConfig, ProbGraph, Representation};
 fn main() {
     let scale = env_scale(2);
     let g = gen::instance("bio-WormNet-v3", scale).unwrap();
-    println!(
+    outln!(
         "# Table V — sketch construction (bio-WormNet-v3 stand-in, n={}, m={}, PG_SCALE={scale})",
         g.num_vertices(),
         g.num_edges()
     );
-    println!();
+    outln!();
     let (bf_ops, kh_ops, oh_ops) = workdepth::construction_work(&g, 2, 16);
     print_header(&[
         "representation",

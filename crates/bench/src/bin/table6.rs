@@ -3,6 +3,7 @@
 //! and Clustering under CSR vs PG(BF) vs PG(MH).
 
 use pg_bench::harness::{print_header, print_row, time_median};
+use pg_bench::outln;
 use pg_bench::workloads::env_scale;
 use pg_graph::{gen, orient_by_degree};
 use pg_sketch::SketchParams;
@@ -14,12 +15,12 @@ fn main() {
     let scale = env_scale(6);
     let g = gen::instance("econ-psmigr1", scale).unwrap();
     let dag = orient_by_degree(&g);
-    println!(
+    outln!(
         "# Table VI — algorithm work: econ-psmigr1 stand-in (n={}, m={}, PG_SCALE={scale})",
         g.num_vertices(),
         g.num_edges()
     );
-    println!();
+    outln!();
     let cfg_bf = PgConfig::new(Representation::Bloom { b: 2 }, 0.25);
     let cfg_mh = PgConfig::new(Representation::OneHash, 0.25);
     let pg_bf = ProbGraph::build_dag(&dag, g.memory_bytes(), &cfg_bf);
@@ -32,8 +33,8 @@ fn main() {
         SketchParams::OneHash { k } => k,
         _ => unreachable!(),
     };
-    println!("resolved sketch parameters: B = {bits} bits, k = {k}");
-    println!();
+    outln!("resolved sketch parameters: B = {bits} bits, k = {k}");
+    outln!();
     print_header(&["algorithm", "variant", "measured work [ops]", "runtime [s]"]);
 
     // Triangle counting.

@@ -3,6 +3,7 @@
 //! T̂C_AND / T̂C_kH / T̂C_1H vs Doulion and Colorful.
 
 use pg_bench::harness::{print_header, print_row, time_median, time_once};
+use pg_bench::outln;
 use pg_bench::workloads::env_scale;
 use pg_graph::gen;
 use probgraph::algorithms::triangles;
@@ -14,12 +15,12 @@ fn main() {
     let scale = env_scale(4);
     let g = gen::instance("bio-WormNet-v3", scale).unwrap();
     let exact = triangles::count_exact(&g) as f64;
-    println!(
+    outln!(
         "# Table VII — TC estimators on bio-WormNet-v3 stand-in (n={}, m={}, TC={exact}, PG_SCALE={scale})",
         g.num_vertices(),
         g.num_edges()
     );
-    println!();
+    outln!();
     print_header(&[
         "estimator",
         "constr [s]",
@@ -84,8 +85,8 @@ fn main() {
         "P".into(),
     ]);
 
-    println!();
-    println!("## Theorem VII.1 bound values at t = 0.5·TC");
+    outln!();
+    outln!("## Theorem VII.1 bound values at t = 0.5·TC");
     let b = TcBounds::for_graph(&g);
     let t = 0.5 * exact;
     let k = match ProbGraph::build(&g, &PgConfig::new(Representation::KHash, 0.25)).params() {
@@ -97,7 +98,7 @@ fn main() {
             pg_sketch::SketchParams::Bloom { bits_per_set, .. } => bits_per_set,
             _ => unreachable!(),
         };
-    println!("- BF bound (b=2, B={bits}): {:.4}", b.bloom(bits, 2, t));
-    println!("- MH plain bound (k={k}): {:.4}", b.minhash(k, t));
-    println!("- MH refined bound (k={k}): {:.4}", b.minhash_refined(k, t));
+    outln!("- BF bound (b=2, B={bits}): {:.4}", b.bloom(bits, 2, t));
+    outln!("- MH plain bound (k={k}): {:.4}", b.minhash(k, t));
+    outln!("- MH refined bound (k={k}): {:.4}", b.minhash_refined(k, t));
 }

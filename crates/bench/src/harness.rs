@@ -1,6 +1,7 @@
 //! Timing utilities following the paper's benchmarking methodology
 //! (§VIII-A: warmup discarded, medians with non-parametric CIs).
 
+use std::io::Write;
 use std::time::Instant;
 
 /// A timed result.
@@ -41,10 +42,34 @@ pub fn time_median<T>(reps: usize, mut f: impl FnMut() -> T) -> Timed<T> {
     }
 }
 
+/// Writes one line to stdout — every line the bench binaries print goes
+/// through here. A reader that closes the pipe early (`fig3 | head`)
+/// ends the process quietly with status 0; any other write error panics.
+pub fn write_line(line: std::fmt::Arguments<'_>) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `println!` for the bench binaries: formats one line and writes it
+/// through [`harness::write_line`](crate::harness::write_line).
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::harness::write_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::harness::write_line(format_args!($($arg)*))
+    };
+}
+
 /// Prints a markdown table header.
 pub fn print_header(cols: &[&str]) {
-    println!("| {} |", cols.join(" | "));
-    println!(
+    outln!("| {} |", cols.join(" | "));
+    outln!(
         "|{}|",
         cols.iter().map(|_| "---").collect::<Vec<_>>().join("|")
     );
@@ -52,7 +77,7 @@ pub fn print_header(cols: &[&str]) {
 
 /// Prints one markdown row.
 pub fn print_row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
+    outln!("| {} |", cells.join(" | "));
 }
 
 #[cfg(test)]

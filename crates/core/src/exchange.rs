@@ -24,9 +24,11 @@
 //!
 //! Payloads are the **snapshot format** of [`crate::snapshot`]: worker `q`
 //! slices `S(q→r)` into chunks of [`ExchangeOptions::chunk_sets`] rows,
-//! rebuilds each chunk's sub-store with [`ProbGraph::build_rows`] (per-row
-//! sketch builds are independent, so the rows are bit-identical to the
-//! coordinator's full build under the same params and seed), and ships
+//! rebuilds each chunk's sub-store with
+//! [`ProbGraph::build_rows_stratified`] under the rows' own stratum
+//! params (per-row sketch builds are independent, so the rows are
+//! bit-identical to the coordinator's full build under the same params
+//! and seed), and ships
 //! `snapshot_to_bytes` of it. Receivers land each payload in an
 //! [`AlignedBytes`] buffer and validate it with the hostile-bytes loader
 //! ([`ProbGraphIn::from_snapshot_bytes_borrowed`]) — zero-copy, typed
@@ -652,6 +654,12 @@ impl Ctx<'_> {
 /// vertex `v` to a part in `0..p`; `pg` must be the sketch store built
 /// over `dag`'s `N⁺` rows (its params/seed/estimator are what the workers
 /// rebuild their sub-stores under).
+///
+/// The caller may be multithreaded, and a forked worker holds only the
+/// forking thread. So anything a worker initializes lazily must be
+/// resolved before the fork: a lazy cell that another thread is
+/// initializing at fork time stays "in progress" in the child forever,
+/// and the worker that touches it blocks until it is killed.
 pub fn run_exchange(
     dag: &OrientedDag,
     pg: &ProbGraph,
@@ -712,6 +720,12 @@ pub fn run_exchange(
         a.set_read_timeout(Some(opts.timeout))?;
         coord.push(Some((a, b)));
     }
+
+    // The workers' row sweeps and prefetches read the probed cache
+    // topology, a `OnceLock`. Resolve it here: forking while another
+    // thread of this process runs the probe would leave the cell in
+    // progress in every child, and each worker would block on it forever.
+    pg_parallel::cache_topology();
 
     let mut pids: Vec<i32> = Vec::with_capacity(p);
     for r in 0..p {

@@ -15,15 +15,27 @@
 //! `with_oracle` arm; every algorithm (triangles, 4-cliques, clustering,
 //! clustering coefficients, link prediction, similarity) picks it up for
 //! free.
+//!
+//! Row sweeps pin the source once and batch destinations. Every
+//! multi-lane sweep (Bloom uniform rows, tile segments and the three
+//! stratified run kinds, HLL uniform and stratified rows) runs through
+//! one private driver, `sweep_lanes`, which holds the 4 → 2 → 1 lane
+//! split and its prefetch ramp; a sweep supplies only its kernel, window
+//! and estimator tail. A Bloom estimator is exactly that tail
+//! ([`BloomStrategy::tail`]), shared by the pairwise estimate and every
+//! sweep.
 
 use crate::intersect::intersect_card;
 use pg_graph::{CsrGraph, OrientedDag, VertexId};
-use pg_sketch::bitvec::{and_count_words, and_count_words_multi};
+use pg_sketch::bitvec::{
+    and_count_words, and_count_words_multi, prefetch_distance, prefetch_slice,
+};
 use pg_sketch::{
-    estimators, BloomCollectionIn, BottomKCollectionIn, HyperLogLogCollection,
-    HyperLogLogCollectionIn, KmvCollectionIn, MinHashCollectionIn,
+    estimators, BloomCollectionIn, BloomFlatView, BloomStratum, BottomKCollectionIn,
+    HyperLogLogCollection, HyperLogLogCollectionIn, KmvCollectionIn, MinHashCollectionIn,
 };
 use std::marker::PhantomData;
+use std::ops::Range;
 
 /// `J = I / (|X| + |Y| − I)` clamped to `[0, 1]`, with the two-empty-sets
 /// convention `J = 0` — the one place the Jaccard transform lives, so the
@@ -576,6 +588,107 @@ impl<A: AdjacencyRows> IntersectionOracle for ExactOracle<'_, A> {
 }
 
 // ---------------------------------------------------------------------------
+// The multi-lane sweep driver
+// ---------------------------------------------------------------------------
+
+/// One multi-lane row sweep's per-destination steps, driven by
+/// [`sweep_lanes`]: a fused kernel over four or two destination windows
+/// against the pinned source window, its scalar form for a last odd
+/// destination, and the estimator tail.
+trait LaneSweep {
+    /// What the kernel yields per destination: a Bloom AND popcount, an
+    /// HLL union estimate.
+    type Stat: Copy;
+    /// Prefetches destination `j`'s window.
+    fn prefetch(&self, j: usize);
+    /// The fused kernel over `L` destinations.
+    fn lanes<const L: usize>(&self, js: [usize; L]) -> [Self::Stat; L];
+    /// The scalar kernel over one destination.
+    fn one(&self, j: usize) -> Self::Stat;
+    /// The estimator tail of destination `j`.
+    fn finish(&self, stat: Self::Stat, j: usize) -> f64;
+}
+
+/// The one multi-lane sweep: `out[t]` receives destination `us[t]`'s
+/// estimate. Destinations go four per fused pass (the tails of a group
+/// stay adjacent, so their table lookups pipeline), then two, then one.
+/// With `dist > 0` every destination window is prefetched once, `dist`
+/// destinations ahead: flat row sweeps pass [`l2_prefetch_distance`],
+/// while sweeps of cache-resident tiles and of stratum runs pass 0.
+#[inline]
+fn sweep_lanes<K: LaneSweep>(k: &K, us: &[VertexId], out: &mut [f64], dist: usize) {
+    debug_assert_eq!(us.len(), out.len());
+    for &p in us.iter().take(dist.min(us.len())) {
+        k.prefetch(p as usize);
+    }
+    let mut t = 0;
+    while t + 4 <= us.len() {
+        if dist > 0 {
+            // Each group prefetches exactly the windows entering the
+            // look-ahead horizon.
+            for &p in us.iter().take((t + dist + 4).min(us.len())).skip(t + dist) {
+                k.prefetch(p as usize);
+            }
+        }
+        let js = [
+            us[t] as usize,
+            us[t + 1] as usize,
+            us[t + 2] as usize,
+            us[t + 3] as usize,
+        ];
+        let stats = k.lanes(js);
+        for l in 0..4 {
+            out[t + l] = k.finish(stats[l], js[l]);
+        }
+        t += 4;
+    }
+    if t + 2 <= us.len() {
+        let js = [us[t] as usize, us[t + 1] as usize];
+        let stats = k.lanes(js);
+        for l in 0..2 {
+            out[t + l] = k.finish(stats[l], js[l]);
+        }
+        t += 2;
+    }
+    if t < us.len() {
+        let j = us[t] as usize;
+        out[t] = k.finish(k.one(j), j);
+    }
+}
+
+/// How far ahead a flat row sweep prefetches the `window_bytes`-byte
+/// destination windows of an `n_sets`-window store: not at all when the
+/// store fits the probed L2 (every window is already a hit, and the ramp
+/// is pure instruction overhead, measurably slower at the scaled bench
+/// sizes), else [`prefetch_distance`] (~4 KiB of fills in flight).
+fn l2_prefetch_distance(window_bytes: usize, n_sets: usize) -> usize {
+    if window_bytes * n_sets <= pg_parallel::cache_topology().l2_bytes {
+        0
+    } else {
+        prefetch_distance(window_bytes)
+    }
+}
+
+/// The maximal runs of `us` whose destinations share one stratum, in
+/// order, as `(stratum, range)`. Stratified sweeps fuse each run as one
+/// equal-width multi-lane sweep.
+fn stratum_runs<'u>(
+    us: &'u [VertexId],
+    stratum_of: impl Fn(usize) -> usize + 'u,
+) -> impl Iterator<Item = (usize, Range<usize>)> + 'u {
+    let mut t = 0;
+    std::iter::from_fn(move || {
+        let s = stratum_of(*us.get(t)? as usize);
+        let lo = t;
+        t += 1;
+        while t < us.len() && stratum_of(us[t] as usize) == s {
+            t += 1;
+        }
+        Some((s, lo..t))
+    })
+}
+
+// ---------------------------------------------------------------------------
 // Bloom filters: one oracle type, three zero-sized estimator strategies
 // ---------------------------------------------------------------------------
 
@@ -584,38 +697,24 @@ impl<A: AdjacencyRows> IntersectionOracle for ExactOracle<'_, A> {
 /// `BloomOracle<BloomAnd>`, `BloomOracle<BloomLimit>`, and
 /// `BloomOracle<BloomOr>` monomorphize into three distinct branch-free
 /// kernels instead of one kernel matching an estimator enum per edge.
+///
+/// Every Bloom estimator is one fused AND-popcount followed by a scalar
+/// tail, and a strategy is exactly that tail. The pairwise estimate and
+/// the row, tile and stratified sweeps all produce the popcounts and call
+/// [`tail`](Self::tail), so a new estimator is one `tail` and every path
+/// serves it bit-identically.
 pub trait BloomStrategy: Send + Sync + 'static {
-    /// Pairwise estimate between stored filters `i` and `j`.
-    fn estimate(col: &BloomCollectionIn<'_>, i: usize, j: usize, ni: u32, nj: u32) -> f64;
-
-    /// The estimator tail applied to a precomputed `B_{X∩Y,1}`, with set
-    /// `i`'s cached popcount and exact size already hoisted — the
-    /// row-batch fast path: the multi-lane word-window kernel produces
-    /// `and_ones` for 2 destinations per sweep, and this finishes each
-    /// lane. Bit-identical to [`estimate`](Self::estimate) because every
-    /// strategy's pairwise form is exactly AND-popcount + this tail.
-    fn estimate_from_and_ones(
-        col: &BloomCollectionIn<'_>,
+    /// The estimate from one pair's popcounts at the comparison width,
+    /// evaluated at stratum `at` (the narrower set's). `and_ones` is
+    /// `B_{X∩Y,1}`; `row_ones` and `dest_ones()` are the source's and the
+    /// destination's popcounts (folded ones when a filter was folded);
+    /// `row_size` and `nj` are the exact set sizes. `dest_ones` is lazy
+    /// so a tail that does not need it (AND, Limit) never loads it.
+    fn tail(
+        at: &BloomStratum<'_>,
         and_ones: usize,
         row_ones: usize,
-        row_size: u32,
-        j: usize,
-        nj: u32,
-    ) -> f64;
-
-    /// The estimator tail evaluated at stratum `s`'s geometry (width and
-    /// Swamidass curve) — the stratified row sweep's finisher. `row_ones`
-    /// and `dest_ones` are the two filters' popcounts **at the comparison
-    /// width**: the fold-returned popcounts when a filter was folded down,
-    /// the cached raw popcounts otherwise. Every strategy's value is
-    /// bit-identical to its pairwise [`estimate`](Self::estimate), whose
-    /// cross-stratum path computes exactly these folded statistics.
-    fn estimate_from_ones_at(
-        col: &BloomCollectionIn<'_>,
-        s: usize,
-        and_ones: usize,
-        row_ones: usize,
-        dest_ones: usize,
+        dest_ones: impl FnOnce() -> usize,
         row_size: u32,
         nj: u32,
     ) -> f64;
@@ -632,100 +731,97 @@ pub struct BloomOr;
 
 impl BloomStrategy for BloomAnd {
     #[inline]
-    fn estimate(col: &BloomCollectionIn<'_>, i: usize, j: usize, _ni: u32, _nj: u32) -> f64 {
-        col.estimate_and(i, j)
-    }
-
-    #[inline]
-    fn estimate_from_and_ones(
-        col: &BloomCollectionIn<'_>,
+    fn tail(
+        at: &BloomStratum<'_>,
         and_ones: usize,
-        _row_ones: usize,
-        _row_size: u32,
-        _j: usize,
-        _nj: u32,
+        _: usize,
+        _: impl FnOnce() -> usize,
+        _: u32,
+        _: u32,
     ) -> f64 {
-        col.estimate_and_from_ones(and_ones)
-    }
-
-    #[inline]
-    fn estimate_from_ones_at(
-        col: &BloomCollectionIn<'_>,
-        s: usize,
-        and_ones: usize,
-        _row_ones: usize,
-        _dest_ones: usize,
-        _row_size: u32,
-        _nj: u32,
-    ) -> f64 {
-        col.estimate_and_from_ones_at(s, and_ones)
+        at.swamidass(and_ones)
     }
 }
 
 impl BloomStrategy for BloomLimit {
     #[inline]
-    fn estimate(col: &BloomCollectionIn<'_>, i: usize, j: usize, _ni: u32, _nj: u32) -> f64 {
-        col.estimate_limit(i, j)
-    }
-
-    #[inline]
-    fn estimate_from_and_ones(
-        col: &BloomCollectionIn<'_>,
+    fn tail(
+        at: &BloomStratum<'_>,
         and_ones: usize,
-        _row_ones: usize,
-        _row_size: u32,
-        _j: usize,
-        _nj: u32,
-    ) -> f64 {
-        estimators::bf_intersect_limit(and_ones, col.num_hashes())
-    }
-
-    #[inline]
-    fn estimate_from_ones_at(
-        col: &BloomCollectionIn<'_>,
-        _s: usize,
-        and_ones: usize,
-        _row_ones: usize,
-        _dest_ones: usize,
-        _row_size: u32,
-        _nj: u32,
+        _: usize,
+        _: impl FnOnce() -> usize,
+        _: u32,
+        _: u32,
     ) -> f64 {
         // Eq. 4 depends only on `B_{X∩Y,1}` and `b` — width-free.
-        estimators::bf_intersect_limit(and_ones, col.num_hashes())
+        estimators::bf_intersect_limit(and_ones, at.num_hashes())
     }
 }
 
 impl BloomStrategy for BloomOr {
     #[inline]
-    fn estimate(col: &BloomCollectionIn<'_>, i: usize, j: usize, ni: u32, nj: u32) -> f64 {
-        col.estimate_or(i, j, ni as usize, nj as usize)
-    }
-
-    #[inline]
-    fn estimate_from_and_ones(
-        col: &BloomCollectionIn<'_>,
+    fn tail(
+        at: &BloomStratum<'_>,
         and_ones: usize,
         row_ones: usize,
-        row_size: u32,
-        j: usize,
-        nj: u32,
-    ) -> f64 {
-        let or_ones = row_ones + col.count_ones(j) - and_ones;
-        (row_size + nj) as f64 - col.estimate_and_from_ones(or_ones)
-    }
-
-    #[inline]
-    fn estimate_from_ones_at(
-        col: &BloomCollectionIn<'_>,
-        s: usize,
-        and_ones: usize,
-        row_ones: usize,
-        dest_ones: usize,
+        dest_ones: impl FnOnce() -> usize,
         row_size: u32,
         nj: u32,
     ) -> f64 {
-        let or_ones = row_ones + dest_ones - and_ones;
-        (row_size + nj) as f64 - col.estimate_and_from_ones_at(s, or_ones)
+        let or_ones = row_ones + dest_ones() - and_ones;
+        (row_size + nj) as f64 - at.swamidass(or_ones)
+    }
+}
+
+/// One Bloom sweep for [`sweep_lanes`]: the pinned source window `row`
+/// against destination windows of one comparison width, each finished by
+/// `S`'s tail at that width's stratum.
+struct BloomLanes<'w, S, W, O> {
+    row: &'w [u64],
+    row_ones: usize,
+    row_size: u32,
+    at: BloomStratum<'w>,
+    sizes: &'w [u32],
+    /// Destination `j`'s window at the comparison width.
+    window: W,
+    /// Destination `j`'s popcount at the comparison width.
+    dest_ones: O,
+    strategy: PhantomData<S>,
+}
+
+impl<'w, S, W, O> LaneSweep for BloomLanes<'w, S, W, O>
+where
+    S: BloomStrategy,
+    W: Fn(usize) -> &'w [u64],
+    O: Fn(usize) -> usize,
+{
+    type Stat = usize;
+
+    #[inline]
+    fn prefetch(&self, j: usize) {
+        prefetch_slice((self.window)(j));
+    }
+
+    #[inline]
+    fn lanes<const L: usize>(&self, js: [usize; L]) -> [usize; L] {
+        and_count_words_multi(self.row, js.map(|j| (self.window)(j)))
+    }
+
+    #[inline]
+    fn one(&self, j: usize) -> usize {
+        and_count_words(self.row, (self.window)(j))
+    }
+
+    #[inline]
+    fn finish(&self, and_ones: usize, j: usize) -> f64 {
+        S::tail(
+            &self.at,
+            and_ones,
+            self.row_ones,
+            || (self.dest_ones)(j),
+            self.row_size,
+            self.sizes[j],
+        )
     }
 }
 
@@ -734,6 +830,9 @@ impl BloomStrategy for BloomOr {
 pub struct BloomOracle<'a, S: BloomStrategy> {
     col: &'a BloomCollectionIn<'a>,
     sizes: &'a [u32],
+    /// A uniform store's flat view of itself and its one stratum,
+    /// resolved once instead of per row or tile segment.
+    uniform: Option<(BloomFlatView<'a>, BloomStratum<'a>)>,
     _strategy: PhantomData<S>,
 }
 
@@ -744,254 +843,110 @@ impl<'a, S: BloomStrategy> BloomOracle<'a, S> {
         BloomOracle {
             col,
             sizes,
+            uniform: col
+                .geometry()
+                .is_uniform()
+                .then(|| (col.base_view(), col.stratum(0))),
             _strategy: PhantomData,
         }
     }
 
-    /// Row sweep over a stratified collection: destinations are grouped
-    /// into runs of equal stratum, each run compared at the narrower of
-    /// the run's and the source's width. Cross-width runs read
+    /// A sweep of set `i`'s pinned window `row` (popcount `row_ones`)
+    /// against the destinations' `window`s and popcounts `dest_ones`,
+    /// with tails at stratum `at`.
+    #[inline]
+    fn lanes<'w, W, O>(
+        &'w self,
+        i: usize,
+        (row, row_ones): (&'w [u64], usize),
+        at: BloomStratum<'w>,
+        window: W,
+        dest_ones: O,
+    ) -> BloomLanes<'w, S, W, O> {
+        BloomLanes {
+            row,
+            row_ones,
+            row_size: self.sizes[i],
+            at,
+            sizes: self.sizes,
+            window,
+            dest_ones,
+            strategy: PhantomData,
+        }
+    }
+
+    /// The row sweep behind both [`IntersectionOracle::estimate_row_into`]
+    /// and the tiled [`IntersectionOracle::estimate_block_into`]; `dist`
+    /// is the prefetch distance of the flat base-view sweep.
+    ///
+    /// A narrowest-width source (every source of a uniform store, and the
+    /// bulk of every row under a skewed assignment) compares every
+    /// destination at its own width, so the whole row is one flat pass
+    /// over [`BloomCollectionIn::base_view`]: no run grouping (runs in
+    /// hub-heavy destination lists are too short to fill lanes) and no
+    /// per-destination geometry resolution. A wider source walks the row
+    /// in runs of equal destination stratum, each one equal-width sweep
+    /// at the narrower of the two widths. Cross-width runs read
     /// *precomputed* folded shadows from the lazily built
     /// [`pg_sketch::BloomFoldCache`] — the source's shadow when the run
-    /// is narrower, the destinations' shadows when it is wider (the
-    /// common case under degree orientation, where destination lists are
-    /// hub-heavy) — so every run is an equal-width multi-lane window
-    /// pass and the sweep does no per-destination folding at all.
-    /// Values are bit-identical to the pairwise
-    /// [`IntersectionOracle::estimate`], whose cross-stratum path folds
-    /// the wider filter to exactly these shadow words.
-    fn estimate_row_stratified(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
-        debug_assert_eq!(us.len(), out.len());
+    /// is narrower, the destinations' shadows when it is wider — so no
+    /// sweep folds per destination. Values are bit-identical to the
+    /// pairwise [`IntersectionOracle::estimate`], whose cross-stratum
+    /// path folds the wider filter to exactly these shadow words.
+    #[inline]
+    fn sweep_row(&self, v: VertexId, us: &[VertexId], out: &mut [f64], dist: usize) {
+        let col = self.col;
+        let i = v as usize;
+        let src = (col.words(i), col.count_ones(i));
+        let (view, at) = match self.uniform {
+            Some(flat) => flat,
+            None => {
+                let si = col.stratum_of(i);
+                let widths = col.geometry().widths();
+                if widths.iter().any(|&w| w < widths[si]) {
+                    return self.sweep_runs(i, si, src, us, out);
+                }
+                (col.base_view(), col.stratum(si))
+            }
+        };
+        let k = self.lanes(i, src, at, |j| view.window(j), |j| view.ones(j));
+        sweep_lanes(&k, us, out, dist);
+    }
+
+    /// The wider-source half of [`BloomOracle::sweep_row`]: one
+    /// equal-width sweep per run of equal destination stratum.
+    fn sweep_runs(
+        &self,
+        i: usize,
+        si: usize,
+        src: (&[u64], usize),
+        us: &[VertexId],
+        out: &mut [f64],
+    ) {
         let col = self.col;
         let widths = col.geometry().widths();
-        let i = v as usize;
-        let wi = col.geometry().width_of(i);
-        let si = col.stratum_of(i);
-        let raw_row = col.words(i);
-        let raw_ones = col.count_ones(i);
-        let row_size = self.sizes[i];
-        if widths.iter().all(|&w| w >= wi) {
-            // Narrowest-stratum source — the bulk of every row under a
-            // skewed assignment. No destination is narrower, so the whole
-            // row compares at the source's own width, and the fold
-            // cache's dense base view holds every destination at exactly
-            // that width in the flat uniform stride: one branch-free
-            // multi-lane pass with the uniform kernel's indexing, no run
-            // grouping (runs in hub-heavy destination lists are too
-            // short to fill lanes) and no per-destination geometry
-            // resolution.
-            return self.sweep_base_lanes(raw_row, raw_ones, row_size, si, us, out);
-        }
-        // Wider source: the comparison width varies with the destination's
-        // stratum, so walk the row in runs of equal destination stratum
-        // and dispatch each run as one equal-width multi-lane group.
-        let mut t = 0;
-        while t < us.len() {
-            let sj = col.stratum_of(us[t] as usize);
-            let mut e = t + 1;
-            while e < us.len() && col.stratum_of(us[e] as usize) == sj {
-                e += 1;
-            }
+        let wi = widths[si];
+        let cache = col.fold_cache();
+        for (sj, run) in stratum_runs(us, |j| col.stratum_of(j)) {
+            let (us, out) = (&us[run.clone()], &mut out[run]);
             let wj = widths[sj];
-            if wj == wi {
-                // Equal widths (same stratum or an equal-width one): raw
-                // windows, tail at the source's stratum — the pairwise
-                // tie-break.
-                self.sweep_lanes(raw_row, raw_ones, row_size, si, &us[t..e], &mut out[t..e]);
-            } else if wj < wi {
-                let (row, ones) = self.fold_cache().shadow(i, si, sj);
-                self.sweep_lanes(row, ones, row_size, sj, &us[t..e], &mut out[t..e]);
+            if wj > wi {
+                let shadow = |j| cache.shadow(j, sj, si);
+                let at = col.stratum(si);
+                let k = self.lanes(i, src, at, |j| shadow(j).0, |j| shadow(j).1);
+                sweep_lanes(&k, us, out, 0);
             } else {
-                self.sweep_shadow_lanes(
-                    raw_row,
-                    raw_ones,
-                    row_size,
-                    si,
-                    sj,
-                    &us[t..e],
-                    &mut out[t..e],
-                );
+                // Equal widths compare raw windows with the tail at the
+                // source's stratum — the pairwise tie-break.
+                let (src, s) = if wj == wi {
+                    (src, si)
+                } else {
+                    (cache.shadow(i, si, sj), sj)
+                };
+                let at = col.stratum(s);
+                let k = self.lanes(i, src, at, |j| col.words(j), |j| col.count_ones(j));
+                sweep_lanes(&k, us, out, 0);
             }
-            t = e;
-        }
-    }
-
-    /// The collection's lazily built fold-shadow cache (see
-    /// [`pg_sketch::BloomFoldCache`]): shared across oracles, so the
-    /// `O(store)` fold amortizes over the collection's (or epoch
-    /// snapshot's) lifetime, not one `with_oracle` dispatch.
-    #[inline]
-    fn fold_cache(&self) -> &pg_sketch::BloomFoldCache {
-        self.col.fold_cache()
-    }
-
-    /// Flat multi-lane sweep for a narrowest-stratum source over the fold
-    /// cache's dense base view: every destination window sits at
-    /// `j * base_words` in the view (equal-width filters are verbatim
-    /// copies, wider ones pre-folded), so the loop is the uniform sweep's
-    /// 4/2/1 lane split with plain strided indexing. Values are
-    /// bit-identical to the run-grouped path (the lane kernels are exact
-    /// and the view holds exactly the fold the pairwise path computes).
-    fn sweep_base_lanes(
-        &self,
-        row: &[u64],
-        row_ones: usize,
-        row_size: u32,
-        si: usize,
-        us: &[VertexId],
-        out: &mut [f64],
-    ) {
-        let col = self.col;
-        let cache = self.fold_cache();
-        let finish = |and_ones: usize, j: usize| {
-            S::estimate_from_ones_at(
-                col,
-                si,
-                and_ones,
-                row_ones,
-                cache.base_ones(j),
-                row_size,
-                self.sizes[j],
-            )
-        };
-        let mut t = 0;
-        while t + 4 <= us.len() {
-            let js = [
-                us[t] as usize,
-                us[t + 1] as usize,
-                us[t + 2] as usize,
-                us[t + 3] as usize,
-            ];
-            let ones = and_count_words_multi(row, js.map(|j| cache.base_window(j)));
-            for l in 0..4 {
-                out[t + l] = finish(ones[l], js[l]);
-            }
-            t += 4;
-        }
-        if t + 2 <= us.len() {
-            let js = [us[t] as usize, us[t + 1] as usize];
-            let ones = and_count_words_multi(row, js.map(|j| cache.base_window(j)));
-            for l in 0..2 {
-                out[t + l] = finish(ones[l], js[l]);
-            }
-            t += 2;
-        }
-        if t < us.len() {
-            let j = us[t] as usize;
-            out[t] = finish(and_count_words(row, cache.base_window(j)), j);
-        }
-    }
-
-    /// Multi-lane sweep of one wider-stratum destination run: the raw
-    /// pinned source `row` against the destinations' precomputed folded
-    /// shadows at the source's stratum `si` — the shadow-window twin of
-    /// [`BloomOracle::sweep_lanes`], same 4/2/1 lane split.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_shadow_lanes(
-        &self,
-        row: &[u64],
-        row_ones: usize,
-        row_size: u32,
-        si: usize,
-        sj: usize,
-        us: &[VertexId],
-        out: &mut [f64],
-    ) {
-        let col = self.col;
-        let cache = self.fold_cache();
-        let finish = |and_ones: usize, j: usize, dest_ones: usize| {
-            S::estimate_from_ones_at(
-                col,
-                si,
-                and_ones,
-                row_ones,
-                dest_ones,
-                row_size,
-                self.sizes[j],
-            )
-        };
-        let mut t = 0;
-        while t + 4 <= us.len() {
-            let js = [
-                us[t] as usize,
-                us[t + 1] as usize,
-                us[t + 2] as usize,
-                us[t + 3] as usize,
-            ];
-            let sh = js.map(|j| cache.shadow(j, sj, si));
-            let ones = and_count_words_multi(row, sh.map(|(w, _)| w));
-            for l in 0..4 {
-                out[t + l] = finish(ones[l], js[l], sh[l].1);
-            }
-            t += 4;
-        }
-        if t + 2 <= us.len() {
-            let js = [us[t] as usize, us[t + 1] as usize];
-            let sh = js.map(|j| cache.shadow(j, sj, si));
-            let ones = and_count_words_multi(row, sh.map(|(w, _)| w));
-            for l in 0..2 {
-                out[t + l] = finish(ones[l], js[l], sh[l].1);
-            }
-            t += 2;
-        }
-        if t < us.len() {
-            let j = us[t] as usize;
-            let (w, dest_ones) = cache.shadow(j, sj, si);
-            out[t] = finish(and_count_words(row, w), j, dest_ones);
-        }
-    }
-
-    /// Multi-lane fused sweep of one same-width destination run: the
-    /// (possibly folded) pinned source `row` against raw destination
-    /// windows — four lanes, then two, then scalar, mirroring the uniform
-    /// sweep's lane structure — with the estimator tails evaluated at
-    /// stratum `s`'s geometry.
-    fn sweep_lanes(
-        &self,
-        row: &[u64],
-        row_ones: usize,
-        row_size: u32,
-        s: usize,
-        us: &[VertexId],
-        out: &mut [f64],
-    ) {
-        let col = self.col;
-        let finish = |and_ones: usize, j: usize| {
-            S::estimate_from_ones_at(
-                col,
-                s,
-                and_ones,
-                row_ones,
-                col.count_ones(j),
-                row_size,
-                self.sizes[j],
-            )
-        };
-        let mut t = 0;
-        while t + 4 <= us.len() {
-            let js = [
-                us[t] as usize,
-                us[t + 1] as usize,
-                us[t + 2] as usize,
-                us[t + 3] as usize,
-            ];
-            let ones = col.and_ones_multi(row, js);
-            for l in 0..4 {
-                out[t + l] = finish(ones[l], js[l]);
-            }
-            t += 4;
-        }
-        if t + 2 <= us.len() {
-            let js = [us[t] as usize, us[t + 1] as usize];
-            let ones = col.and_ones_multi(row, js);
-            for l in 0..2 {
-                out[t + l] = finish(ones[l], js[l]);
-            }
-            t += 2;
-        }
-        if t < us.len() {
-            let j = us[t] as usize;
-            out[t] = finish(and_count_words(row, col.words(j)), j);
         }
     }
 }
@@ -1002,93 +957,34 @@ impl<S: BloomStrategy> IntersectionOracle for BloomOracle<'_, S> {
         self.sizes[v as usize]
     }
 
+    /// [`BloomCollectionIn::pair_stats`] followed by the strategy's tail.
     #[inline]
     fn estimate(&self, u: VertexId, v: VertexId) -> f64 {
         let (i, j) = (u as usize, v as usize);
-        S::estimate(self.col, i, j, self.sizes[i], self.sizes[j])
+        let (p, s) = self.col.pair_stats(i, j);
+        S::tail(
+            &self.col.stratum(s),
+            p.and_ones,
+            p.a_ones,
+            || p.b_ones,
+            self.sizes[i],
+            self.sizes[j],
+        )
     }
 
     /// Multi-lane row sweep: the source word window, cached popcount, and
-    /// exact size are pinned once; destinations go four per fused
-    /// AND+popcount word-window pass (the estimator tails of a group stay
-    /// adjacent so their table lookups pipeline), then a two-lane pass and
-    /// a scalar pass mop up the ragged tail. Destination windows are
-    /// prefetched a window-size-aware
-    /// [`pg_sketch::bitvec::prefetch_distance`] ahead — but only when the
-    /// destination store outgrows the probed L2: on a cache-resident store
-    /// every window is already a hit and the prefetch ramp is pure
-    /// instruction overhead (measurably slower than no prefetch at the
-    /// scaled bench sizes). Out of cache, keeping ~4 KiB of fills in
-    /// flight (rather than the old fixed one-group look-ahead) is where
-    /// the remaining time goes.
+    /// exact size are pinned once, then `sweep_lanes` runs destinations
+    /// through the fused AND+popcount kernel four at a time. A uniform
+    /// store's windows are prefetched by `l2_prefetch_distance`; a
+    /// stratified store's sweeps do not prefetch.
     #[inline]
     fn estimate_row_into(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
-        debug_assert_eq!(us.len(), out.len());
-        if !self.col.geometry().is_uniform() {
-            // Variable-width destinations: the run-grouped stratified
-            // sweep (folded pinned rows, same-width multi-lane runs).
-            return self.estimate_row_stratified(v, us, out);
-        }
-        let i = v as usize;
-        let row = self.col.words(i);
-        let row_ones = self.col.count_ones(i);
-        let row_size = self.sizes[i];
-        let window_bytes = self.col.words_per_set() * 8;
-        let dist = if window_bytes * self.sizes.len() <= pg_parallel::cache_topology().l2_bytes {
-            0
+        let dist = if self.col.geometry().is_uniform() {
+            l2_prefetch_distance(self.col.words_per_set() * 8, self.sizes.len())
         } else {
-            pg_sketch::bitvec::prefetch_distance(window_bytes)
+            0
         };
-        for &p in us.iter().take(dist.min(us.len())) {
-            pg_sketch::bitvec::prefetch_slice(self.col.words(p as usize));
-        }
-        let mut t = 0;
-        while t + 4 <= us.len() {
-            if dist > 0 {
-                for &p in us.iter().take((t + dist + 4).min(us.len())).skip(t + dist) {
-                    pg_sketch::bitvec::prefetch_slice(self.col.words(p as usize));
-                }
-            }
-            let js = [
-                us[t] as usize,
-                us[t + 1] as usize,
-                us[t + 2] as usize,
-                us[t + 3] as usize,
-            ];
-            let ones = self.col.and_ones_multi(row, js);
-            for l in 0..4 {
-                out[t + l] = S::estimate_from_and_ones(
-                    self.col,
-                    ones[l],
-                    row_ones,
-                    row_size,
-                    js[l],
-                    self.sizes[js[l]],
-                );
-            }
-            t += 4;
-        }
-        if t + 2 <= us.len() {
-            let js = [us[t] as usize, us[t + 1] as usize];
-            let ones = self.col.and_ones_multi(row, js);
-            for l in 0..2 {
-                out[t + l] = S::estimate_from_and_ones(
-                    self.col,
-                    ones[l],
-                    row_ones,
-                    row_size,
-                    js[l],
-                    self.sizes[js[l]],
-                );
-            }
-            t += 2;
-        }
-        if t < us.len() {
-            let j = us[t] as usize;
-            let ones = and_count_words(row, self.col.words(j));
-            out[t] =
-                S::estimate_from_and_ones(self.col, ones, row_ones, row_size, j, self.sizes[j]);
-        }
+        self.sweep_row(v, us, out, dist);
     }
 
     #[inline]
@@ -1101,16 +997,15 @@ impl<S: BloomStrategy> IntersectionOracle for BloomOracle<'_, S> {
         Some(self.col.words_per_set() * 8)
     }
 
-    /// Tiled block sweep: each batch source re-pins its window state and
-    /// runs the tiled kernel over its in-tile destination segment with
-    /// software prefetch off — the whole point of the blocked schedule is
-    /// that the destination tile is already cache-resident across the
-    /// source batch, so per-segment prefetch would be pure instruction
-    /// overhead on segments a few destinations long. While one segment is
-    /// swept, the *next* source's word window is prefetched — the one fill
-    /// the per-segment kernel cannot overlap itself. Values are
-    /// bit-identical to [`IntersectionOracle::estimate_row_into`] over the
-    /// same segments.
+    /// Tiled block sweep: each batch source runs the row sweep over its
+    /// in-tile destination segment with software prefetch off — the whole
+    /// point of the blocked schedule is that the destination tile is
+    /// already cache-resident across the source batch, so per-segment
+    /// prefetch would be pure instruction overhead on segments a few
+    /// destinations long. While one segment is swept, the *next* source's
+    /// word window is prefetched — the one fill the per-segment sweep
+    /// cannot overlap itself. Values are bit-identical to
+    /// [`IntersectionOracle::estimate_row_into`] over the same segments.
     #[inline]
     fn estimate_block_into(
         &self,
@@ -1121,32 +1016,12 @@ impl<S: BloomStrategy> IntersectionOracle for BloomOracle<'_, S> {
     ) {
         debug_assert_eq!(seg_offsets.len(), sources.len() + 1);
         debug_assert_eq!(us.len(), out.len());
-        if !self.col.geometry().is_uniform() {
-            // The tiled kernel needs the flat uniform stride (the planner
-            // declines stratified stores via `dest_window_bytes`, but a
-            // direct caller may still land here): per-segment row sweeps.
-            for (s, &v) in sources.iter().enumerate() {
-                let (lo, hi) = (seg_offsets[s], seg_offsets[s + 1]);
-                self.estimate_row_into(v, &us[lo..hi], &mut out[lo..hi]);
-            }
-            return;
-        }
         for (s, &v) in sources.iter().enumerate() {
             if let Some(&next) = sources.get(s + 1) {
-                pg_sketch::bitvec::prefetch_slice(self.col.words(next as usize));
+                prefetch_slice(self.col.words(next as usize));
             }
             let (lo, hi) = (seg_offsets[s], seg_offsets[s + 1]);
-            let i = v as usize;
-            let row = self.col.words(i);
-            let row_ones = self.col.count_ones(i);
-            let row_size = self.sizes[i];
-            let seg_us = &us[lo..hi];
-            let seg_out = &mut out[lo..hi];
-            self.col.and_ones_tiled(row, seg_us, 0, |t, ones| {
-                let j = seg_us[t] as usize;
-                seg_out[t] =
-                    S::estimate_from_and_ones(self.col, ones, row_ones, row_size, j, self.sizes[j]);
-            });
+            self.sweep_row(v, &us[lo..hi], &mut out[lo..hi], 0);
         }
     }
 
@@ -1465,6 +1340,40 @@ impl IntersectionOracle for KmvOracle<'_> {
     }
 }
 
+/// One HLL sweep for [`sweep_lanes`]: the pinned source register window
+/// `row` against destination windows of its own width.
+struct HllLanes<'a> {
+    col: &'a HyperLogLogCollectionIn<'a>,
+    row: &'a [u8],
+    nx: usize,
+    sizes: &'a [u32],
+}
+
+impl LaneSweep for HllLanes<'_> {
+    type Stat = f64;
+
+    #[inline]
+    fn prefetch(&self, j: usize) {
+        prefetch_slice(self.col.registers(j));
+    }
+
+    #[inline]
+    fn lanes<const L: usize>(&self, js: [usize; L]) -> [f64; L] {
+        self.col.union_estimates_multi(self.row, js)
+    }
+
+    /// Also folds a wider destination down to the row's precision.
+    #[inline]
+    fn one(&self, j: usize) -> f64 {
+        self.col.union_estimate_with_row(self.row, j)
+    }
+
+    #[inline]
+    fn finish(&self, union_est: f64, j: usize) -> f64 {
+        HyperLogLogCollection::intersection_from_union(self.nx, self.sizes[j] as usize, union_est)
+    }
+}
+
 /// Oracle over a [`HyperLogLogCollection`] — the §X "beyond BF and MH"
 /// representation, reachable end-to-end through
 /// [`crate::Representation::Hll`]. Intersection by inclusion–exclusion
@@ -1482,84 +1391,14 @@ impl<'a> HllOracle<'a> {
         HllOracle { col, sizes }
     }
 
-    /// Row sweep over a stratified collection: destinations are grouped
-    /// into runs of equal stratum. The source register window is folded
-    /// down **once per narrower stratum** encountered
-    /// ([`pg_sketch::fold_hll_registers_into`] — exact), so same-width
-    /// runs go through the multi-lane fused register-max kernel on raw
-    /// destination windows; destinations in strata *wider* than the
-    /// source fold per destination inside
-    /// [`HyperLogLogCollection::union_estimate_with_row`] (scalar — wide
-    /// strata hold only the top-degree sliver). Bit-identical to the
-    /// pairwise [`IntersectionOracle::estimate`], whose cross-precision
-    /// path performs exactly these folds.
-    fn estimate_row_stratified(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
-        debug_assert_eq!(us.len(), out.len());
-        let col = self.col;
-        let widths = col.geometry().widths();
-        let i = v as usize;
-        let raw_row = col.registers(i);
-        let p_i = col.precision_of(i) as u32;
-        let nx = self.sizes[i] as usize;
-        let inter = |j: usize, union_est: f64| {
-            HyperLogLogCollection::intersection_from_union(nx, self.sizes[j] as usize, union_est)
-        };
-        let mut folded: Vec<Option<Vec<u8>>> = vec![None; widths.len()];
-        let mut t = 0;
-        while t < us.len() {
-            let sj = col.stratum_of(us[t] as usize);
-            let mut e = t + 1;
-            while e < us.len() && col.stratum_of(us[e] as usize) == sj {
-                e += 1;
-            }
-            let p_j = widths[sj].trailing_zeros();
-            if p_j > p_i {
-                // Wider destinations: fold each one down to the source's
-                // precision (the scalar fallback).
-                for (o, &u) in out[t..e].iter_mut().zip(&us[t..e]) {
-                    let j = u as usize;
-                    *o = inter(j, col.union_estimate_with_row(raw_row, j));
-                }
-                t = e;
-                continue;
-            }
-            let row: &[u8] = if p_j < p_i {
-                folded[sj].get_or_insert_with(|| {
-                    let mut w = Vec::with_capacity(1usize << p_j);
-                    pg_sketch::fold_hll_registers_into(raw_row, p_i, p_j, &mut w);
-                    w
-                })
-            } else {
-                raw_row
-            };
-            let (run_us, run_out) = (&us[t..e], &mut out[t..e]);
-            let mut q = 0;
-            while q + 4 <= run_us.len() {
-                let js = [
-                    run_us[q] as usize,
-                    run_us[q + 1] as usize,
-                    run_us[q + 2] as usize,
-                    run_us[q + 3] as usize,
-                ];
-                let u4 = col.union_estimates_multi(row, js);
-                for l in 0..4 {
-                    run_out[q + l] = inter(js[l], u4[l]);
-                }
-                q += 4;
-            }
-            if q + 2 <= run_us.len() {
-                let js = [run_us[q] as usize, run_us[q + 1] as usize];
-                let u2 = col.union_estimates_multi(row, js);
-                for l in 0..2 {
-                    run_out[q + l] = inter(js[l], u2[l]);
-                }
-                q += 2;
-            }
-            if q < run_us.len() {
-                let j = run_us[q] as usize;
-                run_out[q] = inter(j, col.union_estimate_with_row(row, j));
-            }
-            t = e;
+    /// A sweep of set `i`'s pinned register window `row`, raw or folded.
+    #[inline]
+    fn lanes<'r>(&'r self, i: usize, row: &'r [u8]) -> HllLanes<'r> {
+        HllLanes {
+            col: self.col,
+            row,
+            nx: self.sizes[i] as usize,
+            sizes: self.sizes,
         }
     }
 }
@@ -1578,65 +1417,53 @@ impl IntersectionOracle for HllOracle<'_> {
     }
 
     /// Multi-lane row sweep: the source register window and exact size
-    /// are pinned once; destinations go four per fused register-max pass
-    /// (four independent harmonic-sum chains pipeline where the scalar
-    /// pass is `f64`-add latency-bound), then a two-lane pass and a
-    /// scalar pass mop up the ragged tail. Register windows are
-    /// prefetched a window-size-aware
-    /// [`pg_sketch::bitvec::prefetch_distance`] ahead when the register
-    /// store outgrows the probed L2 (on a cache-resident store the
-    /// prefetch ramp is pure instruction overhead).
+    /// are pinned once, then `sweep_lanes` runs destinations through
+    /// the fused register-max kernel four at a time (four independent
+    /// harmonic-sum chains pipeline where the scalar pass is `f64`-add
+    /// latency-bound). A uniform store's windows are prefetched by
+    /// `l2_prefetch_distance`.
+    ///
+    /// On a stratified store, destinations are grouped into runs of equal
+    /// stratum. The source window is folded down **once per narrower
+    /// stratum** encountered ([`pg_sketch::fold_hll_registers_into`] —
+    /// exact), so same-width and narrower runs are multi-lane sweeps;
+    /// destinations in strata *wider* than the source fold one by one
+    /// inside [`HyperLogLogCollection::union_estimate_with_row`] (scalar —
+    /// wide strata hold only the top-degree sliver). Bit-identical to the
+    /// pairwise [`IntersectionOracle::estimate`], whose cross-precision
+    /// path performs exactly these folds.
     #[inline]
     fn estimate_row_into(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
-        if !self.col.geometry().is_uniform() {
-            // Variable-width register windows: the run-grouped stratified
-            // sweep (folded pinned rows, same-width multi-lane runs).
-            return self.estimate_row_stratified(v, us, out);
-        }
+        let col = self.col;
         let i = v as usize;
-        let row = self.col.registers(i);
-        let nx = self.sizes[i] as usize;
-        let inter = |j: usize, union_est: f64| {
-            HyperLogLogCollection::intersection_from_union(nx, self.sizes[j] as usize, union_est)
-        };
-        let dist = if row.len() * self.sizes.len() <= pg_parallel::cache_topology().l2_bytes {
-            0
-        } else {
-            pg_sketch::bitvec::prefetch_distance(row.len())
-        };
-        for &p in us.iter().take(dist.min(us.len())) {
-            pg_sketch::bitvec::prefetch_slice(self.col.registers(p as usize));
+        let raw_row = col.registers(i);
+        if col.geometry().is_uniform() {
+            let dist = l2_prefetch_distance(raw_row.len(), self.sizes.len());
+            return sweep_lanes(&self.lanes(i, raw_row), us, out, dist);
         }
-        let mut t = 0;
-        while t + 4 <= us.len() {
-            if dist > 0 {
-                for &p in us.iter().take((t + dist + 4).min(us.len())).skip(t + dist) {
-                    pg_sketch::bitvec::prefetch_slice(self.col.registers(p as usize));
+        let widths = col.geometry().widths();
+        let p_i = col.precision_of(i) as u32;
+        let mut folded: Vec<Option<Vec<u8>>> = vec![None; widths.len()];
+        for (sj, run) in stratum_runs(us, |j| col.stratum_of(j)) {
+            let (us, out) = (&us[run.clone()], &mut out[run]);
+            let p_j = widths[sj].trailing_zeros();
+            if p_j > p_i {
+                let k = self.lanes(i, raw_row);
+                for (o, &u) in out.iter_mut().zip(us) {
+                    *o = k.finish(k.one(u as usize), u as usize);
                 }
+                continue;
             }
-            let js = [
-                us[t] as usize,
-                us[t + 1] as usize,
-                us[t + 2] as usize,
-                us[t + 3] as usize,
-            ];
-            let u4 = self.col.union_estimates_multi(row, js);
-            for l in 0..4 {
-                out[t + l] = inter(js[l], u4[l]);
-            }
-            t += 4;
-        }
-        if t + 2 <= us.len() {
-            let js = [us[t] as usize, us[t + 1] as usize];
-            let u2 = self.col.union_estimates_multi(row, js);
-            for l in 0..2 {
-                out[t + l] = inter(js[l], u2[l]);
-            }
-            t += 2;
-        }
-        if t < us.len() {
-            let j = us[t] as usize;
-            out[t] = inter(j, self.col.union_estimate_with_row(row, j));
+            let row: &[u8] = if p_j < p_i {
+                folded[sj].get_or_insert_with(|| {
+                    let mut w = Vec::with_capacity(1usize << p_j);
+                    pg_sketch::fold_hll_registers_into(raw_row, p_i, p_j, &mut w);
+                    w
+                })
+            } else {
+                raw_row
+            };
+            sweep_lanes(&self.lanes(i, row), us, out, 0);
         }
     }
 }
@@ -1715,19 +1542,34 @@ mod tests {
         check::<BloomOr>(&col, &sizes, &us, &mut row);
     }
 
+    /// Two stratum assignments for the stratified sweep tests: `i % 3`
+    /// makes every same-stratum run of an ascending row one destination
+    /// long, and `(i / 7) % 3` makes runs seven long, so every run kind
+    /// also reaches its 4-, 2- and 1-lane groups.
+    fn strata_assignments(n: usize, strata: usize) -> [Vec<u8>; 2] {
+        [
+            (0..n).map(|i| (i % strata) as u8).collect(),
+            (0..n).map(|i| ((i / 7) % 3) as u8).collect(),
+        ]
+    }
+
     #[test]
     fn stratified_bloom_row_path_is_bit_identical_to_pairwise() {
         let g = gen::erdos_renyi_gnm(150, 3000, 9);
         let sets: Vec<&[u32]> = (0..g.num_vertices())
             .map(|v| g.neighbors(v as u32))
             .collect();
-        let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 3) as u8).collect();
-        let geom = SetGeometry::stratified(vec![8, 4, 2], assign);
-        let col = BloomCollection::build_on(geom, 2, 7, |i| sets[i]);
-        assert!(!col.geometry().is_uniform(), "expected a stratified build");
-        let sizes: Vec<u32> = sets.iter().map(|s| s.len() as u32).collect();
-        let us: Vec<u32> = (0..g.num_vertices() as u32).collect();
-        let mut row = Vec::new();
+        for assign in strata_assignments(sets.len(), 3) {
+            let geom = SetGeometry::stratified(vec![8, 4, 2], assign);
+            let col = BloomCollection::build_on(geom, 2, 7, |i| sets[i]);
+            assert!(!col.geometry().is_uniform(), "expected a stratified build");
+            let sizes: Vec<u32> = sets.iter().map(|s| s.len() as u32).collect();
+            let us: Vec<u32> = (0..g.num_vertices() as u32).collect();
+            let mut row = Vec::new();
+            check::<BloomAnd>(&col, &sizes, &us, &mut row);
+            check::<BloomLimit>(&col, &sizes, &us, &mut row);
+            check::<BloomOr>(&col, &sizes, &us, &mut row);
+        }
         fn check<S: BloomStrategy>(
             col: &BloomCollection,
             sizes: &[u32],
@@ -1743,9 +1585,6 @@ mod tests {
                 }
             }
         }
-        check::<BloomAnd>(&col, &sizes, &us, &mut row);
-        check::<BloomLimit>(&col, &sizes, &us, &mut row);
-        check::<BloomOr>(&col, &sizes, &us, &mut row);
     }
 
     #[test]
@@ -1754,23 +1593,30 @@ mod tests {
         let sets: Vec<&[u32]> = (0..g.num_vertices())
             .map(|v| g.neighbors(v as u32))
             .collect();
-        let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 2) as u8).collect();
-        let col =
-            BloomCollection::build_on(SetGeometry::stratified(vec![4, 1], assign), 2, 3, |i| {
-                sets[i]
-            });
         let sizes: Vec<u32> = sets.iter().map(|s| s.len() as u32).collect();
-        let o = BloomOracle::<BloomAnd>::new(&col, &sizes);
-        let sources: Vec<u32> = vec![0, 5, 9];
-        let us: Vec<u32> = (0..40u32).chain(50..70).chain(10..30).collect();
-        let seg_offsets = [0usize, 40, 60, us.len()];
-        let mut block = Vec::new();
-        o.estimate_block(&sources, &seg_offsets, &us, &mut block);
-        let mut row = Vec::new();
-        for (s, &v) in sources.iter().enumerate() {
-            let (lo, hi) = (seg_offsets[s], seg_offsets[s + 1]);
-            o.estimate_row(v, &us[lo..hi], &mut row);
-            assert_eq!(&block[lo..hi], &row[..], "source {v}");
+        let [by_two, by_sevens] = strata_assignments(sets.len(), 2);
+        // Under the second assignment, source 0 is in the widest stratum,
+        // 9 in the narrowest and 15 in the middle one.
+        for (widths, assign, sources) in [
+            (vec![4, 1], by_two, [0u32, 5, 9]),
+            (vec![4, 1, 2], by_sevens, [0, 9, 15]),
+        ] {
+            let geom = SetGeometry::stratified(widths, assign);
+            let col = BloomCollection::build_on(geom, 2, 3, |i| sets[i]);
+            let o = BloomOracle::<BloomAnd>::new(&col, &sizes);
+            let us: Vec<u32> = (0..40u32).chain(50..70).chain(10..30).collect();
+            let seg_offsets = [0usize, 40, 60, us.len()];
+            let mut block = Vec::new();
+            o.estimate_block(&sources, &seg_offsets, &us, &mut block);
+            let mut row = Vec::new();
+            for (s, &v) in sources.iter().enumerate() {
+                let (lo, hi) = (seg_offsets[s], seg_offsets[s + 1]);
+                o.estimate_row(v, &us[lo..hi], &mut row);
+                assert_eq!(&block[lo..hi], &row[..], "source {v}");
+                for (t, &u) in us[lo..hi].iter().enumerate() {
+                    assert_eq!(row[t], o.estimate(v, u), "v={v} u={u}");
+                }
+            }
         }
     }
 
@@ -1781,34 +1627,34 @@ mod tests {
             .map(|v| g.neighbors(v as u32))
             .collect();
         let sizes: Vec<u32> = sets.iter().map(|s| s.len() as u32).collect();
-        let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 3) as u8).collect();
         let us: Vec<u32> = (0..g.num_vertices() as u32).collect();
         let mut row = Vec::new();
-
-        let geom = SetGeometry::stratified(vec![64, 32, 16], assign.clone());
-        let mh = pg_sketch::MinHashCollection::build_on(geom, 5, |i| sets[i]);
-        assert!(!mh.geometry().is_uniform(), "expected a stratified build");
-        let o = KHashOracle::new(&mh, &sizes);
-        for v in 0..sizes.len() as u32 {
-            o.estimate_row(v, &us, &mut row);
-            for (t, &u) in us.iter().enumerate() {
-                assert_eq!(row[t], o.estimate(v, u), "kh est v={v} u={u}");
+        for assign in strata_assignments(sets.len(), 3) {
+            let geom = SetGeometry::stratified(vec![64, 32, 16], assign.clone());
+            let mh = pg_sketch::MinHashCollection::build_on(geom, 5, |i| sets[i]);
+            assert!(!mh.geometry().is_uniform(), "expected a stratified build");
+            let o = KHashOracle::new(&mh, &sizes);
+            for v in 0..sizes.len() as u32 {
+                o.estimate_row(v, &us, &mut row);
+                for (t, &u) in us.iter().enumerate() {
+                    assert_eq!(row[t], o.estimate(v, u), "kh est v={v} u={u}");
+                }
+                o.jaccard_row(v, &us, &mut row);
+                for (t, &u) in us.iter().enumerate() {
+                    assert_eq!(row[t], o.jaccard(v, u), "kh jac v={v} u={u}");
+                }
             }
-            o.jaccard_row(v, &us, &mut row);
-            for (t, &u) in us.iter().enumerate() {
-                assert_eq!(row[t], o.jaccard(v, u), "kh jac v={v} u={u}");
-            }
-        }
 
-        let geom = SetGeometry::stratified(vec![1 << 8, 1 << 6, 1 << 4], assign);
-        let hll = HyperLogLogCollection::build_on(geom, 5, |i| sets[i]);
-        assert!(!hll.geometry().is_uniform(), "expected a stratified build");
-        let o = HllOracle::new(&hll, &sizes);
-        assert_eq!(o.dest_window_bytes(), None);
-        for v in 0..sizes.len() as u32 {
-            o.estimate_row(v, &us, &mut row);
-            for (t, &u) in us.iter().enumerate() {
-                assert_eq!(row[t], o.estimate(v, u), "hll v={v} u={u}");
+            let geom = SetGeometry::stratified(vec![1 << 8, 1 << 6, 1 << 4], assign);
+            let hll = HyperLogLogCollection::build_on(geom, 5, |i| sets[i]);
+            assert!(!hll.geometry().is_uniform(), "expected a stratified build");
+            let o = HllOracle::new(&hll, &sizes);
+            assert_eq!(o.dest_window_bytes(), None);
+            for v in 0..sizes.len() as u32 {
+                o.estimate_row(v, &us, &mut row);
+                for (t, &u) in us.iter().enumerate() {
+                    assert_eq!(row[t], o.estimate(v, u), "hll v={v} u={u}");
+                }
             }
         }
     }

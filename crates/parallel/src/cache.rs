@@ -5,9 +5,8 @@
 //! in order:
 //!
 //! 1. the innermost active [`with_tile_bytes`] override on the calling thread,
-//! 2. the process-global budget set by [`set_tile_bytes`],
-//! 3. the `PG_TILE_BYTES` environment variable,
-//! 4. half the probed L2 capacity (clamped to `[64 KiB, 4 MiB]`), so a
+//! 2. the `PG_TILE_BYTES` environment variable,
+//! 3. half the probed L2 capacity (clamped to `[64 KiB, 4 MiB]`), so a
 //!    destination tile and the streamed source-window batch can coexist in
 //!    L2 without thrashing each other.
 //!
@@ -27,7 +26,6 @@
 //! this much, so the derived tile never exceeds a real L1.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Per-core data-cache sizes and the line size, in bytes.
@@ -136,9 +134,6 @@ pub fn cache_line_bytes() -> usize {
     cache_topology().line_bytes.max(16)
 }
 
-/// Process-global tile budget; 0 means "not set, fall back to env/topology".
-static GLOBAL_TILE_BYTES: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// Innermost `with_tile_bytes` override on this thread; 0 = none.
     static LOCAL_TILE_OVERRIDE: Cell<usize> = const { Cell::new(0) };
@@ -161,23 +156,12 @@ fn derived_tile_bytes() -> usize {
     (cache_topology().l2_bytes / 2).clamp(64 * 1024, 4 * 1024 * 1024)
 }
 
-/// Sets the process-global destination-tile byte budget for all subsequent
-/// tiled sweeps not inside a [`with_tile_bytes`] scope. Passing 0 restores
-/// the default resolution order.
-pub fn set_tile_bytes(n: usize) {
-    GLOBAL_TILE_BYTES.store(n, Ordering::Relaxed);
-}
-
 /// The destination-tile byte budget the *calling thread* would use for a
 /// tiled sweep started right now. Always ≥ 1.
 pub fn tile_bytes() -> usize {
     let local = LOCAL_TILE_OVERRIDE.with(|c| c.get());
     if local > 0 {
         return local;
-    }
-    let global = GLOBAL_TILE_BYTES.load(Ordering::Relaxed);
-    if global > 0 {
-        return global;
     }
     env_tile_bytes().unwrap_or_else(derived_tile_bytes).max(1)
 }
@@ -224,7 +208,7 @@ mod tests {
     fn tile_bytes_default_is_positive_and_l2_scaled() {
         // No override active in this test thread: the derived default must
         // leave room in L2 for the streamed source windows alongside the
-        // tile (unless PG_TILE_BYTES or a global override is set).
+        // tile (unless PG_TILE_BYTES is set).
         let t = with_tile_bytes_cleared(tile_bytes);
         assert!(t >= 1);
     }

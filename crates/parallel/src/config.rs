@@ -3,18 +3,14 @@
 //! The effective thread count for a parallel region is resolved, in order:
 //!
 //! 1. the innermost active [`with_threads`] override on the calling thread,
-//! 2. the process-global count set by [`set_threads`],
-//! 3. the `PG_THREADS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//! 2. the `PG_THREADS` environment variable,
+//! 3. [`std::thread::available_parallelism`].
 //!
-//! This mirrors OpenMP's `omp_set_num_threads` / `OMP_NUM_THREADS` pair that
-//! the paper's scaling experiments rely on.
+//! This mirrors OpenMP's `OMP_NUM_THREADS`, which the paper's scaling
+//! experiments rely on, with a scoped override in place of the
+//! process-global `omp_set_num_threads`.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-global thread count; 0 means "not set, fall back to env/HW".
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Innermost `with_threads` override on this thread; 0 = none.
@@ -35,23 +31,12 @@ fn env_threads() -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
-/// Sets the process-global thread count used by all subsequent parallel
-/// regions (on every thread) that are not inside a [`with_threads`] scope.
-/// Passing 0 restores the default resolution order.
-pub fn set_threads(n: usize) {
-    GLOBAL_THREADS.store(n, Ordering::Relaxed);
-}
-
 /// The thread count the *calling thread* would use for a parallel region
 /// started right now. Always ≥ 1.
 pub fn current_threads() -> usize {
     let local = LOCAL_OVERRIDE.with(|c| c.get());
     if local > 0 {
         return local;
-    }
-    let global = GLOBAL_THREADS.load(Ordering::Relaxed);
-    if global > 0 {
-        return global;
     }
     env_threads().unwrap_or_else(available_threads).max(1)
 }

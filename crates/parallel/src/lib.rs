@@ -11,7 +11,7 @@
 //!
 //! 1. **Explicit thread-count control.** The scaling experiments (Figs. 8–9
 //!    of the paper) sweep the thread count from 1 to the machine maximum.
-//!    [`set_threads`] / [`with_threads`] make the sweep a one-liner.
+//!    [`with_threads`] (or `PG_THREADS`) makes the sweep a one-liner.
 //! 2. **Load balancing under skew.** Power-law graphs have a few huge
 //!    neighborhoods; static partitioning of the vertex range would serialize
 //!    on them. Dynamic chunk claiming via a single `fetch_add` gives the
@@ -48,17 +48,15 @@ mod par;
 mod reduce;
 pub mod shard;
 
-pub use cache::{
-    cache_line_bytes, cache_topology, set_tile_bytes, tile_bytes, with_tile_bytes, CacheTopology,
-};
-pub use config::{available_threads, current_threads, set_threads, with_threads};
+pub use cache::{cache_line_bytes, cache_topology, tile_bytes, with_tile_bytes, CacheTopology};
+pub use config::{available_threads, current_threads, with_threads};
 pub use epoch::{EpochCell, EpochGuard};
 pub use init::{parallel_fill_with, parallel_init, parallel_init_scratch};
 pub use par::{join, parallel_for, parallel_for_grain, parallel_for_range, parallel_for_scratch};
 pub use reduce::{
     map_reduce, map_reduce_grain, map_reduce_scratch, max_f64, min_f64, sum_f64, sum_u64,
 };
-pub use shard::{current_shards, set_shards, with_shards};
+pub use shard::{current_shards, with_shards};
 
 /// Picks a chunk size ("grain") for a loop of `n` iterations.
 ///

@@ -3,9 +3,8 @@
 //! The effective shard count for a sharded store is resolved, in order:
 //!
 //! 1. the innermost active [`with_shards`] override on the calling thread,
-//! 2. the process-global count set by [`set_shards`],
-//! 3. the `PG_SHARDS` environment variable,
-//! 4. [`crate::available_threads`], clamped to `[1, 64]` — one
+//! 2. the `PG_SHARDS` environment variable,
+//! 3. [`crate::available_threads`], clamped to `[1, 64]` — one
 //!    single-writer ingest lane per hardware thread.
 //!
 //! This mirrors the `PG_THREADS` / `PG_TILE_BYTES` resolution chains in
@@ -16,10 +15,6 @@
 //! on stores too small to split that far.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-global shard count; 0 means "not set, fall back to env/HW".
-static GLOBAL_SHARDS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Innermost `with_shards` override on this thread; 0 = none.
@@ -39,23 +34,12 @@ fn derived_shards() -> usize {
     crate::available_threads().clamp(1, 64)
 }
 
-/// Sets the process-global shard count used by all subsequent sharded
-/// stores not inside a [`with_shards`] scope. Passing 0 restores the
-/// default resolution order.
-pub fn set_shards(n: usize) {
-    GLOBAL_SHARDS.store(n, Ordering::Relaxed);
-}
-
 /// The shard count the *calling thread* would use for a sharded store
 /// created right now. Always ≥ 1.
 pub fn current_shards() -> usize {
     let local = LOCAL_SHARDS.with(|c| c.get());
     if local > 0 {
         return local;
-    }
-    let global = GLOBAL_SHARDS.load(Ordering::Relaxed);
-    if global > 0 {
-        return global;
     }
     env_shards().unwrap_or_else(derived_shards).max(1)
 }

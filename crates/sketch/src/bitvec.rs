@@ -79,12 +79,6 @@ impl BitVec {
         count_ones_words(&self.words)
     }
 
-    /// Number of zero bits (`B_{X,0}`).
-    #[inline]
-    pub fn count_zeros(&self) -> usize {
-        self.len_bits - self.count_ones()
-    }
-
     /// Fused AND + popcount against another vector of the same length —
     /// the core `|X ∩ Y|` kernel of Fig. 1 panel 3. Runs in `O(B/W)` work.
     #[inline]
@@ -93,31 +87,12 @@ impl BitVec {
         and_count_words(&self.words, &other.words)
     }
 
-    /// Fused OR + popcount (`B_{X∪Y,1}`, used by the OR estimator Eq. 29).
-    #[inline]
-    pub fn or_count(&self, other: &BitVec) -> usize {
-        assert_eq!(self.len_bits, other.len_bits, "bit vectors differ in size");
-        or_count_words(&self.words, &other.words)
-    }
-
     /// All four pair statistics in one fused traversal; see
     /// [`and_or_ones_words`].
     #[inline]
     pub fn pair_ones(&self, other: &BitVec) -> PairOnes {
         assert_eq!(self.len_bits, other.len_bits, "bit vectors differ in size");
         and_or_ones_words(&self.words, &other.words)
-    }
-
-    /// Multi-lane fused AND + popcount: one traversal of this vector's
-    /// words against `L` destination vectors with independent accumulator
-    /// lanes — `out[l] == self.and_count(others[l])` exactly. See
-    /// [`and_count_words_multi`] for why batching destinations wins.
-    #[inline]
-    pub fn and_count_multi<const L: usize>(&self, others: [&BitVec; L]) -> [usize; L] {
-        for o in others {
-            assert_eq!(self.len_bits, o.len_bits, "bit vectors differ in size");
-        }
-        and_count_words_multi(&self.words, others.map(|o| o.words.as_slice()))
     }
 
     /// Materialized AND (for callers that need the intersected filter).
@@ -321,83 +296,6 @@ pub fn prefetch_distance(window_bytes: usize) -> usize {
     (IN_FLIGHT_BYTES / window_bytes).clamp(1, 16)
 }
 
-/// Tiled flat-array row kernel: fused AND + popcount of one pinned source
-/// window against destination windows `js` of a flat collection
-/// (`data[j*words_per_set..][..words_per_set]`), invoking
-/// `emit(t, and_ones)` for each destination index `t` in `js` order.
-///
-/// `prefetch_dist` is how many destinations ahead to issue
-/// [`prefetch_slice`]: the flat full-row sweep passes
-/// [`prefetch_distance`] so L2 fills overlap the current group's
-/// popcounts, while the blocked sweep passes 0 — its `js` are one
-/// source's in-tile destinations, already cache-resident across the
-/// source batch, so prefetching them is pure instruction overhead.
-/// Destinations are processed through the same 4/2/1 multi-lane split
-/// either way; popcounts are exact integers, so every emitted count is
-/// bit-identical to `and_count_words(row, window(js[t]))` no matter how a
-/// row is segmented into tiles.
-#[inline]
-pub fn and_count_words_tiled<F: FnMut(usize, usize)>(
-    row: &[u64],
-    data: &[u64],
-    words_per_set: usize,
-    js: &[u32],
-    prefetch_dist: usize,
-    mut emit: F,
-) {
-    let wps = words_per_set;
-    if wps == 0 {
-        for t in 0..js.len() {
-            emit(t, 0);
-        }
-        return;
-    }
-    debug_assert_eq!(row.len(), wps);
-    let window = |j: u32| -> &[u64] {
-        let j = j as usize;
-        &data[j * wps..(j + 1) * wps]
-    };
-    let n = js.len();
-    let dist = prefetch_dist;
-    // Warm-up: get the first `dist` windows' fills started before any work.
-    for &j in js.iter().take(dist.min(n)) {
-        prefetch_slice(window(j));
-    }
-    let mut t = 0;
-    while t + 4 <= n {
-        if dist > 0 {
-            // Each group prefetches exactly the windows entering the
-            // look-ahead horizon, so every window is prefetched once.
-            for &j in js.iter().take((t + dist + 4).min(n)).skip(t + dist) {
-                prefetch_slice(window(j));
-            }
-        }
-        let ones = and_count_words_multi(
-            row,
-            [
-                window(js[t]),
-                window(js[t + 1]),
-                window(js[t + 2]),
-                window(js[t + 3]),
-            ],
-        );
-        emit(t, ones[0]);
-        emit(t + 1, ones[1]);
-        emit(t + 2, ones[2]);
-        emit(t + 3, ones[3]);
-        t += 4;
-    }
-    if t + 2 <= n {
-        let ones = and_count_words_multi(row, [window(js[t]), window(js[t + 1])]);
-        emit(t, ones[0]);
-        emit(t + 1, ones[1]);
-        t += 2;
-    }
-    if t < n {
-        emit(t, and_count_words(row, window(js[t])));
-    }
-}
-
 /// Fused OR + popcount of two word slices (must be equal length).
 #[inline]
 pub fn or_count_words(a: &[u64], b: &[u64]) -> usize {
@@ -477,7 +375,6 @@ mod tests {
             assert!(v.get(i));
         }
         assert_eq!(v.count_ones(), 8);
-        assert_eq!(v.count_zeros(), 122);
     }
 
     #[test]
@@ -506,7 +403,7 @@ mod tests {
             b.set(i);
         }
         assert_eq!(
-            a.or_count(&b),
+            or_count_words(a.words(), b.words()),
             a.count_ones() + b.count_ones() - a.and_count(&b)
         );
     }
@@ -558,7 +455,7 @@ mod tests {
         }
         let p = a.pair_ones(&b);
         assert_eq!(p.and_ones, a.and_count(&b));
-        assert_eq!(p.or_ones, a.or_count(&b));
+        assert_eq!(p.or_ones, or_count_words(a.words(), b.words()));
         assert_eq!(p.a_ones, a.count_ones());
         assert_eq!(p.b_ones, b.count_ones());
         assert_eq!(p.a_ones + p.b_ones, p.and_ones + p.or_ones);
@@ -590,34 +487,6 @@ mod tests {
                 [want[0], want[1], want[2], want[3]]
             );
         }
-    }
-
-    #[test]
-    fn bitvec_and_count_multi_matches_pairwise() {
-        let mut a = BitVec::zeros(300);
-        let mut b0 = BitVec::zeros(300);
-        let mut b1 = BitVec::zeros(300);
-        for i in (0..300).step_by(3) {
-            a.set(i);
-        }
-        for i in (0..300).step_by(4) {
-            b0.set(i);
-        }
-        for i in (0..300).step_by(7) {
-            b1.set(i);
-        }
-        assert_eq!(
-            a.and_count_multi([&b0, &b1]),
-            [a.and_count(&b0), a.and_count(&b1)]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "differ in size")]
-    fn multi_lane_size_mismatch_panics() {
-        let a = BitVec::zeros(64);
-        let b = BitVec::zeros(128);
-        let _ = a.and_count_multi([&b]);
     }
 
     #[test]

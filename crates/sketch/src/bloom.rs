@@ -33,11 +33,16 @@
 //!    AND+popcount traversal yields `B_{X∩Y,1}` directly and `B_{X∪Y,1}`
 //!    via `B_{X∪Y,1} = B_{X,1} + B_{Y,1} − B_{X∩Y,1}`, so the AND, Limit,
 //!    *and* OR estimators all cost a single pass per edge.
+//!
+//! After that pass every estimator is a scalar tail over the popcounts,
+//! evaluated at one stratum's [`BloomStratum`] (width, memoized Swamidass
+//! curve, `b`); the tails themselves are the oracle layer's
+//! `BloomStrategy`s. [`BloomCollectionIn::pair_stats`] yields the pairwise
+//! popcounts and the stratum, and row sweeps read destinations through a
+//! [`BloomFlatView`] (a uniform store, or a stratified store's folded base
+//! view) or through [`BloomFoldCache`] shadows.
 
-use crate::bitvec::{
-    and_count_words, and_count_words_multi, and_count_words_tiled, count_ones_words,
-    or_count_words, BitVec, PairOnes,
-};
+use crate::bitvec::{and_count_words, count_ones_words, or_count_words, BitVec, PairOnes};
 use crate::cowvec::cow_clear;
 use crate::estimators;
 use crate::geometry::SetGeometry;
@@ -145,20 +150,6 @@ impl BloomFilter {
             self.len_bits(),
             self.num_hashes(),
         )
-    }
-
-    /// `|X∩Y|̂_L` (Eq. 4).
-    pub fn estimate_intersection_limit(&self, other: &BloomFilter) -> f64 {
-        estimators::bf_intersect_limit(self.bits.and_count(&other.bits), self.num_hashes())
-    }
-
-    /// `|X∩Y|̂_OR` (Eq. 29); needs the exact set sizes. Costs one fused
-    /// AND pass: `B_{X∪Y,1}` is recovered from the cached single-filter
-    /// popcounts via inclusion–exclusion.
-    pub fn estimate_intersection_or(&self, other: &BloomFilter, nx: usize, ny: usize) -> f64 {
-        let and_ones = self.bits.and_count(&other.bits);
-        let or_ones = self.ones + other.ones - and_ones;
-        estimators::bf_intersect_or(or_ones, self.len_bits(), self.num_hashes(), nx, ny)
     }
 }
 
@@ -363,17 +354,15 @@ impl BloomFoldCache {
         }
     }
 
-    /// Base-view window of set `j` — its filter at the narrowest stratum
-    /// width, flat uniform stride.
+    /// The dense base-width view: every filter at the narrowest stratum
+    /// width, flat stride.
     #[inline]
-    pub fn base_window(&self, j: usize) -> &[u64] {
-        &self.base[j * self.base_words..(j + 1) * self.base_words]
-    }
-
-    /// Popcount of set `j`'s base-view window.
-    #[inline]
-    pub fn base_ones(&self, j: usize) -> usize {
-        self.base_ones[j] as usize
+    fn base_view(&self) -> BloomFlatView<'_> {
+        BloomFlatView {
+            words: &self.base,
+            ones: &self.base_ones,
+            stride: self.base_words,
+        }
     }
 
     /// Shadow of set `i` (which lives in stratum `s`) at the narrower
@@ -384,7 +373,8 @@ impl BloomFoldCache {
     pub fn shadow(&self, i: usize, s: usize, t: usize) -> (&[u64], usize) {
         let nw = self.t_words[t] as usize;
         if nw == self.base_words {
-            return (self.base_window(i), self.base_ones(i));
+            let base = self.base_view();
+            return (base.window(i), base.ones(i));
         }
         let sub = self.sub_word[s][t];
         debug_assert_ne!(
@@ -398,6 +388,62 @@ impl BloomFoldCache {
     }
 }
 
+/// Every filter of a collection at one width in one flat array:
+/// destination `j`'s window is `words[j·stride..(j+1)·stride]` and its
+/// popcount `ones[j]`. A uniform store is this view of itself; a
+/// stratified store's [`BloomFoldCache`] holds one at the narrowest
+/// width. See [`BloomCollectionIn::base_view`].
+#[derive(Clone, Copy, Debug)]
+pub struct BloomFlatView<'a> {
+    words: &'a [u64],
+    ones: &'a [u32],
+    stride: usize,
+}
+
+impl<'a> BloomFlatView<'a> {
+    /// Window of set `j`.
+    #[inline]
+    pub fn window(&self, j: usize) -> &'a [u64] {
+        &self.words[j * self.stride..(j + 1) * self.stride]
+    }
+
+    /// Popcount of set `j`'s window.
+    #[inline]
+    pub fn ones(&self, j: usize) -> usize {
+        self.ones[j] as usize
+    }
+}
+
+/// The geometry one stratum's estimates are evaluated at: its filter
+/// width, its memoized Swamidass curve and the hash count `b`. Every
+/// Bloom estimator tail reads its popcounts through one of these.
+#[derive(Clone, Copy, Debug)]
+pub struct BloomStratum<'a> {
+    /// `Ŝ(o)` for `o ∈ 0..=bits`; `None` for filters too wide to memoize.
+    curve: Option<&'a [f64]>,
+    bits: usize,
+    b: usize,
+}
+
+impl BloomStratum<'_> {
+    /// `Ŝ(ones)` (Eq. 1) at this stratum's width — one table lookup, or
+    /// the closed form for filters too wide for the table. Bit-identical
+    /// either way: the table entries *are* outputs of the same function.
+    #[inline]
+    pub fn swamidass(&self, ones: usize) -> f64 {
+        match self.curve {
+            Some(t) => t[ones],
+            None => estimators::bf_size_swamidass(ones, self.bits, self.b),
+        }
+    }
+
+    /// Number of hash functions `b`.
+    #[inline]
+    pub fn num_hashes(&self) -> usize {
+        self.b
+    }
+}
+
 /// Largest `B` for which the Swamidass table is materialized (512 KiB of
 /// `f64`; per-neighborhood budgets are orders of magnitude below this).
 const MAX_SWAMI_TABLE_BITS: usize = 1 << 16;
@@ -407,8 +453,8 @@ const MAX_SWAMI_TABLE_BITS: usize = 1 << 16;
 /// `o ∈ 0..=B_s`. For a fixed width the AND estimator (Eq. 2) is
 /// `swami(and_ones)` and the OR estimator (Eq. 29) is
 /// `nx + ny − swami(or_ones)`, so the per-edge `ln` (≈ half the cost of a
-/// fused AND pass) becomes one L2 load; a uniform collection's lookup is
-/// plain `table[o]`.
+/// fused AND pass) becomes one L2 load. [`BloomCollectionIn::stratum`]
+/// hands out one curve as a slice, so a sweep resolves `start[s]` once.
 #[derive(Clone, Debug)]
 struct SwamiTables {
     table: Vec<f64>,
@@ -818,8 +864,9 @@ impl<'a> BloomCollectionIn<'a> {
     /// the two sets' strata. Equal-width pairs run the fused kernel on
     /// the raw windows; cross-width pairs fold the wider filter (its
     /// folded popcount is computed during the fold — the raw cached
-    /// popcount belongs to the unfolded geometry).
-    fn pair_stats(&self, i: usize, j: usize) -> (PairOnes, usize) {
+    /// popcount belongs to the unfolded geometry). Every pairwise Bloom
+    /// estimate is this followed by its estimator tail.
+    pub fn pair_stats(&self, i: usize, j: usize) -> (PairOnes, usize) {
         let (wi, wj) = (self.bits_of(i), self.bits_of(j));
         if wi == wj {
             let and_ones = and_count_words(self.words(i), self.words(j));
@@ -860,50 +907,6 @@ impl<'a> BloomCollectionIn<'a> {
         )
     }
 
-    /// Multi-lane `B_{X∩Y,1}`: one word-window pass ANDs the pinned source
-    /// `row` (a filter's word window, usually hoisted once per vertex)
-    /// against `L` destination filters with independent popcount
-    /// accumulators — `out[l] == and_count_words(row, self.words(js[l]))`
-    /// exactly, for every lane count. This is the batched-estimation hot
-    /// path: source-word loads amortize over `L` destinations and the `L`
-    /// reduction chains pipeline at full `vpopcnt` issue width.
-    #[inline]
-    pub fn and_ones_multi<const L: usize>(&self, row: &[u64], js: [usize; L]) -> [usize; L] {
-        and_count_words_multi(row, js.map(|j| self.words(j)))
-    }
-
-    /// Tiled multi-lane `B_{X∩Y,1}`: ANDs the pinned source `row` against
-    /// the destination filters `js` (one source's in-tile destination ids),
-    /// invoking `emit(t, and_ones)` per destination in `js` order. The
-    /// blocked row sweep calls this once per (source, tile) segment with
-    /// `prefetch_dist = 0` (the tile is cache-resident across the source
-    /// batch); the flat full-row sweep passes
-    /// [`crate::bitvec::prefetch_distance`] so L2 fills overlap the
-    /// popcounts. Counts are bit-identical to [`BloomCollection::and_ones`]
-    /// for any tiling (see [`crate::bitvec::and_count_words_tiled`]).
-    #[inline]
-    pub fn and_ones_tiled<F: FnMut(usize, usize)>(
-        &self,
-        row: &[u64],
-        js: &[u32],
-        prefetch_dist: usize,
-        emit: F,
-    ) {
-        debug_assert!(
-            self.geom.is_uniform(),
-            "tiled sweeps need the flat uniform stride (the block planner \
-             declines stratified stores)"
-        );
-        and_count_words_tiled(
-            row,
-            &self.data,
-            self.words_per_set(),
-            js,
-            prefetch_dist,
-            emit,
-        );
-    }
-
     /// All four pair statistics of filters `i` and `j` from **one** fused
     /// AND pass: the cached popcounts supply `B_{X,1}`/`B_{Y,1}` and
     /// `B_{X∪Y,1}` follows by inclusion–exclusion. Bit-identical to the
@@ -914,62 +917,45 @@ impl<'a> BloomCollectionIn<'a> {
         self.pair_stats(i, j).0
     }
 
-    /// Memoized Swamidass evaluation at stratum `s`'s width (falls back to
-    /// the closed form for filters too large for the table). Bit-identical
-    /// either way: the table entries *are* outputs of the same function.
+    /// Stratum `s`'s estimator geometry: its width, memoized Swamidass
+    /// curve and `b`.
     #[inline]
-    fn swamidass_at(&self, s: usize, ones: usize) -> f64 {
-        match &self.swami {
-            Some(t) => t.table[t.start[s] + ones],
-            None => estimators::bf_size_swamidass(ones, self.geom.widths()[s] * 64, self.b),
+    pub fn stratum(&self, s: usize) -> BloomStratum<'_> {
+        let bits = self.geom.widths()[s] * 64;
+        BloomStratum {
+            curve: self
+                .swami
+                .as_ref()
+                .map(|t| &t.table[t.start[s]..=t.start[s] + bits]),
+            bits,
+            b: self.b,
         }
     }
 
-    /// `|X∩Y|̂_AND` from a precomputed `B_{X∩Y,1}` at stratum `s`'s width —
-    /// the stratified sibling of
-    /// [`BloomCollectionIn::estimate_and_from_ones`], for row sweeps that
-    /// compare a folded source against stratum-`s` destinations.
+    /// Every filter at the narrowest stratum width in one flat view: the
+    /// store itself when uniform, the fold cache's dense base view (wider
+    /// filters pre-folded) otherwise. A narrowest-width source compares
+    /// every destination at its own width, so its whole row sweep reads
+    /// this view with plain strided indexing.
     #[inline]
-    pub fn estimate_and_from_ones_at(&self, s: usize, and_ones: usize) -> f64 {
-        self.swamidass_at(s, and_ones)
+    pub fn base_view(&self) -> BloomFlatView<'_> {
+        if self.geom.is_uniform() {
+            BloomFlatView {
+                words: &self.data,
+                ones: &self.ones,
+                stride: self.words_per_set(),
+            }
+        } else {
+            self.fold_cache().base_view()
+        }
     }
 
-    /// `|X∩Y|̂_AND` (Eq. 2) between sets `i` and `j`.
+    /// `|X∩Y|̂_AND` (Eq. 2) between sets `i` and `j`, at the narrower
+    /// set's stratum.
     #[inline]
     pub fn estimate_and(&self, i: usize, j: usize) -> f64 {
-        if self.geom.is_uniform() {
-            return self.estimate_and_from_ones(self.and_ones(i, j));
-        }
         let (p, s) = self.pair_stats(i, j);
-        self.swamidass_at(s, p.and_ones)
-    }
-
-    /// `|X∩Y|̂_AND` from a precomputed `B_{X∩Y,1}` on a uniform collection
-    /// — the memoized Swamidass curve, exposed so batch callers (oracle
-    /// row kernels) can hoist the row's word window out of their inner
-    /// loop and still hit the table with one index.
-    #[inline]
-    pub fn estimate_and_from_ones(&self, and_ones: usize) -> f64 {
-        debug_assert!(self.geom.is_uniform(), "stratified: use the `_at` form");
-        match &self.swami {
-            Some(t) => t.table[and_ones],
-            None => estimators::bf_size_swamidass(and_ones, self.bits_per_set(), self.b),
-        }
-    }
-
-    /// `|X∩Y|̂_L` (Eq. 4) between sets `i` and `j`.
-    #[inline]
-    pub fn estimate_limit(&self, i: usize, j: usize) -> f64 {
-        estimators::bf_intersect_limit(self.and_ones(i, j), self.b)
-    }
-
-    /// `|X∩Y|̂_OR` (Eq. 29); `nx`/`ny` are the exact set sizes. One fused
-    /// AND pass — `B_{X∪Y,1}` comes from the cached popcounts, and
-    /// Eq. 29 is `nx + ny − swami(B_{X∪Y,1})`, served from the memo table.
-    #[inline]
-    pub fn estimate_or(&self, i: usize, j: usize, nx: usize, ny: usize) -> f64 {
-        let (p, s) = self.pair_stats(i, j);
-        (nx + ny) as f64 - self.swamidass_at(s, p.or_ones)
+        self.stratum(s).swamidass(p.and_ones)
     }
 
     /// Bytes of sketch storage — what the paper's budget `s` accounts for.
@@ -1017,12 +1003,14 @@ mod tests {
         let fx = BloomFilter::from_set(&x, bits, 2, 9);
         let fy = BloomFilter::from_set(&y, bits, 2, 9);
         let and = fx.estimate_intersection_and(&fy);
-        let or = fx.estimate_intersection_or(&fy, x.len(), y.len());
+        let and_ones = fx.bits().and_count(fy.bits());
+        let or_ones = fx.count_ones() + fy.count_ones() - and_ones;
+        let or = estimators::bf_intersect_or(or_ones, bits, 2, x.len(), y.len());
         assert!((and - 100.0).abs() < 30.0, "AND={and}");
         assert!((or - 100.0).abs() < 30.0, "OR={or}");
         // Limit estimator systematically overestimates the intersection
         // (both sets' bits overlap by chance) but stays in the ballpark.
-        let lim = fx.estimate_intersection_limit(&fy);
+        let lim = estimators::bf_intersect_limit(and_ones, 2);
         assert!(lim >= and * 0.5 && lim < 300.0, "L={lim}");
     }
 
@@ -1052,7 +1040,10 @@ mod tests {
         let f0 = BloomFilter::from_set(&sets[0], 1024, 2, 5);
         let f1 = BloomFilter::from_set(&sets[1], 1024, 2, 5);
         assert_eq!(col.and_ones(0, 1), f0.bits().and_count(f1.bits()));
-        assert_eq!(col.or_ones(0, 1), f0.bits().or_count(f1.bits()));
+        assert_eq!(
+            col.or_ones(0, 1),
+            or_count_words(f0.bits().words(), f1.bits().words())
+        );
     }
 
     #[test]
@@ -1078,16 +1069,13 @@ mod tests {
         let fx = BloomFilter::from_set(&x, 1 << 13, 2, 9);
         let fy = BloomFilter::from_set(&y, 1 << 13, 2, 9);
         assert_eq!(fx.estimate_intersection_and(&fy), col.estimate_and(0, 1));
-        assert_eq!(
-            fx.estimate_intersection_limit(&fy),
-            col.estimate_limit(0, 1)
-        );
-        assert_eq!(
-            fx.estimate_intersection_or(&fy, x.len(), y.len()),
-            col.estimate_or(0, 1, x.len(), y.len())
-        );
+        // The collection's pair statistics are the standalone filters' bit
+        // counts, so every estimator tail agrees with them too.
+        let p = col.pair_ones(0, 1);
+        assert_eq!(p.and_ones, fx.bits().and_count(fy.bits()));
+        assert_eq!((p.a_ones, p.b_ones), (fx.count_ones(), fy.count_ones()));
         // or_ones via inclusion–exclusion equals the direct OR pass.
-        assert_eq!(col.pair_ones(0, 1).or_ones, col.or_ones(0, 1));
+        assert_eq!(p.or_ones, col.or_ones(0, 1));
     }
 
     #[test]
@@ -1101,12 +1089,13 @@ mod tests {
             col.estimate_and(0, 1),
             estimators::bf_intersect_and(col.and_ones(0, 1), col.bits_per_set(), 2)
         );
+        let at = col.stratum(0);
         assert_eq!(
-            col.estimate_or(0, 1, x.len(), y.len()),
+            (x.len() + y.len()) as f64 - at.swamidass(col.or_ones(0, 1)),
             estimators::bf_intersect_or(col.or_ones(0, 1), col.bits_per_set(), 2, x.len(), y.len())
         );
         // Saturation entry (ones == B) stays finite.
-        assert!(col.swami.as_ref().unwrap().table[col.bits_per_set()].is_finite());
+        assert!(at.swamidass(col.bits_per_set()).is_finite());
     }
 
     #[test]
@@ -1215,9 +1204,13 @@ mod tests {
                     both_narrow.estimate_and(0, 1),
                     "pair ({i},{j})"
                 );
+                // Equal pair statistics and equal curves give equal Limit
+                // and OR estimates too.
+                let (p, s) = strat.pair_stats(i, j);
+                assert_eq!(p, both_narrow.pair_ones(0, 1), "pair ({i},{j})");
                 assert_eq!(
-                    strat.estimate_or(i, j, sets[i].len(), sets[j].len()),
-                    both_narrow.estimate_or(0, 1, sets[i].len(), sets[j].len()),
+                    strat.stratum(s).swamidass(p.or_ones),
+                    both_narrow.stratum(0).swamidass(p.or_ones),
                     "pair ({i},{j})"
                 );
             }

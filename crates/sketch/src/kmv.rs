@@ -176,9 +176,8 @@ impl<'a> KmvSketchIn<'a> {
     ///
     /// Lossless sketches give the exact count. Otherwise the Eq. (5)
     /// transform of [`KmvSketch::estimate_jaccard`] is used: its error
-    /// scales with `|X∩Y|` itself, whereas the paper's inclusion–exclusion
-    /// form (kept as [`KmvSketch::estimate_intersection_ie`]) has error
-    /// scaling with `|X∪Y|` — ruinous when the intersection is a small
+    /// scales with `|X∩Y|` itself, whereas the paper's Eq. (41)
+    /// inclusion–exclusion form has error scaling with `|X∪Y|` — ruinous when the intersection is a small
     /// fraction of the union, which is the common case for per-edge
     /// neighborhood intersections.
     pub fn estimate_intersection(&self, other: &KmvSketchIn<'_>) -> f64 {
@@ -234,14 +233,6 @@ impl<'a> KmvSketchIn<'a> {
             estimators::jaccard_to_intersection(j, self.set_size, other.set_size).max(0.0)
         };
         (finish(p0, seen0, o0), finish(p1, seen1, o1))
-    }
-
-    /// The paper's Eq. (41) inclusion–exclusion estimator
-    /// `|X| + |Y| − |X∪Y|̂_KMV`, clamped below at 0 — kept for the §IX
-    /// comparison experiments.
-    pub fn estimate_intersection_ie(&self, other: &KmvSketchIn<'_>) -> f64 {
-        let u = self.estimate_union_size(other);
-        estimators::kmv_intersection(self.set_size, other.set_size, u).max(0.0)
     }
 
     /// Absorbs pre-hashed values into the sketch in place; `items` is how

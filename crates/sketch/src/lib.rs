@@ -67,8 +67,8 @@ pub mod minhash;
 
 pub use bitvec::{and_or_ones_words, BitVec, PairOnes};
 pub use bloom::{
-    fold_words_into, BloomCollection, BloomCollectionIn, BloomFilter, BloomFoldCache,
-    MAX_BLOOM_HASHES,
+    fold_words_into, BloomCollection, BloomCollectionIn, BloomFilter, BloomFlatView,
+    BloomFoldCache, BloomStratum, MAX_BLOOM_HASHES,
 };
 pub use bottomk::{BottomK, BottomKCollection, BottomKCollectionIn};
 pub use budget::{

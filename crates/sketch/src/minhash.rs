@@ -378,22 +378,6 @@ impl<'a> MinHashCollectionIn<'a> {
         c
     }
 
-    /// Multi-lane `|M_X ∩ M_Y|`: the pinned signature `row` against `L`
-    /// destination signatures — `out[l] == matches_with_row(row, js[l])`
-    /// exactly. Each lane is its own contiguous compare/count pass (the
-    /// `u32` equality loop auto-vectorizes to full-width `vpcmpeqd` per
-    /// destination; element-interleaving the lanes would defeat exactly
-    /// that), so the batching win is the source signature staying pinned
-    /// in L1 across the `L` vectorized passes.
-    #[inline]
-    pub fn matches_multi<const L: usize>(&self, row: &[u32], js: [usize; L]) -> [usize; L] {
-        let mut c = [0usize; L];
-        for l in 0..L {
-            c[l] = self.matches_with_row(row, js[l]);
-        }
-        c
-    }
-
     /// Two-lane `|M_X ∩ M_Y|`: the pinned signature `row` against two
     /// destination signatures in one sweep. On AVX-512 targets both
     /// destinations are compared against each 16-slot source vector load

@@ -8,13 +8,14 @@
 //! * batched `HashFamily::hashes_into`/`buckets_into` (premixed, unrolled)
 //!   vs per-function scalar hashing;
 //! * batched Bloom construction vs a scalar-hash reference build;
-//! * the memoized Swamidass estimators vs the closed forms, across random
-//!   sketches and budget-shaped parameters;
+//! * each Bloom strategy's tail (over the memoized Swamidass curve) vs
+//!   its closed form, across random sketches and budget-shaped parameters;
 //! * the branchless `merge_count` vs a hash-set reference.
 
 use pg_hash::HashFamily;
 use pg_sketch::bitvec::{and_count_words, and_or_ones_words, count_ones_words, or_count_words};
 use pg_sketch::{estimators, BloomCollection, BloomFilter};
+use probgraph::oracle::{BloomAnd, BloomLimit, BloomOr, BloomOracle, IntersectionOracle};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -114,27 +115,24 @@ proptest! {
     ) {
         let col = BloomCollection::build(2, bits, b, seed, |i| if i == 0 { &x } else { &y });
         let (bp, nx, ny) = (col.bits_per_set(), x.len(), y.len());
+        // Each strategy's tail, served through its oracle, equals its
+        // closed form.
+        let sizes = [nx as u32, ny as u32];
+        let and = BloomOracle::<BloomAnd>::new(&col, &sizes).estimate(0, 1);
+        prop_assert_eq!(and, estimators::bf_intersect_and(col.and_ones(0, 1), bp, b));
         prop_assert_eq!(
-            col.estimate_and(0, 1),
-            estimators::bf_intersect_and(col.and_ones(0, 1), bp, b)
-        );
-        prop_assert_eq!(
-            col.estimate_or(0, 1, nx, ny),
-            estimators::bf_intersect_or(col.or_ones(0, 1), bp, b, nx, ny)
-        );
-        prop_assert_eq!(
-            col.estimate_limit(0, 1),
+            BloomOracle::<BloomLimit>::new(&col, &sizes).estimate(0, 1),
             estimators::bf_intersect_limit(col.and_ones(0, 1), b)
         );
-        // Standalone fused filter estimators agree with the collection.
+        prop_assert_eq!(
+            BloomOracle::<BloomOr>::new(&col, &sizes).estimate(0, 1),
+            estimators::bf_intersect_or(col.or_ones(0, 1), bp, b, nx, ny)
+        );
+        prop_assert_eq!(col.estimate_and(0, 1), and);
+        // The standalone fused AND filter agrees with the collection.
         let fx = BloomFilter::from_set(&x, bp, b, seed);
         let fy = BloomFilter::from_set(&y, bp, b, seed);
         prop_assert_eq!(fx.estimate_intersection_and(&fy), col.estimate_and(0, 1));
-        prop_assert_eq!(fx.estimate_intersection_limit(&fy), col.estimate_limit(0, 1));
-        prop_assert_eq!(
-            fx.estimate_intersection_or(&fy, nx, ny),
-            col.estimate_or(0, 1, nx, ny)
-        );
     }
 
     #[test]
