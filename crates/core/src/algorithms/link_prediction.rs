@@ -90,7 +90,7 @@ fn rank_and_score(
 /// The single candidate-scoring kernel: Common-Neighbors scores of every
 /// candidate pair under any oracle, in parallel.
 ///
-/// [`candidate_pairs`] emits pairs grouped by source with ascending
+/// `candidate_pairs` emits pairs grouped by source with ascending
 /// destinations, so scoring delegates to the shared batched scorer
 /// ([`crate::algorithms::similarity::estimate_pairs_with`]), which routes
 /// sketch-backed oracles through the blocked source-batch ×

@@ -33,7 +33,9 @@ use pg_sketch::bitvec::{
 use pg_sketch::{
     estimators, BloomCollectionIn, BloomFlatView, BloomStratum, BottomKCollectionIn,
     HyperLogLogCollection, HyperLogLogCollectionIn, KmvCollectionIn, MinHashCollectionIn,
+    PositionTable,
 };
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::ops::Range;
 
@@ -62,9 +64,12 @@ pub fn jaccard_from_intersection(nx: f64, ny: f64, inter: f64) -> f64 {
 /// [`IntersectionOracle::jaccard_row`] call; the buffer grows to the
 /// widest row once and is then reused allocation-free. Implementations
 /// write through `&mut [f64]` ([`IntersectionOracle::estimate_row_into`])
-/// and *cannot* allocate; this wrapper is the only place the buffer may
+/// and cannot grow it; this wrapper is the only place the buffer may
 /// grow, and it debug-asserts the buffer is not reallocated when its
-/// capacity already suffices.
+/// capacity already suffices. The only other state a row keeps is the
+/// per-thread [`RowScratch`], which grows during a thread's first rows
+/// and is then reused: a warm sweep allocates nothing
+/// (`tests/row_alloc.rs` counts it for every store).
 #[inline]
 fn prepare_row_buf(out: &mut Vec<f64>, n: usize) {
     let cap = out.capacity();
@@ -81,6 +86,33 @@ fn prepare_row_buf(out: &mut Vec<f64>, n: usize) {
         "row buffer reallocated despite sufficient capacity — \
          reuse one scratch Vec per worker, do not rebuild it per vertex"
     );
+}
+
+/// Worker-local state that row sweeps keep between calls, one per thread
+/// (see the reuse contract at [`IntersectionOracle::estimate_row_into`]):
+/// it grows during a thread's first rows and is then reused without
+/// allocating.
+#[derive(Default)]
+struct RowScratch {
+    /// The 1-hash source sample's positions, pinned for one row at a time.
+    positions: PositionTable,
+    /// A stratified HLL row's source window folded to each narrower
+    /// stratum's precision, or empty while the row has not met that
+    /// stratum (a folded window holds at least 16 registers).
+    folded: Vec<Vec<u8>>,
+}
+
+thread_local! {
+    static ROW_SCRATCH: RefCell<RowScratch> = RefCell::new(RowScratch::default());
+}
+
+/// Runs `f` on this thread's [`RowScratch`]. A nested call, which no
+/// kernel makes, gets a fresh scratch rather than a borrow panic.
+fn with_row_scratch<R>(f: impl FnOnce(&mut RowScratch) -> R) -> R {
+    ROW_SCRATCH.with(|s| match s.try_borrow_mut() {
+        Ok(mut s) => f(&mut s),
+        Err(_) => f(&mut RowScratch::default()),
+    })
 }
 
 /// Worker-local scratch for
@@ -120,7 +152,13 @@ pub trait IntersectionOracle: Sync {
     /// with `out.len() == us.len()` guaranteed by the caller.
     ///
     /// This is the hook oracles override — it takes a plain slice, so an
-    /// implementation *cannot* allocate per row. Every real oracle pins
+    /// implementation cannot grow the buffer. The worker-local state an
+    /// oracle may keep between rows is per-thread scratch that grows
+    /// during the thread's first rows and is then reused without
+    /// allocating: the 1-hash position table (4 bytes per element id, up
+    /// to the largest id a pinned sample has held) and a stratified HLL
+    /// row's source window folded to each narrower stratum. A second
+    /// sweep over warm buffers allocates nothing. Every real oracle pins
     /// its source-side state (the Bloom word window and cached popcount,
     /// the MinHash signature, the bottom-k sample, the KMV sketch, the
     /// HLL register window, the exact adjacency row) once per call and
@@ -825,7 +863,7 @@ where
     }
 }
 
-/// Oracle over a [`BloomCollection`], specialized per estimator via the
+/// Oracle over a [`BloomCollectionIn`], specialized per estimator via the
 /// zero-sized [`BloomStrategy`] parameter.
 pub struct BloomOracle<'a, S: BloomStrategy> {
     col: &'a BloomCollectionIn<'a>,
@@ -1083,7 +1121,7 @@ impl<S: BloomStrategy> IntersectionOracle for BloomOracle<'_, S> {
 // MinHash (k-hash), bottom-k (1-hash), KMV, HyperLogLog
 // ---------------------------------------------------------------------------
 
-/// Oracle over a k-hash [`MinHashCollection`] (§IV-C): native Jaccard,
+/// Oracle over a k-hash [`MinHashCollectionIn`] (§IV-C): native Jaccard,
 /// Eq. (5) intersection with exact sizes.
 pub struct KHashOracle<'a> {
     col: &'a MinHashCollectionIn<'a>,
@@ -1113,7 +1151,7 @@ impl IntersectionOracle for KHashOracle<'_> {
 
     /// Multi-lane row sweep: the source signature and exact size are
     /// pinned once; destinations go two per fused compare sweep
-    /// ([`MinHashCollection::matches_with_row_x2`] — `vpcmpeqd` against
+    /// ([`MinHashCollectionIn::matches_with_row_x2`] — `vpcmpeqd` against
     /// both destinations per source vector load on AVX-512), scalar
     /// pinned matching on the odd tail. Cross-stratum pairs compare (and
     /// divide by) the shared slot prefix `min(k_i, k_j)` — the narrower
@@ -1190,7 +1228,7 @@ impl IntersectionOracle for KHashOracle<'_> {
     }
 }
 
-/// Oracle over a bottom-k [`BottomKCollection`] (§IV-D): union-restricted
+/// Oracle over a bottom-k [`BottomKCollectionIn`] (§IV-D): union-restricted
 /// match counting, lossless shortcut for small sets.
 pub struct OneHashOracle<'a> {
     col: &'a BottomKCollectionIn<'a>,
@@ -1216,37 +1254,17 @@ impl IntersectionOracle for OneHashOracle<'_> {
         self.col.estimate_intersection(u as usize, v as usize)
     }
 
-    /// Row sweep with the source sample, its precomputed hashes, and the
-    /// exact size pinned once per row; destinations are processed two per
-    /// step through the lockstep-interleaved branchless merge walk
-    /// (two comparison chains overlap instead of serializing), scalar on
-    /// the odd tail.
+    /// Row sweep through the position kernel
+    /// ([`BottomKCollectionIn::intersection_row_into`]): the source sample
+    /// is pinned once in this thread's [`PositionTable`], and each
+    /// destination then costs one independent table load per sample
+    /// element instead of a merge.
     #[inline]
     fn estimate_row_into(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
-        let i = v as usize;
-        let a = self.col.sample(i);
-        let ah = self.col.sample_hashes(i);
-        let ni = self.col.set_size(i);
-        let ka = self.col.cap_of(i);
-        let mut t = 0;
-        while t + 2 <= us.len() {
-            let (e0, e1) = self.col.estimate_intersection_with_row_x2(
-                a,
-                ah,
-                ni,
-                ka,
-                us[t] as usize,
-                us[t + 1] as usize,
-            );
-            out[t] = e0;
-            out[t + 1] = e1;
-            t += 2;
-        }
-        if t < us.len() {
-            out[t] = self
-                .col
-                .estimate_intersection_with_row(a, ah, ni, ka, us[t] as usize);
-        }
+        with_row_scratch(|s| {
+            self.col
+                .intersection_row_into(v as usize, us, &mut s.positions, out)
+        });
     }
 
     #[inline]
@@ -1254,19 +1272,14 @@ impl IntersectionOracle for OneHashOracle<'_> {
         self.col.estimate_jaccard(u as usize, v as usize)
     }
 
-    /// Native row Jaccard with the source sample pinned.
+    /// Native row Jaccard: the same position kernel with the
+    /// `Ĵ = matches / seen` tail.
     #[inline]
     fn jaccard_row_into(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
-        let i = v as usize;
-        let a = self.col.sample(i);
-        let ah = self.col.sample_hashes(i);
-        let ni = self.col.set_size(i);
-        let ka = self.col.cap_of(i);
-        for (o, &u) in out.iter_mut().zip(us) {
-            *o = self
-                .col
-                .estimate_jaccard_with_row(a, ah, ni, ka, u as usize);
-        }
+        with_row_scratch(|s| {
+            self.col
+                .jaccard_row_into(v as usize, us, &mut s.positions, out)
+        });
     }
 
     #[inline]
@@ -1290,7 +1303,7 @@ impl IntersectionOracle for OneHashOracle<'_> {
     }
 }
 
-/// Oracle over a [`KmvCollection`] (§IX): the low-variance
+/// Oracle over a [`KmvCollectionIn`] (§IX): the low-variance
 /// union-membership estimator. Stores hash values, so it cannot answer
 /// explicit-member queries (4-clique counting rejects it).
 pub struct KmvOracle<'a> {
@@ -1426,8 +1439,9 @@ impl IntersectionOracle for HllOracle<'_> {
     /// On a stratified store, destinations are grouped into runs of equal
     /// stratum. The source window is folded down **once per narrower
     /// stratum** encountered ([`pg_sketch::fold_hll_registers_into`] —
-    /// exact), so same-width and narrower runs are multi-lane sweeps;
-    /// destinations in strata *wider* than the source fold one by one
+    /// exact), into per-thread scratch buffers, so same-width and
+    /// narrower runs are multi-lane sweeps; destinations in strata *wider*
+    /// than the source fold one by one, register group by register group,
     /// inside [`HyperLogLogCollection::union_estimate_with_row`] (scalar —
     /// wide strata hold only the top-degree sliver). Bit-identical to the
     /// pairwise [`IntersectionOracle::estimate`], whose cross-precision
@@ -1443,28 +1457,32 @@ impl IntersectionOracle for HllOracle<'_> {
         }
         let widths = col.geometry().widths();
         let p_i = col.precision_of(i) as u32;
-        let mut folded: Vec<Option<Vec<u8>>> = vec![None; widths.len()];
-        for (sj, run) in stratum_runs(us, |j| col.stratum_of(j)) {
-            let (us, out) = (&us[run.clone()], &mut out[run]);
-            let p_j = widths[sj].trailing_zeros();
-            if p_j > p_i {
-                let k = self.lanes(i, raw_row);
-                for (o, &u) in out.iter_mut().zip(us) {
-                    *o = k.finish(k.one(u as usize), u as usize);
+        with_row_scratch(|scratch| {
+            let folded = &mut scratch.folded;
+            folded.resize_with(widths.len(), Vec::new);
+            folded.iter_mut().for_each(Vec::clear);
+            for (sj, run) in stratum_runs(us, |j| col.stratum_of(j)) {
+                let (us, out) = (&us[run.clone()], &mut out[run]);
+                let p_j = widths[sj].trailing_zeros();
+                if p_j > p_i {
+                    let k = self.lanes(i, raw_row);
+                    for (o, &u) in out.iter_mut().zip(us) {
+                        *o = k.finish(k.one(u as usize), u as usize);
+                    }
+                    continue;
                 }
-                continue;
-            }
-            let row: &[u8] = if p_j < p_i {
-                folded[sj].get_or_insert_with(|| {
-                    let mut w = Vec::with_capacity(1usize << p_j);
-                    pg_sketch::fold_hll_registers_into(raw_row, p_i, p_j, &mut w);
+                let row: &[u8] = if p_j < p_i {
+                    let w = &mut folded[sj];
+                    if w.is_empty() {
+                        pg_sketch::fold_hll_registers_into(raw_row, p_i, p_j, w);
+                    }
                     w
-                })
-            } else {
-                raw_row
-            };
-            sweep_lanes(&self.lanes(i, row), us, out, 0);
-        }
+                } else {
+                    raw_row
+                };
+                sweep_lanes(&self.lanes(i, row), us, out, 0);
+            }
+        });
     }
 }
 

@@ -128,7 +128,7 @@ pub type Edge = (VertexId, VertexId);
 /// copy-on-write backing storage: an owned store ([`SketchStore`], the
 /// `'static` alias) carries its arrays in `Vec`s, while a borrowed one
 /// serves a validated snapshot buffer in place (the zero-copy load path,
-/// [`crate::snapshot::ProbGraphIn`] borrowing semantics).
+/// [`ProbGraphIn`] borrowing semantics).
 #[derive(Clone, Debug)]
 pub enum SketchStoreIn<'a> {
     /// Flat Bloom filters.

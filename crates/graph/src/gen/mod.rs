@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates on (a) real-world graphs from SNAP/KONECT/DIMACS/
 //! NetworkRepository/WebGraph (Table VIII) and (b) synthetic Kronecker
-//! graphs with power-law degree distributions (§VIII-A). With no network
-//! access in this environment, [`families`] synthesizes stand-ins matching
+//! graphs with power-law degree distributions (§VIII-A). Without network
+//! access to those datasets, [`instance`] synthesizes stand-ins matching
 //! the published (n, m) and density regime of each named real-world graph,
 //! while [`kronecker`] reproduces the synthetic inputs directly.
 //!

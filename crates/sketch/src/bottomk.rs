@@ -2,8 +2,8 @@
 //!
 //! One hash function `h`; the sketch keeps the `k` elements of the set with
 //! the smallest hashes. Never contains duplicates, and costs only one hash
-//! evaluation per element to build (`O(d_v)` work, Table V) — which is why
-//! the paper finds 1-hash faster to construct than k-hash.
+//! evaluation per element to build (Table V) — which is why the paper finds
+//! 1-hash faster to construct than k-hash.
 //!
 //! The paper's distributional claim — `|M¹_X ∩ M¹_Y|` follows
 //! `Hypergeometric(|X∪Y|, |X∩Y|, k)` (§IV-D, footnote 4) — holds for the
@@ -12,8 +12,32 @@
 //! such a draw lies in both samples iff it lies in `X ∩ Y`. We therefore
 //! count matches among the bottom-k of the union (the classic bottom-k
 //! estimator), which is what makes `Ĵ_1H = matches/k` unbiased and
-//! Prop. IV.3's exponential bound applicable. Samples are stored in hash
-//! order so this union-merge costs `O(k)` (Table IV).
+//! Prop. IV.3's exponential bound applicable. Samples are stored in
+//! ascending `(hash, element)` order.
+//!
+//! ## Costs
+//!
+//! * **Build**, `O(d + k log k)` per set of `d` elements: one hash per
+//!   element, packed as `hash << 32 | element` into worker scratch; an
+//!   `O(d)` selection (`select_nth_unstable`) sets the `k` smallest keys
+//!   apart, only those are sorted, and they are written straight into the
+//!   flat arrays. A collection build allocates per worker, not per set.
+//! * **Pairwise** estimates ([`BottomK`], and the collection's `matches`,
+//!   `estimate_intersection` and `estimate_jaccard`) keep the `O(k)`
+//!   union merge of Table IV, `union_matches`: a branchless walk over both
+//!   samples in key order.
+//! * **Rows** ([`BottomKCollectionIn::intersection_row_into`] and
+//!   [`BottomKCollectionIn::jaccard_row_into`]) pin the source sample `A`
+//!   once in a [`PositionTable`], `pos[x] = p + 1` for `A`'s `p`-th
+//!   element, and then cost one independent table load per destination
+//!   element instead of a merge whose every step waits on the one before.
+//!   Walking `B` in key order, its element `y` at index `q`, after `c`
+//!   earlier hits, is preceded by `pos[y] − 1 + q − c` union draws: `A`'s
+//!   smaller keys, `B`'s, less the common ones counted twice. A common
+//!   element is reached before either sample runs out, so `y` is a
+//!   union-restricted match iff `pos[y] + q − c ≤ cap`. The draws seen are
+//!   `min(cap, |A| + |B| − hits)`. Every row estimate equals the pairwise
+//!   merge's bit for bit.
 //!
 //! A collection may be **stratified**: its [`SetGeometry`] gives each
 //! set's sample cap `k` per stratum (the uniform layout is the
@@ -41,19 +65,31 @@ pub struct BottomK {
     set_size: usize,
 }
 
-/// Selects the `k` elements of `items` with the smallest `(hash, id)` keys,
-/// returned in ascending `(hash, id)` order.
-fn select_bottom_k(items: &[u32], k: usize, family: &HashFamily) -> (Vec<u32>, Vec<u32>) {
-    let mut keyed: Vec<(u32, u32)> = items
-        .iter()
-        .map(|&x| (family.hash32(0, x as u64), x))
-        .collect();
-    keyed.sort_unstable();
-    keyed.dedup(); // duplicate input items collapse
-    keyed.truncate(k);
-    let hashes: Vec<u32> = keyed.iter().map(|&(h, _)| h).collect();
-    let elems: Vec<u32> = keyed.into_iter().map(|(_, x)| x).collect();
-    (elems, hashes)
+/// `x`'s sort key: `hash << 32 | element`, whose `u64` order is the
+/// `(hash, element)` order samples are stored in.
+#[inline(always)]
+fn packed_key(family: &HashFamily, x: u32) -> u64 {
+    (family.hash32(0, x as u64) as u64) << 32 | x as u64
+}
+
+/// Reduces `keys` to its `k` smallest **distinct** values, ascending: an
+/// `O(len)` selection, then a sort of only the `k` selected keys. Repeated
+/// keys (a repeated input element) collapse exactly as a full sort, dedup
+/// and truncate would collapse them.
+fn select_bottom_k(keys: &mut Vec<u64>, k: usize) {
+    if keys.len() > k {
+        keys.select_nth_unstable(k);
+        keys[..k].sort_unstable();
+        if keys[..k].windows(2).all(|w| w[0] < w[1]) {
+            keys.truncate(k);
+            return;
+        }
+        // Some of the k smallest keys repeat, so distinct keys beyond
+        // them belong in the sample too.
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    keys.truncate(k);
 }
 
 /// Union-restricted match count: merges two hash-ordered samples, walks the
@@ -95,68 +131,127 @@ fn union_matches(a: &[u32], ah: &[u32], b: &[u32], bh: &[u32], k: usize) -> (usi
     (matches, taken)
 }
 
-/// Two-lane lockstep form of [`union_matches`] sharing one source sample:
-/// each loop iteration advances one branchless step of each still-active
-/// lane, so the two load→compare→increment dependency chains interleave
-/// and pipeline. Per lane the `(matches, taken)` result is exactly the
-/// scalar walk's.
-#[allow(clippy::too_many_arguments)]
-fn union_matches_x2(
-    a: &[u32],
-    ah: &[u32],
-    b0: &[u32],
-    bh0: &[u32],
-    b1: &[u32],
-    bh1: &[u32],
-    k0: usize,
-    k1: usize,
-) -> ((usize, usize), (usize, usize)) {
-    #[inline(always)]
-    fn key(h: &[u32], e: &[u32], t: usize) -> u64 {
-        (h[t] as u64) << 32 | e[t] as u64
-    }
-    let (mut i0, mut j0, mut m0, mut t0) = (0usize, 0usize, 0usize, 0usize);
-    let (mut i1, mut j1, mut m1, mut t1) = (0usize, 0usize, 0usize, 0usize);
-    loop {
-        while t0 < k0 && i0 < a.len() && j0 < b0.len() && t1 < k1 && i1 < a.len() && j1 < b1.len() {
-            let ka0 = key(ah, a, i0);
-            let kb0 = key(bh0, b0, j0);
-            let ka1 = key(ah, a, i1);
-            let kb1 = key(bh1, b1, j1);
-            m0 += usize::from(ka0 == kb0);
-            m1 += usize::from(ka1 == kb1);
-            i0 += usize::from(ka0 <= kb0);
-            i1 += usize::from(ka1 <= kb1);
-            j0 += usize::from(kb0 <= ka0);
-            j1 += usize::from(kb1 <= ka1);
-            t0 += 1;
-            t1 += 1;
-        }
-        let act0 = t0 < k0 && i0 < a.len() && j0 < b0.len();
-        let act1 = t1 < k1 && i1 < a.len() && j1 < b1.len();
-        if act0 {
-            let ka = key(ah, a, i0);
-            let kb = key(bh0, b0, j0);
-            m0 += usize::from(ka == kb);
-            i0 += usize::from(ka <= kb);
-            j0 += usize::from(kb <= ka);
-            t0 += 1;
-        } else if act1 {
-            let ka = key(ah, a, i1);
-            let kb = key(bh1, b1, j1);
-            m1 += usize::from(ka == kb);
-            i1 += usize::from(ka <= kb);
-            j1 += usize::from(kb <= ka);
-            t1 += 1;
+/// One pair's union walk, which every 1-hash estimator reads.
+#[derive(Clone, Copy)]
+struct PairWalk {
+    /// Common elements among the first `seen` union draws.
+    matches: usize,
+    /// Union draws taken: `min(cap, |A ∪ B|)` over the stored samples.
+    seen: usize,
+    /// The walk's cap: the narrower sample cap, or `usize::MAX` when both
+    /// sets are stored whole.
+    cap: usize,
+}
+
+impl PairWalk {
+    /// The walk's cap: unbounded when both sets are stored whole
+    /// (`n ≤ k` on both sides, so the exact answer is available), else
+    /// the narrower of the two sample caps.
+    #[inline]
+    fn cap(ni: usize, ki: usize, nj: usize, kj: usize) -> usize {
+        if ni <= ki && nj <= kj {
+            usize::MAX
         } else {
-            break;
+            ki.min(kj)
         }
     }
-    let rest0 = (a.len() - i0) + (b0.len() - j0);
-    t0 += rest0.min(k0 - t0);
-    let rest1 = (a.len() - i1) + (b1.len() - j1);
-    t1 += rest1.min(k1 - t1);
-    ((m0, t0), (m1, t1))
+
+    /// The pairwise merge over two stored samples.
+    #[inline]
+    fn merge(a: &[u32], ah: &[u32], b: &[u32], bh: &[u32], cap: usize) -> Self {
+        let (matches, seen) = union_matches(a, ah, b, bh, cap);
+        PairWalk { matches, seen, cap }
+    }
+
+    /// `|X∩Y|̂_1H` (Eq. 5 form), or the exact `|X∩Y|` when both sets are
+    /// stored whole.
+    #[inline]
+    fn intersection(self, nx: usize, ny: usize) -> f64 {
+        if self.cap == usize::MAX {
+            return self.matches as f64;
+        }
+        estimators::jaccard_to_intersection(estimators::mh_jaccard(self.matches, self.cap), nx, ny)
+    }
+
+    /// `Ĵ_1H = matches / seen` — the exact Jaccard when both sets are
+    /// stored whole (`seen` is then the whole union); 0 for an empty
+    /// union.
+    #[inline]
+    fn jaccard(self) -> f64 {
+        if self.seen == 0 {
+            0.0
+        } else {
+            estimators::mh_jaccard(self.matches, self.seen)
+        }
+    }
+}
+
+/// Worker-local element → sample-position table for the 1-hash row
+/// kernels (see the module docs): while a row runs, entry `x` holds
+/// `p + 1` when the pinned source sample's `p`-th element is `x`, and 0
+/// otherwise.
+///
+/// It grows to the largest element id a pinned sample holds, 4 bytes per
+/// id and no more, and is then reused without allocating. Ids beyond its
+/// end read as misses, so destination samples may hold any id (exchange
+/// sub-stores and serving lanes hold global ids above their set count).
+/// Every row clears the entries it set when it ends, also when it
+/// unwinds.
+#[derive(Debug, Default)]
+pub struct PositionTable {
+    pos: Vec<u32>,
+}
+
+impl PositionTable {
+    /// Pins `a`: the returned guard holds `a`'s positions until dropped.
+    fn pin<'t>(&'t mut self, a: &'t [u32]) -> PinnedSample<'t> {
+        let need = a.iter().max().map_or(0, |&m| m as usize + 1);
+        if need > self.pos.len() {
+            self.pos.reserve_exact(need - self.pos.len());
+            self.pos.resize(need, 0);
+        }
+        for (p, &x) in a.iter().enumerate() {
+            self.pos[x as usize] = p as u32 + 1;
+        }
+        PinnedSample {
+            pos: &mut self.pos,
+            a,
+        }
+    }
+}
+
+/// A source sample pinned in a [`PositionTable`]; clears its entries on
+/// drop.
+struct PinnedSample<'t> {
+    pos: &'t mut [u32],
+    a: &'t [u32],
+}
+
+impl Drop for PinnedSample<'_> {
+    fn drop(&mut self) {
+        for &x in self.a {
+            self.pos[x as usize] = 0;
+        }
+    }
+}
+
+impl PinnedSample<'_> {
+    /// The walk of the pinned sample against destination sample `b`,
+    /// capped at `cap` union draws; equal to [`PairWalk::merge`] on the
+    /// same samples.
+    #[inline]
+    fn walk(&self, b: &[u32], cap: usize) -> PairWalk {
+        let (mut hits, mut matches) = (0usize, 0usize);
+        for (q, &y) in b.iter().enumerate() {
+            let p = self.pos.get(y as usize).map_or(0, |&p| p as usize);
+            let hit = p != 0;
+            // q ≥ hits always, so this never underflows.
+            matches += usize::from(hit & (p + q - hits <= cap));
+            hits += usize::from(hit);
+        }
+        let seen = cap.min(self.a.len() + b.len() - hits);
+        PairWalk { matches, seen, cap }
+    }
 }
 
 impl BottomK {
@@ -165,10 +260,11 @@ impl BottomK {
     pub fn from_set(items: &[u32], k: usize, seed: u64) -> Self {
         assert!(k > 0, "bottom-k needs k ≥ 1");
         let family = HashFamily::new(1, seed);
-        let (elems, hashes) = select_bottom_k(items, k, &family);
+        let mut keys: Vec<u64> = items.iter().map(|&x| packed_key(&family, x)).collect();
+        select_bottom_k(&mut keys, k);
         BottomK {
-            elems,
-            hashes,
+            elems: keys.iter().map(|&key| key as u32).collect(),
+            hashes: keys.iter().map(|&key| (key >> 32) as u32).collect(),
             k,
             set_size: items.len(),
         }
@@ -213,39 +309,23 @@ impl BottomK {
         .0
     }
 
+    /// The union walk against `other`: uncapped when both are lossless,
+    /// else capped at this sketch's `k`.
+    fn walk(&self, other: &BottomK) -> PairWalk {
+        let cap = if self.is_exact() && other.is_exact() {
+            usize::MAX
+        } else {
+            self.k
+        };
+        PairWalk::merge(&self.elems, &self.hashes, &other.elems, &other.hashes, cap)
+    }
+
     /// `Ĵ_1H = matches / k'` where `k'` is the number of union draws
     /// actually seen (`k` in the sampling regime); when both sketches are
     /// lossless the whole sets are available and the exact Jaccard is
     /// returned instead.
     pub fn estimate_jaccard(&self, other: &BottomK) -> f64 {
-        if self.is_exact() && other.is_exact() {
-            // Uncapped merge over the full stored sets.
-            let cap = self.elems.len() + other.elems.len();
-            let (matches, _) = union_matches(
-                &self.elems,
-                &self.hashes,
-                &other.elems,
-                &other.hashes,
-                cap.max(1),
-            );
-            let union = cap - matches;
-            return if union == 0 {
-                0.0
-            } else {
-                matches as f64 / union as f64
-            };
-        }
-        let (matches, seen) = union_matches(
-            &self.elems,
-            &self.hashes,
-            &other.elems,
-            &other.hashes,
-            self.k,
-        );
-        if seen == 0 {
-            return 0.0;
-        }
-        estimators::mh_jaccard(matches, seen)
+        self.walk(other).jaccard()
     }
 
     /// `|X∩Y|̂_1H` (Eq. 5 form).
@@ -254,23 +334,7 @@ impl BottomK {
     /// sets are stored, so the exact `|X∩Y|` (uncapped merge) is returned
     /// directly.
     pub fn estimate_intersection(&self, other: &BottomK) -> f64 {
-        if self.is_exact() && other.is_exact() {
-            let cap = (self.elems.len() + other.elems.len()).max(1);
-            return union_matches(&self.elems, &self.hashes, &other.elems, &other.hashes, cap).0
-                as f64;
-        }
-        let (matches, _) = union_matches(
-            &self.elems,
-            &self.hashes,
-            &other.elems,
-            &other.hashes,
-            self.k,
-        );
-        estimators::jaccard_to_intersection(
-            estimators::mh_jaccard(matches, self.k),
-            self.set_size,
-            other.set_size,
-        )
+        self.walk(other).intersection(self.set_size, other.set_size)
     }
 }
 
@@ -336,34 +400,83 @@ impl<'a> BottomKCollectionIn<'a> {
         F: Fn(usize) -> &'s [u32] + Sync,
     {
         let family = HashFamily::new(1, seed);
-        // Two-phase: compute every sketch into its own Vec in parallel,
-        // then concatenate (keeps offsets exact without atomics).
-        let per_set: Vec<(Vec<u32>, Vec<u32>)> = {
-            let (family, geom, set) = (&family, &geom, &set);
-            pg_parallel::parallel_init(geom.len(), move |s| {
-                select_bottom_k(set(s), geom.width_of(s), family)
-            })
-        };
-        let mut offsets = Vec::with_capacity(geom.len() + 1);
+        let n = geom.len();
+        let mut set_sizes = vec![0u32; n];
+        pg_parallel::parallel_fill_with(&mut set_sizes, |s| set(s).len() as u32);
+        // Each sample gets room for min(cap, |set|) entries, which it fills
+        // unless the set repeats an element.
+        let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         let mut total = 0usize;
-        for (v, _) in &per_set {
-            total += v.len();
+        for (s, &size) in set_sizes.iter().enumerate() {
+            total += geom.width_of(s).min(size as usize);
             assert!(
                 total <= u32::MAX as usize,
                 "sketch storage exceeds u32 offsets"
             );
             offsets.push(total as u32);
         }
-        let mut elems = Vec::with_capacity(total);
-        let mut hashes = Vec::with_capacity(total);
-        for (v, h) in &per_set {
-            elems.extend_from_slice(v);
-            hashes.extend_from_slice(h);
+        let mut elems = vec![0u32; total];
+        let mut hashes = vec![0u32; total];
+        let mut lens = vec![0u32; n];
+        {
+            struct SendPtr(*mut u32);
+            // SAFETY: the one field is a pointer into an array the parallel
+            // region below only touches through disjoint per-set windows.
+            unsafe impl Send for SendPtr {}
+            unsafe impl Sync for SendPtr {}
+            let (elems_base, hashes_base) =
+                (SendPtr(elems.as_mut_ptr()), SendPtr(hashes.as_mut_ptr()));
+            let lens_base = SendPtr(lens.as_mut_ptr());
+            let (elems_base, hashes_base, lens_base) = (&elems_base, &hashes_base, &lens_base);
+            let (family, geom, set, offsets) = (&family, &geom, &set, &offsets);
+            pg_parallel::parallel_for_scratch(
+                n,
+                pg_parallel::auto_grain(n),
+                Vec::new,
+                |keys, s| {
+                    keys.clear();
+                    keys.extend(set(s).iter().map(|&x| packed_key(family, x)));
+                    select_bottom_k(keys, geom.width_of(s));
+                    let (start, end) = (offsets[s] as usize, offsets[s + 1] as usize);
+                    // The window was sized from an earlier call of `set(s)`.
+                    assert!(keys.len() <= end - start, "set {s} changed while building");
+                    // SAFETY: window `start..end` is exclusive to set s and
+                    // holds `keys` (asserted above).
+                    let (e, h) = unsafe {
+                        (
+                            std::slice::from_raw_parts_mut(elems_base.0.add(start), keys.len()),
+                            std::slice::from_raw_parts_mut(hashes_base.0.add(start), keys.len()),
+                        )
+                    };
+                    for ((e, h), &key) in e.iter_mut().zip(h.iter_mut()).zip(keys.iter()) {
+                        *e = key as u32;
+                        *h = (key >> 32) as u32;
+                    }
+                    // SAFETY: slot s is exclusive to set s.
+                    unsafe { *lens_base.0.add(s) = keys.len() as u32 };
+                },
+            );
         }
-        let mut set_sizes = vec![0u32; geom.len()];
-        pg_parallel::parallel_fill_with(&mut set_sizes, |s| set(s).len() as u32);
-        let lens: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        if lens
+            .iter()
+            .zip(offsets.windows(2))
+            .any(|(&l, w)| l != w[1] - w[0])
+        {
+            // A repeated element left some sample short: close the gaps.
+            let mut dst = 0usize;
+            for (s, &len) in lens.iter().enumerate() {
+                let src = offsets[s] as usize;
+                elems.copy_within(src..src + len as usize, dst);
+                hashes.copy_within(src..src + len as usize, dst);
+                offsets[s] = dst as u32;
+                dst += len as usize;
+            }
+            offsets[n] = dst as u32;
+            elems.truncate(dst);
+            hashes.truncate(dst);
+            total = dst;
+        }
         let strided = total == geom.total();
         BottomKCollectionIn {
             elems: Cow::Owned(elems),
@@ -613,7 +726,7 @@ impl<'a> BottomKCollectionIn<'a> {
             .collect();
         heap.reverse();
         for &x in xs {
-            let key = (self.family.hash32(0, x as u64) as u64) << 32 | x as u64;
+            let key = packed_key(&self.family, x);
             if heap.len() < k {
                 heap.push(key);
                 let last = heap.len() - 1;
@@ -701,129 +814,83 @@ impl<'a> BottomKCollectionIn<'a> {
         .0
     }
 
-    /// `|X∩Y|̂_1H` between sets `i` and `j`; see
-    /// [`BottomK::estimate_intersection`] for the lossless shortcut.
+    /// The union walk between sets `i` and `j` (the pairwise merge).
     #[inline]
-    pub fn estimate_intersection(&self, i: usize, j: usize) -> f64 {
-        self.estimate_intersection_with_row(
+    fn walk(&self, i: usize, j: usize) -> PairWalk {
+        let (ni, nj) = (self.set_size(i), self.set_size(j));
+        PairWalk::merge(
             self.sample(i),
             self.sample_hashes(i),
-            self.set_size(i),
-            self.cap_of(i),
-            j,
+            self.sample(j),
+            self.sample_hashes(j),
+            PairWalk::cap(ni, self.cap_of(i), nj, self.cap_of(j)),
         )
     }
 
-    /// `|X∩Y|̂_1H` with the source sample, hashes, exact size, and sample
-    /// cap already pinned (the row-batch fast path: hoist them once per
-    /// row sweep instead of re-slicing the flat arrays per pair).
-    /// Identical to [`BottomKCollection::estimate_intersection`] when the
-    /// pinned parts belong to set `i`. Cross-stratum pairs walk
-    /// `min(ka, k_j)` union draws — exactly both samples truncated to the
-    /// narrower cap.
-    pub fn estimate_intersection_with_row(
-        &self,
-        a: &[u32],
-        ah: &[u32],
-        ni: usize,
-        ka: usize,
-        j: usize,
-    ) -> f64 {
-        let b = self.sample(j);
-        let bh = self.sample_hashes(j);
-        let nj = self.set_size(j);
-        if ni <= ka && nj <= self.cap_of(j) {
-            // Lossless: full sets stored — exact uncapped merge.
-            let cap = (a.len() + b.len()).max(1);
-            return union_matches(a, ah, b, bh, cap).0 as f64;
-        }
-        let cap = ka.min(self.cap_of(j));
-        let (matches, _) = union_matches(a, ah, b, bh, cap);
-        estimators::jaccard_to_intersection(estimators::mh_jaccard(matches, cap), ni, nj)
+    /// `|X∩Y|̂_1H` between sets `i` and `j`; see
+    /// [`BottomK::estimate_intersection`] for the lossless shortcut.
+    /// Cross-stratum pairs walk `min(k_i, k_j)` union draws — exactly both
+    /// samples truncated to the narrower cap.
+    #[inline]
+    pub fn estimate_intersection(&self, i: usize, j: usize) -> f64 {
+        self.walk(i, j)
+            .intersection(self.set_size(i), self.set_size(j))
     }
 
     /// `Ĵ_1H` between sets `i` and `j`.
     #[inline]
     pub fn estimate_jaccard(&self, i: usize, j: usize) -> f64 {
-        self.estimate_jaccard_with_row(
-            self.sample(i),
-            self.sample_hashes(i),
-            self.set_size(i),
-            self.cap_of(i),
-            j,
-        )
+        self.walk(i, j).jaccard()
     }
 
-    /// Two-lane batched `|X∩Y|̂_1H` with the source sample pinned:
-    /// estimates against **two** destination sets at once through the
-    /// lockstep-interleaved merge walk ([`union_matches_x2`]); any lane
-    /// touching the lossless shortcut falls back to the scalar path.
-    /// Each lane is bit-identical to
-    /// [`BottomKCollection::estimate_intersection`].
-    pub fn estimate_intersection_with_row_x2(
+    /// Row sweep: `out[t] = estimate_intersection(i, js[t])`, bit for bit,
+    /// with set `i`'s sample pinned once in `table` (see the module docs).
+    /// `table` is worker-local scratch; after its first rows it is reused
+    /// without allocating.
+    pub fn intersection_row_into(
         &self,
-        a: &[u32],
-        ah: &[u32],
-        ni: usize,
-        ka: usize,
-        j0: usize,
-        j1: usize,
-    ) -> (f64, f64) {
-        let (nj0, nj1) = (self.set_size(j0), self.set_size(j1));
-        let lossless0 = ni <= ka && nj0 <= self.cap_of(j0);
-        let lossless1 = ni <= ka && nj1 <= self.cap_of(j1);
-        if lossless0 || lossless1 {
-            return (
-                self.estimate_intersection_with_row(a, ah, ni, ka, j0),
-                self.estimate_intersection_with_row(a, ah, ni, ka, j1),
-            );
-        }
-        let cap0 = ka.min(self.cap_of(j0));
-        let cap1 = ka.min(self.cap_of(j1));
-        let ((m0, _), (m1, _)) = union_matches_x2(
-            a,
-            ah,
-            self.sample(j0),
-            self.sample_hashes(j0),
-            self.sample(j1),
-            self.sample_hashes(j1),
-            cap0,
-            cap1,
-        );
-        (
-            estimators::jaccard_to_intersection(estimators::mh_jaccard(m0, cap0), ni, nj0),
-            estimators::jaccard_to_intersection(estimators::mh_jaccard(m1, cap1), ni, nj1),
-        )
+        i: usize,
+        js: &[u32],
+        table: &mut PositionTable,
+        out: &mut [f64],
+    ) {
+        let ni = self.set_size(i);
+        self.row_walks(i, js, table, out, |w, j| {
+            w.intersection(ni, self.set_size(j))
+        });
     }
 
-    /// `Ĵ_1H` with the source sample pinned — the row-sweep twin of
-    /// [`BottomKCollection::estimate_jaccard`].
-    pub fn estimate_jaccard_with_row(
+    /// Row sweep: `out[t] = estimate_jaccard(i, js[t])`, bit for bit —
+    /// [`Self::intersection_row_into`] with the Jaccard tail.
+    pub fn jaccard_row_into(
         &self,
-        a: &[u32],
-        ah: &[u32],
-        ni: usize,
-        ka: usize,
-        j: usize,
-    ) -> f64 {
-        let b = self.sample(j);
-        let bh = self.sample_hashes(j);
-        let nj = self.set_size(j);
-        if ni <= ka && nj <= self.cap_of(j) {
-            let cap = a.len() + b.len();
-            let (matches, _) = union_matches(a, ah, b, bh, cap.max(1));
-            let union = cap - matches;
-            return if union == 0 {
-                0.0
-            } else {
-                matches as f64 / union as f64
-            };
+        i: usize,
+        js: &[u32],
+        table: &mut PositionTable,
+        out: &mut [f64],
+    ) {
+        self.row_walks(i, js, table, out, |w, _| w.jaccard());
+    }
+
+    /// The one row kernel: pins set `i`'s sample, walks every destination
+    /// sample against it, and writes `finish(walk, j)` for each.
+    #[inline]
+    fn row_walks(
+        &self,
+        i: usize,
+        js: &[u32],
+        table: &mut PositionTable,
+        out: &mut [f64],
+        finish: impl Fn(PairWalk, usize) -> f64,
+    ) {
+        debug_assert_eq!(js.len(), out.len());
+        let (ni, ki) = (self.set_size(i), self.cap_of(i));
+        let pinned = table.pin(self.sample(i));
+        for (o, &j) in out.iter_mut().zip(js) {
+            let j = j as usize;
+            let cap = PairWalk::cap(ni, ki, self.set_size(j), self.cap_of(j));
+            *o = finish(pinned.walk(self.sample(j), cap), j);
         }
-        let (matches, seen) = union_matches(a, ah, b, bh, ka.min(self.cap_of(j)));
-        if seen == 0 {
-            return 0.0;
-        }
-        estimators::mh_jaccard(matches, seen)
     }
 
     /// Bytes of sketch storage (elements + hashes + offsets + lengths +
@@ -951,20 +1018,20 @@ mod tests {
     }
 
     #[test]
-    fn two_lane_walk_matches_scalar_across_regimes() {
-        // Mix of lossless (≤ k) and sampled (> k) sets so both the
-        // interleaved fast path and the scalar fallback are exercised.
+    fn row_kernel_matches_pairwise_across_regimes() {
+        // Mix of lossless (≤ k) and sampled (> k) sets, so rows pair
+        // lossless×lossless, lossless×sampled and sampled×sampled.
         let sets: Vec<Vec<u32>> = (0..14)
             .map(|s| (0..3 + s * 11).map(|i| (i * 5 + s) as u32).collect())
             .collect();
         let col = BottomKCollection::build(sets.len(), 12, 3, |i| &sets[i][..]);
+        let mut table = PositionTable::default();
+        let mut row = [0.0; 2];
         for i in 0..sets.len() {
-            let (a, ah, ni) = (col.sample(i), col.sample_hashes(i), col.set_size(i));
             for j in 0..sets.len() - 1 {
-                let (e0, e1) =
-                    col.estimate_intersection_with_row_x2(a, ah, ni, col.cap_of(i), j, j + 1);
-                assert_eq!(e0, col.estimate_intersection(i, j), "i={i} j={j}");
-                assert_eq!(e1, col.estimate_intersection(i, j + 1), "i={i} j={j}");
+                col.intersection_row_into(i, &[j as u32, j as u32 + 1], &mut table, &mut row);
+                assert_eq!(row[0], col.estimate_intersection(i, j), "i={i} j={j}");
+                assert_eq!(row[1], col.estimate_intersection(i, j + 1), "i={i} j={j}");
             }
         }
     }
@@ -975,19 +1042,15 @@ mod tests {
             .map(|s| (0..5 + s * 9).map(|i| (i * 3 + s) as u32).collect())
             .collect();
         let col = BottomKCollection::build(sets.len(), 16, 7, |i| &sets[i][..]);
+        let js: Vec<u32> = (0..sets.len() as u32).collect();
+        let (mut table, mut inter, mut jacc) =
+            (PositionTable::default(), vec![0.0; 25], vec![0.0; 25]);
         for i in 0..sets.len() {
-            let (a, ah, ni) = (col.sample(i), col.sample_hashes(i), col.set_size(i));
+            col.intersection_row_into(i, &js, &mut table, &mut inter);
+            col.jaccard_row_into(i, &js, &mut table, &mut jacc);
             for j in 0..sets.len() {
-                assert_eq!(
-                    col.estimate_intersection_with_row(a, ah, ni, col.cap_of(i), j),
-                    col.estimate_intersection(i, j),
-                    "({i},{j})"
-                );
-                assert_eq!(
-                    col.estimate_jaccard_with_row(a, ah, ni, col.cap_of(i), j),
-                    col.estimate_jaccard(i, j),
-                    "({i},{j})"
-                );
+                assert_eq!(inter[j], col.estimate_intersection(i, j), "({i},{j})");
+                assert_eq!(jacc[j], col.estimate_jaccard(i, j), "({i},{j})");
             }
         }
     }
@@ -1065,6 +1128,7 @@ mod tests {
         let ks = [24, 12, 6];
         let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 3) as u8).collect();
         let strat = BottomKCollection::build_on(strata(&ks, &assign), 3, |i| &sets[i][..]);
+        let mut table = PositionTable::default();
         for i in 0..sets.len() {
             assert_eq!(strat.cap_of(i), ks[assign[i] as usize]);
             for j in 0..sets.len() {
@@ -1084,23 +1148,13 @@ mod tests {
                     );
                     assert_eq!(strat.matches(i, j), narrow.matches(i, j), "i={i} j={j}");
                 }
-                // Pinned-row and two-lane paths always agree with the
-                // indexed path on the stratified collection itself.
-                let (a, ah, ni, ka) = (
-                    strat.sample(i),
-                    strat.sample_hashes(i),
-                    strat.set_size(i),
-                    strat.cap_of(i),
-                );
-                assert_eq!(
-                    strat.estimate_intersection_with_row(a, ah, ni, ka, j),
-                    strat.estimate_intersection(i, j),
-                    "({i},{j})"
-                );
+                // Row sweeps always agree with the indexed path on the
+                // stratified collection itself.
                 let j1 = (j + 1) % sets.len();
-                let (e0, e1) = strat.estimate_intersection_with_row_x2(a, ah, ni, ka, j, j1);
-                assert_eq!(e0, strat.estimate_intersection(i, j), "x2 ({i},{j})");
-                assert_eq!(e1, strat.estimate_intersection(i, j1), "x2 ({i},{j1})");
+                let mut row = [0.0; 2];
+                strat.intersection_row_into(i, &[j as u32, j1 as u32], &mut table, &mut row);
+                assert_eq!(row[0], strat.estimate_intersection(i, j), "row ({i},{j})");
+                assert_eq!(row[1], strat.estimate_intersection(i, j1), "row ({i},{j1})");
             }
         }
     }
@@ -1150,6 +1204,215 @@ mod tests {
             assert_eq!(gathered.set_size(i), whole.set_size(i), "set {i}");
             assert_eq!(gathered.cap_of(i), whole.cap_of(i), "set {i}");
         }
+    }
+
+    /// The selection the build made before it selected: sort every key,
+    /// dedup, truncate — kept only as this module's reference.
+    fn full_sort_selection(items: &[u32], k: usize, family: &HashFamily) -> Vec<u64> {
+        let mut keys: Vec<u64> = items.iter().map(|&x| packed_key(family, x)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.truncate(k);
+        keys
+    }
+
+    /// Random sets over `0..universe`, some repeating elements, one of them
+    /// repeating an element among its own bottom-`k` keys.
+    fn random_sets(n: usize, universe: u64, k: usize, seed: u64) -> Vec<Vec<u32>> {
+        let family = HashFamily::new(1, seed);
+        let mut state = seed;
+        (0..n)
+            .map(|s| {
+                let len = (pg_hash::splitmix64(&mut state) % 60) as usize;
+                let mut v: Vec<u32> = (0..len)
+                    .map(|_| (pg_hash::splitmix64(&mut state) % universe) as u32)
+                    .collect();
+                if s % 3 == 0 && !v.is_empty() {
+                    // Repeat one of the set's k smallest keys, so the
+                    // selected keys hold a duplicate.
+                    let keys = full_sort_selection(&v, k, &family);
+                    let pick = keys[s % keys.len()] as u32;
+                    v.push(pick);
+                    v.push(pick);
+                }
+                v
+            })
+            .collect()
+    }
+
+    #[test]
+    fn selection_build_equals_full_sort_reference() {
+        for (seed, universe) in [(11u64, 50u64), (12, 400), (13, 1 << 20)] {
+            let sets = random_sets(90, universe, 8, seed);
+            let family = HashFamily::new(1, seed);
+            let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 3) as u8).collect();
+            for geom in [
+                SetGeometry::uniform(sets.len(), 8),
+                strata(&[16, 8, 3], &assign),
+            ] {
+                let col = BottomKCollection::build_on(geom, seed, |i| &sets[i][..]);
+                let mut total = 0;
+                for (i, set) in sets.iter().enumerate() {
+                    let want = full_sort_selection(set, col.cap_of(i), &family);
+                    let elems: Vec<u32> = want.iter().map(|&key| key as u32).collect();
+                    let hashes: Vec<u32> = want.iter().map(|&key| (key >> 32) as u32).collect();
+                    assert_eq!(col.sample(i), &elems[..], "seed {seed} set {i}");
+                    assert_eq!(col.sample_hashes(i), &hashes[..], "seed {seed} set {i}");
+                    assert_eq!(col.raw_offsets()[i] as usize, total, "tight packing");
+                    assert_eq!(col.set_size(i), set.len());
+                    total += elems.len();
+                    if col.cap_of(i) == 8 {
+                        assert_eq!(BottomK::from_set(set, 8, seed).elements(), &elems[..]);
+                    }
+                }
+                assert_eq!(col.raw_elems().len(), total);
+                assert_eq!(col.is_strided(), total == col.geometry().total());
+            }
+        }
+    }
+
+    /// The classic definition: the first `cap` distinct keys of the union,
+    /// counting those in both samples; `(matches, seen)`.
+    fn naive_union_walk(a: &[u64], b: &[u64], cap: usize) -> (usize, usize) {
+        let mut union: Vec<u64> = a.iter().chain(b).copied().collect();
+        union.sort_unstable();
+        union.dedup();
+        union.truncate(cap);
+        let both = union
+            .iter()
+            .filter(|x| a.contains(x) && b.contains(x))
+            .count();
+        (both, union.len())
+    }
+
+    #[test]
+    fn row_kernel_matches_merge_and_union_definition() {
+        // The build's hash cannot collide on two elements: murmur3 of a
+        // 32-bit key chains bijections of that key. So these samples carry
+        // a stand-in hash under which every element `e` collides with
+        // `e ^ 1`, and the `(hash, element)` tie-break runs on most pairs.
+        // Half the ids sit far above the set count, as in an exchange
+        // worker's row-range sub-store.
+        let fake_hash = |e: u32| pg_hash::splitmix64_at(e as u64 / 2) as u32;
+        let mut state = 7u64;
+        let pool: Vec<u32> = (0..24)
+            .map(|t| {
+                let e = (pg_hash::splitmix64(&mut state) % 64) as u32;
+                e + if t % 2 == 0 { 0 } else { 1_000_000 }
+            })
+            .flat_map(|e| [e, e ^ 1])
+            .collect();
+        let n = 40;
+        let assign: Vec<u8> = (0..n).map(|i| (i % 4) as u8).collect();
+        let geom = strata(&[2, 5, 9, 64], &assign);
+        let (mut elems, mut hashes, mut offsets, mut lens, mut sizes) =
+            (vec![], vec![], vec![0u32], vec![], vec![]);
+        for s in 0..n {
+            let mut keys: Vec<u64> = pool
+                .iter()
+                .filter(|_| s % 10 != 9 && !pg_hash::splitmix64(&mut state).is_multiple_of(3))
+                .map(|&e| (fake_hash(e) as u64) << 32 | e as u64)
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            sizes.push(keys.len() as u32);
+            keys.truncate(geom.width_of(s));
+            elems.extend(keys.iter().map(|&key| key as u32));
+            hashes.extend(keys.iter().map(|&key| (key >> 32) as u32));
+            lens.push(keys.len() as u32);
+            offsets.push(elems.len() as u32);
+        }
+        let col =
+            BottomKCollection::from_raw_parts(elems, hashes, offsets, lens, sizes, geom, 1, false);
+        let keys = |s: usize| -> Vec<u64> {
+            let (e, h) = (col.sample(s), col.sample_hashes(s));
+            e.iter()
+                .zip(h)
+                .map(|(&e, &h)| (h as u64) << 32 | e as u64)
+                .collect()
+        };
+        let mut table = PositionTable::default();
+        let (mut lossless, mut sampled, mut empty) = (0, 0, 0);
+        for i in 0..n {
+            let pinned = table.pin(col.sample(i));
+            for j in 0..n {
+                let cap = PairWalk::cap(
+                    col.set_size(i),
+                    col.cap_of(i),
+                    col.set_size(j),
+                    col.cap_of(j),
+                );
+                let row = pinned.walk(col.sample(j), cap);
+                let merge = col.walk(i, j);
+                let want = naive_union_walk(&keys(i), &keys(j), cap);
+                assert_eq!((row.matches, row.seen), want, "row ({i},{j}) cap {cap}");
+                assert_eq!(
+                    (merge.matches, merge.seen),
+                    want,
+                    "merge ({i},{j}) cap {cap}"
+                );
+                lossless += usize::from(cap == usize::MAX);
+                sampled += usize::from(cap < usize::MAX && want.1 == cap);
+                empty += usize::from(col.sample(i).is_empty() || col.sample(j).is_empty());
+            }
+        }
+        assert!(
+            lossless > 0 && sampled > 0 && empty > 0,
+            "{lossless} {sampled} {empty}"
+        );
+        // Row sweeps over the whole collection agree with the pairwise
+        // estimators bit for bit.
+        let js: Vec<u32> = (0..n as u32).collect();
+        let (mut inter, mut jacc) = (vec![0.0; n], vec![0.0; n]);
+        for i in 0..n {
+            col.intersection_row_into(i, &js, &mut table, &mut inter);
+            col.jaccard_row_into(i, &js, &mut table, &mut jacc);
+            for j in 0..n {
+                assert_eq!(inter[j], col.estimate_intersection(i, j), "({i},{j})");
+                assert_eq!(jacc[j], col.estimate_jaccard(i, j), "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn unwinding_row_leaves_no_positions_behind() {
+        let sets: Vec<Vec<u32>> = (0..6)
+            .map(|s| (0..20).map(|i| i * 7 + s).collect())
+            .collect();
+        let col = BottomKCollection::build(sets.len(), 5, 1, |i| &sets[i][..]);
+        let mut table = PositionTable::default();
+        let mut out = [0.0; 2];
+        let bad = sets.len() as u32; // no such destination: the row panics
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            col.intersection_row_into(0, &[1, bad], &mut table, &mut out)
+        }));
+        assert!(caught.is_err());
+        assert!(table.pos.iter().all(|&p| p == 0), "stale positions");
+        col.intersection_row_into(2, &[0, 1], &mut table, &mut out);
+        assert_eq!(
+            out,
+            [
+                col.estimate_intersection(2, 0),
+                col.estimate_intersection(2, 1)
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "changed while building")]
+    fn a_set_that_grows_between_calls_panics() {
+        // The build sizes each window from one call of `set` and fills it
+        // from another; a longer second answer must not write past it.
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let long: Vec<u32> = (0..10).collect();
+        pg_parallel::with_threads(1, || {
+            BottomKCollection::build(1, 8, 1, |_| {
+                match calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) {
+                    0 => &long[..2],
+                    _ => &long[..],
+                }
+            })
+        });
     }
 
     #[test]

@@ -62,7 +62,7 @@ const CW_PER_VIEW_WORD: usize = 64 / COUNTERS_PER_WORD;
 /// packed per-bucket counters plus the derived [`BloomCollection`] read
 /// view (see the module docs for the invariant tying them together).
 /// The packed counters are copy-on-write over `'a` (see
-/// [`BloomCollectionIn`]): borrowed collections serve a validated
+/// [`crate::BloomCollectionIn`]): borrowed collections serve a validated
 /// snapshot buffer in place, while the derived view — recomputed at load
 /// — is always owned bookkeeping.
 #[derive(Clone, Debug)]
@@ -151,7 +151,7 @@ fn derive_view_words(counters: &[u64], n_view_words: usize) -> Vec<u64> {
 impl<'a> CountingBloomCollectionIn<'a> {
     /// Builds filters for `n_sets` sets in parallel. `bits_per_set` is
     /// rounded up to a multiple of 64 (whole view words; counter words
-    /// pack [`COUNTERS_PER_WORD`] buckets each).
+    /// pack `COUNTERS_PER_WORD` buckets each).
     pub fn build<'s, F>(n_sets: usize, bits_per_set: usize, b: usize, seed: u64, set: F) -> Self
     where
         F: Fn(usize) -> &'s [u32] + Sync,
@@ -293,7 +293,7 @@ impl<'a> CountingBloomCollectionIn<'a> {
     }
 
     /// The per-set window layout, widths in view words (the counters use
-    /// [`CW_PER_VIEW_WORD`]× each window).
+    /// `CW_PER_VIEW_WORD`× each window).
     #[inline]
     pub fn geometry(&self) -> &SetGeometry<'static> {
         self.view.geometry()

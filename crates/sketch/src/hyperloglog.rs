@@ -122,23 +122,26 @@ pub fn fold_hll_registers_into(wide: &[u8], p_from: u32, p_to: u32, out: &mut Ve
         out.extend_from_slice(wide);
         return;
     }
-    let group = 1usize << q;
-    for j in 0..(1usize << p_to) {
-        let base = j << q;
-        let mut best = 0u8;
-        for (low, &r) in wide[base..base + group].iter().enumerate() {
-            if r == 0 {
-                continue;
-            }
-            let contrib = if low == 0 {
-                q as u8 + r
-            } else {
-                (q - low.ilog2()) as u8
-            };
-            best = best.max(contrib);
+    out.extend(wide.chunks_exact(1 << q).map(|group| fold_group(group, q)));
+}
+
+/// One narrow register of [`fold_hll_registers_into`]: the fold of its
+/// `2^q` wide registers `group`.
+#[inline]
+fn fold_group(group: &[u8], q: u32) -> u8 {
+    let mut best = 0u8;
+    for (low, &r) in group.iter().enumerate() {
+        if r == 0 {
+            continue;
         }
-        out.push(best);
+        let contrib = if low == 0 {
+            q as u8 + r
+        } else {
+            (q - low.ilog2()) as u8
+        };
+        best = best.max(contrib);
     }
+    best
 }
 
 /// A HyperLogLog cardinality sketch with `2^precision` registers.
@@ -456,20 +459,15 @@ impl<'a> HyperLogLogCollectionIn<'a> {
     /// `|X∪Y|̂` of sets `i` and `j`: one fused register-wise-max pass over
     /// the two windows accumulating the harmonic sum and zero count of the
     /// (never materialized) merged sketch. Cross-precision pairs fold the
-    /// wider window down first ([`fold_hll_registers_into`] — exact), so
-    /// the estimate equals both sketches built at the narrower precision.
+    /// wider window down as the pass goes ([`fold_hll_registers_into`] —
+    /// exact), so the estimate equals both sketches built at the narrower
+    /// precision.
     #[inline]
     pub fn estimate_union(&self, i: usize, j: usize) -> f64 {
         let (a, b) = (self.registers(i), self.registers(j));
         if a.len() > b.len() {
-            let mut folded = Vec::with_capacity(b.len());
-            fold_hll_registers_into(
-                a,
-                self.precision_of(i) as u32,
-                self.precision_of(j) as u32,
-                &mut folded,
-            );
-            return self.union_estimate_with_row(&folded, j);
+            // Register-wise max commutes: pin the narrower window.
+            return self.union_estimate_with_row(b, i);
         }
         self.union_estimate_with_row(a, j)
     }
@@ -481,13 +479,17 @@ impl<'a> HyperLogLogCollectionIn<'a> {
     pub fn union_estimate_with_row(&self, row: &[u8], j: usize) -> f64 {
         let b = self.registers(j);
         if b.len() > row.len() {
-            // Destination is in a wider stratum: fold it down to the
-            // row's precision (exact), then fuse at the narrow width.
+            // Destination is in a wider stratum: fold each group of its
+            // registers down to the row's precision as the pass reaches
+            // it (exact, and no buffer), fusing at the narrow width.
             let q = (b.len() / row.len()).trailing_zeros();
-            let p_dst = self.precision_of(j) as u32;
-            let mut folded = Vec::with_capacity(row.len());
-            fold_hll_registers_into(b, p_dst, p_dst - q, &mut folded);
-            return Self::union_rows(row, &folded);
+            let (mut sum, mut zeros) = (0.0f64, 0usize);
+            for (&a, group) in row.iter().zip(b.chunks_exact(1 << q)) {
+                let r = a.max(fold_group(group, q));
+                sum += pow_neg2(r);
+                zeros += usize::from(r == 0);
+            }
+            return estimate_from_stats(row.len(), sum, zeros);
         }
         debug_assert_eq!(b.len(), row.len(), "row wider than destination");
         Self::union_rows(row, b)

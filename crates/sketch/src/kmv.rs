@@ -200,7 +200,7 @@ impl<'a> KmvSketchIn<'a> {
     /// Two-lane batched `|X∩Y|̂_K`: estimates this sketch against **two**
     /// destination sketches at once. When both pairs are in the sampling
     /// regime the two union-membership merge walks advance in lockstep
-    /// ([`union_match_walk_x2`]) so their data-dependent branch chains
+    /// (`union_match_walk_x2`) so their data-dependent branch chains
     /// overlap instead of serializing; any lane touching the lossless
     /// shortcut falls back to the scalar path. Each lane's result is
     /// bit-identical to [`KmvSketch::estimate_intersection`].

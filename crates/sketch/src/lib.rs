@@ -70,7 +70,7 @@ pub use bloom::{
     fold_words_into, BloomCollection, BloomCollectionIn, BloomFilter, BloomFlatView,
     BloomFoldCache, BloomStratum, MAX_BLOOM_HASHES,
 };
-pub use bottomk::{BottomK, BottomKCollection, BottomKCollectionIn};
+pub use bottomk::{BottomK, BottomKCollection, BottomKCollectionIn, PositionTable};
 pub use budget::{
     BudgetPlan, PlanError, SketchParams, StrataSpec, StratifiedParams, StratifiedPlan, MAX_STRATA,
 };

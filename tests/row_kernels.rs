@@ -24,7 +24,10 @@ use probgraph::{
 use proptest::prelude::*;
 
 use pg_sketch::bitvec::{and_count_words, and_count_words_multi};
-use pg_sketch::{BloomCollection, HyperLogLogCollection, KmvCollection, MinHashCollection};
+use pg_sketch::{
+    BloomCollection, BottomKCollection, HyperLogLogCollection, KmvCollection, MinHashCollection,
+    PositionTable, SetGeometry,
+};
 
 fn test_sets(n: usize, seed: u64) -> Vec<Vec<u32>> {
     let mut state = seed ^ 0xA5A5_5A5A;
@@ -151,6 +154,44 @@ proptest! {
                 let (e0, e1) = s.estimate_intersection_x2(col.sketch(j), col.sketch(j + 1));
                 prop_assert_eq!(e0, s.estimate_intersection(col.sketch(j)));
                 prop_assert_eq!(e1, s.estimate_intersection(col.sketch(j + 1)));
+            }
+        }
+    }
+
+    /// The 1-hash position kernel equals the pairwise merge, for
+    /// intersection and for Jaccard, over lossless and sampled samples,
+    /// empty ones, unequal (stratified) caps, and element ids up to
+    /// `spread` times the universe, far above the set count.
+    #[test]
+    fn onehash_row_kernel_matches_pairwise_merge(
+        seed in 0u64..500,
+        k in 1usize..40,
+        spread in 1u32..4000,
+    ) {
+        let mut sets = test_sets(14, seed);
+        sets[3].clear();
+        for v in &mut sets {
+            v.iter_mut().for_each(|x| *x *= spread);
+        }
+        let assign: Vec<u8> = (0..sets.len()).map(|i| (i % 3) as u8).collect();
+        let geoms = [
+            SetGeometry::uniform(sets.len(), k),
+            SetGeometry::stratified(vec![4 * k, 2 * k, k], assign),
+        ];
+        let js: Vec<u32> = (0..sets.len() as u32).rev().collect();
+        let (mut inter, mut jacc) = (vec![0.0; js.len()], vec![0.0; js.len()]);
+        let mut table = PositionTable::default();
+        for geom in geoms {
+            let col = BottomKCollection::build_on(geom, seed, |i| &sets[i][..]);
+            for i in 0..sets.len() {
+                col.intersection_row_into(i, &js, &mut table, &mut inter);
+                col.jaccard_row_into(i, &js, &mut table, &mut jacc);
+                for (t, &j) in js.iter().enumerate() {
+                    let j = j as usize;
+                    let (e, ej) = (col.estimate_intersection(i, j), col.estimate_jaccard(i, j));
+                    prop_assert!(inter[t] == e, "({}, {}): {} vs {}", i, j, inter[t], e);
+                    prop_assert!(jacc[t] == ej, "({}, {}): {} vs {}", i, j, jacc[t], ej);
+                }
             }
         }
     }
@@ -628,5 +669,60 @@ fn forward_runs_partition_edge_list() {
             }
         }
         assert_eq!(rebuilt, edges);
+    }
+}
+
+/// An exchange worker's row-range sub-store holds global element ids
+/// above its own set count; its 1-hash rows still equal its pairwise
+/// estimates, uniform and stratified.
+#[test]
+fn onehash_sub_store_rows_match_pairwise() {
+    let g = pg_graph::gen::chung_lu(1200, 9000, 2.3, 5);
+    let dag = pg_graph::orient_by_degree(&g);
+    let cfg = PgConfig::new(Representation::OneHash, 0.5).with_seed(77);
+    for cfg in [
+        cfg.clone(),
+        cfg.with_strata(pg_sketch::StrataSpec::skewed_default()),
+    ] {
+        let full = ProbGraph::build_dag(&dag, g.memory_bytes(), &cfg);
+        let rows: Vec<u32> = (700..760).collect();
+        let sub = ProbGraph::build_rows_stratified(
+            rows.len(),
+            full.resolved_params()
+                .select(rows.iter().map(|&u| u as usize)),
+            full.bf_estimator(),
+            full.seed(),
+            |i| dag.neighbors_plus(rows[i]),
+        );
+        let ids_above = (0..rows.len()).any(|i| {
+            dag.neighbors_plus(rows[i])
+                .iter()
+                .any(|&x| x as usize >= rows.len())
+        });
+        assert!(ids_above, "the sub-store must hold ids above its set count");
+        struct RowCheck(usize);
+        impl OracleVisitor for RowCheck {
+            type Output = Result<(), String>;
+            fn visit<O: IntersectionOracle>(self, o: &O) -> Self::Output {
+                let us: Vec<u32> = (0..self.0 as u32).collect();
+                let mut row = Vec::new();
+                for v in 0..self.0 as u32 {
+                    o.estimate_row(v, &us, &mut row);
+                    for (t, &u) in us.iter().enumerate() {
+                        if row[t] != o.estimate(v, u) {
+                            return Err(format!("estimate_row v={v} u={u}"));
+                        }
+                    }
+                    o.jaccard_row(v, &us, &mut row);
+                    for (t, &u) in us.iter().enumerate() {
+                        if row[t] != o.jaccard(v, u) {
+                            return Err(format!("jaccard_row v={v} u={u}"));
+                        }
+                    }
+                }
+                Ok(())
+            }
+        }
+        sub.with_oracle(RowCheck(rows.len())).unwrap();
     }
 }
