@@ -93,95 +93,39 @@ pub fn jarvis_patrick_with<O: IntersectionOracle>(
         let base = SendPtr(selected.as_mut_ptr());
         let base = &base;
         let offsets = &offsets;
-        if let Some(plan) = crate::grain::plan_for(oracle, n) {
-            // Blocked traversal: per-edge similarities are bit-identical
-            // to the row sweep below (the tiled kernels reuse the same
-            // lane split), so the selection — exact booleans — cannot
-            // change; segments write disjoint ranges of `selected` at
-            // `offsets[u] + seg_row_start`.
-            let bk = if kind == SimilarityKind::Jaccard {
-                crate::grain::BlockKind::Jaccard
-            } else {
-                crate::grain::BlockKind::Estimate
-            };
-            crate::grain::tiled_block_sweep(
-                n,
-                n,
-                oracle,
-                &plan,
-                bk,
-                |u| g.forward_neighbors(u),
-                || (),
-                |(), u, lo, dests, vals| {
-                    // SAFETY: segments of source u stay inside u's
-                    // exclusive block offsets[u]..offsets[u+1] (forward
-                    // runs partition the edge list, and seg_row_start/len
-                    // address within u's forward run).
-                    let out = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            base.0.add(offsets[u as usize] + lo),
-                            vals.len(),
-                        )
-                    };
-                    match kind {
-                        SimilarityKind::CommonNeighbors => {
-                            for (s, &e) in out.iter_mut().zip(vals) {
-                                *s = e.max(0.0) > tau;
-                            }
-                        }
-                        SimilarityKind::Jaccard => {
-                            for (s, &j) in out.iter_mut().zip(vals) {
-                                *s = j > tau;
-                            }
-                        }
-                        SimilarityKind::Overlap => {
-                            let du = oracle.set_size(u);
-                            for ((s, &e), &v) in out.iter_mut().zip(vals).zip(dests) {
-                                let m = du.min(oracle.set_size(v));
-                                *s = crate::algorithms::similarity::overlap_from_estimate(e, m)
-                                    > tau;
-                            }
-                        }
-                    }
-                },
-                |(), ()| (),
-            );
-        } else {
-            let grain = weighted_grain(n, m as u64, max_fwd as u64);
-            parallel_for_scratch(n, grain, Vec::new, |row: &mut Vec<f64>, ui| {
-                let u = ui as VertexId;
-                let fwd = g.forward_neighbors(u);
-                if fwd.is_empty() {
-                    return;
-                }
-                // SAFETY: the block offsets[ui]..offsets[ui+1] is exclusive
-                // to source u (forward runs partition the edge list).
-                let out =
-                    unsafe { std::slice::from_raw_parts_mut(base.0.add(offsets[ui]), fwd.len()) };
-                match kind {
-                    SimilarityKind::CommonNeighbors => {
-                        oracle.estimate_row(u, fwd, row);
-                        for (s, &e) in out.iter_mut().zip(row.iter()) {
-                            *s = e.max(0.0) > tau;
-                        }
-                    }
-                    SimilarityKind::Jaccard => {
-                        oracle.jaccard_row(u, fwd, row);
-                        for (s, &j) in out.iter_mut().zip(row.iter()) {
-                            *s = j > tau;
-                        }
-                    }
-                    SimilarityKind::Overlap => {
-                        oracle.estimate_row(u, fwd, row);
-                        let du = oracle.set_size(u);
-                        for ((s, &e), &v) in out.iter_mut().zip(row.iter()).zip(fwd) {
-                            let m = du.min(oracle.set_size(v));
-                            *s = crate::algorithms::similarity::overlap_from_estimate(e, m) > tau;
-                        }
+        let grain = weighted_grain(n, m as u64, max_fwd as u64);
+        parallel_for_scratch(n, grain, Vec::new, |row: &mut Vec<f64>, ui| {
+            let u = ui as VertexId;
+            let fwd = g.forward_neighbors(u);
+            if fwd.is_empty() {
+                return;
+            }
+            // SAFETY: the block offsets[ui]..offsets[ui+1] is exclusive
+            // to source u (forward runs partition the edge list).
+            let out = unsafe { std::slice::from_raw_parts_mut(base.0.add(offsets[ui]), fwd.len()) };
+            match kind {
+                SimilarityKind::CommonNeighbors => {
+                    oracle.estimate_row(u, fwd, row);
+                    for (s, &e) in out.iter_mut().zip(row.iter()) {
+                        *s = e.max(0.0) > tau;
                     }
                 }
-            });
-        }
+                SimilarityKind::Jaccard => {
+                    oracle.jaccard_row(u, fwd, row);
+                    for (s, &j) in out.iter_mut().zip(row.iter()) {
+                        *s = j > tau;
+                    }
+                }
+                SimilarityKind::Overlap => {
+                    oracle.estimate_row(u, fwd, row);
+                    let du = oracle.set_size(u);
+                    for ((s, &e), &v) in out.iter_mut().zip(row.iter()).zip(fwd) {
+                        let m = du.min(oracle.set_size(v));
+                        *s = crate::algorithms::similarity::overlap_from_estimate(e, m) > tau;
+                    }
+                }
+            }
+        });
     }
     finish(n, g.edges(), selected)
 }

@@ -90,12 +90,10 @@ fn rank_and_score(
 /// The single candidate-scoring kernel: Common-Neighbors scores of every
 /// candidate pair under any oracle, in parallel.
 ///
-/// `candidate_pairs` emits pairs grouped by source with ascending
-/// destinations, so scoring delegates to the shared batched scorer
-/// ([`crate::algorithms::similarity::estimate_pairs_with`]), which routes
-/// sketch-backed oracles through the blocked source-batch ×
-/// destination-tile traversal when profitable — per-pair scores (and
-/// therefore the ranking) are bit-identical to the per-pair loop.
+/// Scoring delegates to the shared batched scorer
+/// ([`crate::algorithms::similarity::estimate_pairs_with`]), one pairwise
+/// estimate per candidate — per-pair scores (and therefore the ranking)
+/// are bit-identical to the per-pair loop.
 pub fn score_candidates_with<O: IntersectionOracle>(
     oracle: &O,
     candidates: &[(VertexId, VertexId)],

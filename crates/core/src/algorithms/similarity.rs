@@ -55,21 +55,13 @@ pub fn total_neighbors_with<O: IntersectionOracle>(o: &O, u: VertexId, v: Vertex
 
 /// Batched raw intersection estimates for a list of pairs — the bulk form
 /// every pair-list consumer (link prediction's candidate scoring, bulk
-/// similarity queries) shares.
-///
-/// When the pairs arrive grouped by source (lexicographically sorted, as
-/// candidate generators emit them) and the oracle's destinations tile
-/// ([`crate::grain::plan_for`]), the scores run through the blocked
-/// source-batch × destination-tile traversal; otherwise one
-/// [`IntersectionOracle::estimate`] per pair in parallel. Per-pair values
-/// are bit-identical either way (tiled-equivalence suite).
+/// similarity queries) shares: one [`IntersectionOracle::estimate`] per
+/// pair, in parallel, so each score is bit-identical to the pairwise
+/// estimate whatever order the pairs arrive in.
 pub fn estimate_pairs_with<O: IntersectionOracle>(
     o: &O,
     pairs: &[(VertexId, VertexId)],
 ) -> Vec<f64> {
-    if let Some(scores) = tiled_pair_estimates(o, pairs) {
-        return scores;
-    }
     parallel_init(pairs.len(), |i| {
         let (u, v) = pairs[i];
         o.estimate(u, v)
@@ -87,63 +79,6 @@ pub fn common_neighbors_scores_with<O: IntersectionOracle>(
         *s = s.max(0.0);
     }
     scores
-}
-
-/// The blocked path of [`estimate_pairs_with`]: regroups a sorted pair
-/// list into per-source destination rows (a prefix-sum over source ids)
-/// and sweeps them with [`crate::grain::tiled_block_sweep`]. `None` when
-/// the pairs aren't grouped or the planner prefers the plain path.
-fn tiled_pair_estimates<O: IntersectionOracle>(
-    o: &O,
-    pairs: &[(VertexId, VertexId)],
-) -> Option<Vec<f64>> {
-    if pairs.is_empty() {
-        return None;
-    }
-    // Grouped = lexicographically non-decreasing: sources ascending, each
-    // source's destinations ascending (binary-searchable segments).
-    if !pairs.windows(2).all(|w| w[0] <= w[1]) {
-        return None;
-    }
-    let n_ids = pairs.iter().map(|&(u, v)| u.max(v)).max()? as usize + 1;
-    let plan = crate::grain::plan_for(o, n_ids)?;
-    let mut offs = vec![0usize; n_ids + 1];
-    for &(u, _) in pairs {
-        offs[u as usize + 1] += 1;
-    }
-    for i in 0..n_ids {
-        offs[i + 1] += offs[i];
-    }
-    let dests: Vec<VertexId> = pairs.iter().map(|&(_, v)| v).collect();
-    let mut scores = vec![0.0f64; pairs.len()];
-    {
-        struct SendPtr(*mut f64);
-        unsafe impl Send for SendPtr {}
-        unsafe impl Sync for SendPtr {}
-        let base = SendPtr(scores.as_mut_ptr());
-        let base = &base;
-        let offs = &offs;
-        let dests: &[VertexId] = &dests;
-        crate::grain::tiled_block_sweep(
-            n_ids,
-            n_ids,
-            o,
-            &plan,
-            crate::grain::BlockKind::Estimate,
-            |u| &dests[offs[u as usize]..offs[u as usize + 1]],
-            || (),
-            |(), u, lo, _seg_dests, vals| {
-                // SAFETY: each (source, tile) segment owns the disjoint
-                // range offs[u]+lo .. +vals.len() of the scores vector.
-                let out = unsafe {
-                    std::slice::from_raw_parts_mut(base.0.add(offs[u as usize] + lo), vals.len())
-                };
-                out.copy_from_slice(vals);
-            },
-            |(), ()| (),
-        );
-    }
-    Some(scores)
 }
 
 /// Exact common-neighbor count `S_C(u, v) = |N_u ∩ N_v|`.
@@ -338,25 +273,12 @@ mod tests {
                 estimate_pairs_with(o, self.0)
             }
         }
-        // A huge budget forces the plain per-pair path, a tiny one the
-        // blocked traversal; both must be bit-identical to pairwise.
-        for budget in [usize::MAX, 512] {
-            let scores = pg_parallel::with_tile_bytes(budget, || pg.with_oracle(V(&pairs)));
-            assert_eq!(scores, per_pair, "tile budget {budget}");
-        }
-        // Ungrouped pairs take the per-pair fallback and still match.
-        let mut shuffled = pairs.clone();
-        shuffled.reverse();
+        assert_eq!(pg.with_oracle(V(&pairs)), per_pair);
+        // Pairs out of source order score the same.
+        let mut reversed = pairs.clone();
+        reversed.reverse();
         let rev: Vec<f64> = per_pair.iter().rev().copied().collect();
-        struct W<'a>(&'a [(VertexId, VertexId)]);
-        impl OracleVisitor for W<'_> {
-            type Output = Vec<f64>;
-            fn visit<O: IntersectionOracle>(self, o: &O) -> Vec<f64> {
-                estimate_pairs_with(o, self.0)
-            }
-        }
-        let scores = pg_parallel::with_tile_bytes(512, || pg.with_oracle(W(&shuffled)));
-        assert_eq!(scores, rev);
+        assert_eq!(pg.with_oracle(V(&reversed)), rev);
     }
 
     #[test]

@@ -49,30 +49,6 @@ pub fn reduced_execution_tc_with<O: IntersectionOracle>(
 ) -> f64 {
     assert!(rho > 0.0 && rho <= 1.0, "rho={rho} outside (0,1]");
     let n = dag.num_vertices();
-    if let Some(plan) = crate::grain::plan_for(oracle, n) {
-        // Blocked traversal over the surviving sources: non-survivors
-        // contribute empty rows, so the coin stays the single source of
-        // sampling truth and per-edge estimates are bit-identical to the
-        // row sweep below.
-        let total = crate::grain::tiled_block_sweep(
-            n,
-            n,
-            oracle,
-            &plan,
-            crate::grain::BlockKind::Estimate,
-            |v| {
-                if coin(seed, v as u64, rho) {
-                    dag.neighbors_plus(v)
-                } else {
-                    &[]
-                }
-            },
-            || 0f64,
-            |acc, _v, _lo, _dests, vals| acc + vals.iter().fold(0.0f64, |s, &e| s + e.max(0.0)),
-            |a, b| a + b,
-        );
-        return total / rho;
-    }
     let total = map_reduce_scratch(
         n,
         pg_parallel::auto_grain(n),
@@ -163,35 +139,21 @@ pub fn partial_processing_tc_with<O: IntersectionOracle>(
 ) -> f64 {
     assert!(rho > 0.0 && rho <= 1.0, "rho={rho} outside (0,1]");
     let n = sampled.len();
-    let total = if let Some(plan) = crate::grain::plan_for(oracle, n) {
-        crate::grain::tiled_block_sweep(
-            n,
-            n,
-            oracle,
-            &plan,
-            crate::grain::BlockKind::Estimate,
-            |v| &sampled[v as usize][..],
-            || 0f64,
-            |acc, _v, _lo, _dests, vals| acc + vals.iter().fold(0.0f64, |s, &e| s + e.max(0.0)),
-            |a, b| a + b,
-        )
-    } else {
-        map_reduce_scratch(
-            n,
-            pg_parallel::auto_grain(n),
-            || 0f64,
-            Vec::new,
-            |row, acc, v| {
-                let nv = &sampled[v];
-                if nv.is_empty() {
-                    return acc;
-                }
-                oracle.estimate_row(v as VertexId, nv, row);
-                acc + row.iter().fold(0.0f64, |s, &e| s + e.max(0.0))
-            },
-            |a, b| a + b,
-        )
-    };
+    let total = map_reduce_scratch(
+        n,
+        pg_parallel::auto_grain(n),
+        || 0f64,
+        Vec::new,
+        |row, acc, v| {
+            let nv = &sampled[v];
+            if nv.is_empty() {
+                return acc;
+            }
+            oracle.estimate_row(v as VertexId, nv, row);
+            acc + row.iter().fold(0.0f64, |s, &e| s + e.max(0.0))
+        },
+        |a, b| a + b,
+    );
     total / (rho * rho * rho)
 }
 

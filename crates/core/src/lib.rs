@@ -76,7 +76,7 @@ pub use accuracy::{relative_count, relative_error};
 pub use exchange::{
     run_exchange, single_process_partials, ExchangeError, ExchangeOptions, ExchangeReport, Fault,
 };
-pub use grain::{plan_for, plan_tiles, tiled_block_sweep, BlockKind, TilePlan};
+pub use grain::{plan_for, TilePlan};
 pub use oracle::{
     ExactOracle, IntersectionOracle, MutableOracle, OracleVisitor, UnsupportedOperation,
 };

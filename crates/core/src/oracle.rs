@@ -17,8 +17,8 @@
 //! free.
 //!
 //! Row sweeps pin the source once and batch destinations. Every
-//! multi-lane sweep (Bloom uniform rows, tile segments and the three
-//! stratified run kinds, HLL uniform and stratified rows) runs through
+//! multi-lane sweep (Bloom uniform rows and the three stratified run
+//! kinds, HLL uniform and stratified rows) runs through
 //! one private driver, `sweep_lanes`, which holds the 4 → 2 → 1 lane
 //! split and its prefetch ramp; a sweep supplies only its kernel, window
 //! and estimator tail. A Bloom estimator is exactly that tail
@@ -279,95 +279,6 @@ pub trait IntersectionOracle: Sync {
     #[inline]
     fn degree_scaled_cost(&self) -> bool {
         false
-    }
-
-    /// Bytes of one destination window (filter words, register block) when
-    /// the oracle's destinations live in a flat array that a blocked sweep
-    /// can tile into cache-resident destination ranges; `None` when there
-    /// is no such array (exact CSR rows have variable length) or tiling is
-    /// not profitable for the representation. The tiling planner
-    /// ([`crate::grain::plan_tiles`]) consumes this to decide between the
-    /// blocked and the plain row-sweep traversal.
-    #[inline]
-    fn dest_window_bytes(&self) -> Option<usize> {
-        None
-    }
-
-    /// Blocked batched estimation over one (source-batch × destination-tile)
-    /// block: for each batch slot `s`, `us[seg_offsets[s]..seg_offsets[s+1]]`
-    /// holds source `sources[s]`'s in-tile destinations, and the matching
-    /// `out` range receives `estimate(sources[s], u)` per destination —
-    /// bit-identical to [`estimate_row_into`](Self::estimate_row_into) over
-    /// the same segments, which is exactly what the default does (so every
-    /// oracle is block-correct for free). Tiled overrides (Bloom, and CBF
-    /// via its read view) re-pin each source and sweep the cache-resident
-    /// tile with the tiled kernels instead.
-    #[inline]
-    fn estimate_block_into(
-        &self,
-        sources: &[VertexId],
-        seg_offsets: &[usize],
-        us: &[VertexId],
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(seg_offsets.len(), sources.len() + 1);
-        debug_assert_eq!(us.len(), out.len());
-        for (s, &v) in sources.iter().enumerate() {
-            let (lo, hi) = (seg_offsets[s], seg_offsets[s + 1]);
-            self.estimate_row_into(v, &us[lo..hi], &mut out[lo..hi]);
-        }
-    }
-
-    /// Blocked batched Jaccard — segment layout as
-    /// [`estimate_block_into`](Self::estimate_block_into). The default
-    /// loops [`jaccard_row_into`](Self::jaccard_row_into) per segment (not
-    /// the estimate block + transform), so oracles with native Jaccard row
-    /// kernels (k-hash, 1-hash) stay bit-identical under tiling.
-    #[inline]
-    fn jaccard_block_into(
-        &self,
-        sources: &[VertexId],
-        seg_offsets: &[usize],
-        us: &[VertexId],
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(seg_offsets.len(), sources.len() + 1);
-        debug_assert_eq!(us.len(), out.len());
-        for (s, &v) in sources.iter().enumerate() {
-            let (lo, hi) = (seg_offsets[s], seg_offsets[s + 1]);
-            self.jaccard_row_into(v, &us[lo..hi], &mut out[lo..hi]);
-        }
-    }
-
-    /// Blocked estimation into a reusable buffer — the block-level analog
-    /// of [`estimate_row`](Self::estimate_row), under the same
-    /// truncate-don't-zero reuse contract: one scratch `Vec<f64>` per
-    /// worker grows to the widest block once, then every later block
-    /// reuses it allocation-free (debug-asserted).
-    #[inline]
-    fn estimate_block(
-        &self,
-        sources: &[VertexId],
-        seg_offsets: &[usize],
-        us: &[VertexId],
-        out: &mut Vec<f64>,
-    ) {
-        prepare_row_buf(out, us.len());
-        self.estimate_block_into(sources, seg_offsets, us, out);
-    }
-
-    /// Blocked Jaccard into a reusable buffer — same contract as
-    /// [`estimate_block`](Self::estimate_block).
-    #[inline]
-    fn jaccard_block(
-        &self,
-        sources: &[VertexId],
-        seg_offsets: &[usize],
-        us: &[VertexId],
-        out: &mut Vec<f64>,
-    ) {
-        prepare_row_buf(out, us.len());
-        self.jaccard_block_into(sources, seg_offsets, us, out);
     }
 }
 
@@ -630,9 +541,10 @@ impl<A: AdjacencyRows> IntersectionOracle for ExactOracle<'_, A> {
 // ---------------------------------------------------------------------------
 
 /// One multi-lane row sweep's per-destination steps, driven by
-/// [`sweep_lanes`]: a fused kernel over four or two destination windows
-/// against the pinned source window, its scalar form for a last odd
-/// destination, and the estimator tail.
+/// [`sweep_lanes`] over one row or one stratum run of a row: a fused
+/// kernel over four or two destination windows against the pinned source
+/// window, its scalar form for a last odd destination, and the estimator
+/// tail.
 trait LaneSweep {
     /// What the kernel yields per destination: a Bloom AND popcount, an
     /// HLL union estimate.
@@ -651,8 +563,8 @@ trait LaneSweep {
 /// estimate. Destinations go four per fused pass (the tails of a group
 /// stay adjacent, so their table lookups pipeline), then two, then one.
 /// With `dist > 0` every destination window is prefetched once, `dist`
-/// destinations ahead: flat row sweeps pass [`l2_prefetch_distance`],
-/// while sweeps of cache-resident tiles and of stratum runs pass 0.
+/// destinations ahead: uniform row sweeps pass [`l2_prefetch_distance`],
+/// while stratified sweeps pass 0.
 #[inline]
 fn sweep_lanes<K: LaneSweep>(k: &K, us: &[VertexId], out: &mut [f64], dist: usize) {
     debug_assert_eq!(us.len(), out.len());
@@ -738,7 +650,7 @@ fn stratum_runs<'u>(
 ///
 /// Every Bloom estimator is one fused AND-popcount followed by a scalar
 /// tail, and a strategy is exactly that tail. The pairwise estimate and
-/// the row, tile and stratified sweeps all produce the popcounts and call
+/// the uniform and stratified row sweeps all produce the popcounts and call
 /// [`tail`](Self::tail), so a new estimator is one `tail` and every path
 /// serves it bit-identically.
 pub trait BloomStrategy: Send + Sync + 'static {
@@ -869,7 +781,7 @@ pub struct BloomOracle<'a, S: BloomStrategy> {
     col: &'a BloomCollectionIn<'a>,
     sizes: &'a [u32],
     /// A uniform store's flat view of itself and its one stratum,
-    /// resolved once instead of per row or tile segment.
+    /// resolved once instead of per row.
     uniform: Option<(BloomFlatView<'a>, BloomStratum<'a>)>,
     _strategy: PhantomData<S>,
 }
@@ -913,46 +825,8 @@ impl<'a, S: BloomStrategy> BloomOracle<'a, S> {
         }
     }
 
-    /// The row sweep behind both [`IntersectionOracle::estimate_row_into`]
-    /// and the tiled [`IntersectionOracle::estimate_block_into`]; `dist`
-    /// is the prefetch distance of the flat base-view sweep.
-    ///
-    /// A narrowest-width source (every source of a uniform store, and the
-    /// bulk of every row under a skewed assignment) compares every
-    /// destination at its own width, so the whole row is one flat pass
-    /// over [`BloomCollectionIn::base_view`]: no run grouping (runs in
-    /// hub-heavy destination lists are too short to fill lanes) and no
-    /// per-destination geometry resolution. A wider source walks the row
-    /// in runs of equal destination stratum, each one equal-width sweep
-    /// at the narrower of the two widths. Cross-width runs read
-    /// *precomputed* folded shadows from the lazily built
-    /// [`pg_sketch::BloomFoldCache`] — the source's shadow when the run
-    /// is narrower, the destinations' shadows when it is wider — so no
-    /// sweep folds per destination. Values are bit-identical to the
-    /// pairwise [`IntersectionOracle::estimate`], whose cross-stratum
-    /// path folds the wider filter to exactly these shadow words.
-    #[inline]
-    fn sweep_row(&self, v: VertexId, us: &[VertexId], out: &mut [f64], dist: usize) {
-        let col = self.col;
-        let i = v as usize;
-        let src = (col.words(i), col.count_ones(i));
-        let (view, at) = match self.uniform {
-            Some(flat) => flat,
-            None => {
-                let si = col.stratum_of(i);
-                let widths = col.geometry().widths();
-                if widths.iter().any(|&w| w < widths[si]) {
-                    return self.sweep_runs(i, si, src, us, out);
-                }
-                (col.base_view(), col.stratum(si))
-            }
-        };
-        let k = self.lanes(i, src, at, |j| view.window(j), |j| view.ones(j));
-        sweep_lanes(&k, us, out, dist);
-    }
-
-    /// The wider-source half of [`BloomOracle::sweep_row`]: one
-    /// equal-width sweep per run of equal destination stratum.
+    /// The wider-source half of the row sweep: one equal-width sweep per
+    /// run of equal destination stratum.
     fn sweep_runs(
         &self,
         i: usize,
@@ -1012,55 +886,44 @@ impl<S: BloomStrategy> IntersectionOracle for BloomOracle<'_, S> {
 
     /// Multi-lane row sweep: the source word window, cached popcount, and
     /// exact size are pinned once, then `sweep_lanes` runs destinations
-    /// through the fused AND+popcount kernel four at a time. A uniform
-    /// store's windows are prefetched by `l2_prefetch_distance`; a
-    /// stratified store's sweeps do not prefetch.
+    /// through the fused AND+popcount kernel four at a time.
+    ///
+    /// A narrowest-width source (every source of a uniform store, and the
+    /// bulk of every row under a skewed assignment) compares every
+    /// destination at its own width, so the whole row is one flat pass
+    /// over [`BloomCollectionIn::base_view`]: no run grouping (runs in
+    /// hub-heavy destination lists are too short to fill lanes) and no
+    /// per-destination geometry resolution. A uniform store's windows are
+    /// prefetched by `l2_prefetch_distance`. A wider source walks the row
+    /// in runs of equal destination stratum, each one equal-width sweep
+    /// at the narrower of the two widths, without prefetch. Cross-width
+    /// runs read *precomputed* folded shadows from the lazily built
+    /// [`pg_sketch::BloomFoldCache`] — the source's shadow when the run
+    /// is narrower, the destinations' shadows when it is wider — so no
+    /// sweep folds per destination. Values are bit-identical to the
+    /// pairwise [`IntersectionOracle::estimate`], whose cross-stratum
+    /// path folds the wider filter to exactly these shadow words.
     #[inline]
     fn estimate_row_into(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
-        let dist = if self.col.geometry().is_uniform() {
-            l2_prefetch_distance(self.col.words_per_set() * 8, self.sizes.len())
-        } else {
-            0
-        };
-        self.sweep_row(v, us, out, dist);
-    }
-
-    #[inline]
-    fn dest_window_bytes(&self) -> Option<usize> {
-        if !self.col.geometry().is_uniform() {
-            // No single window stride exists under per-stratum widths; the
-            // tiling planner declines and kernels keep the plain row sweep.
-            return None;
-        }
-        Some(self.col.words_per_set() * 8)
-    }
-
-    /// Tiled block sweep: each batch source runs the row sweep over its
-    /// in-tile destination segment with software prefetch off — the whole
-    /// point of the blocked schedule is that the destination tile is
-    /// already cache-resident across the source batch, so per-segment
-    /// prefetch would be pure instruction overhead on segments a few
-    /// destinations long. While one segment is swept, the *next* source's
-    /// word window is prefetched — the one fill the per-segment sweep
-    /// cannot overlap itself. Values are bit-identical to
-    /// [`IntersectionOracle::estimate_row_into`] over the same segments.
-    #[inline]
-    fn estimate_block_into(
-        &self,
-        sources: &[VertexId],
-        seg_offsets: &[usize],
-        us: &[VertexId],
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(seg_offsets.len(), sources.len() + 1);
-        debug_assert_eq!(us.len(), out.len());
-        for (s, &v) in sources.iter().enumerate() {
-            if let Some(&next) = sources.get(s + 1) {
-                prefetch_slice(self.col.words(next as usize));
+        let col = self.col;
+        let i = v as usize;
+        let src = (col.words(i), col.count_ones(i));
+        let ((view, at), dist) = match self.uniform {
+            Some(flat) => {
+                let dist = l2_prefetch_distance(col.words_per_set() * 8, self.sizes.len());
+                (flat, dist)
             }
-            let (lo, hi) = (seg_offsets[s], seg_offsets[s + 1]);
-            self.sweep_row(v, &us[lo..hi], &mut out[lo..hi], 0);
-        }
+            None => {
+                let si = col.stratum_of(i);
+                let widths = col.geometry().widths();
+                if widths.iter().any(|&w| w < widths[si]) {
+                    return self.sweep_runs(i, si, src, us, out);
+                }
+                ((col.base_view(), col.stratum(si)), 0)
+            }
+        };
+        let k = self.lanes(i, src, at, |j| view.window(j), |j| view.ones(j));
+        sweep_lanes(&k, us, out, dist);
     }
 
     #[inline]
@@ -1560,10 +1423,10 @@ mod tests {
         check::<BloomOr>(&col, &sizes, &us, &mut row);
     }
 
-    /// Two stratum assignments for the stratified sweep tests: `i % 3`
-    /// makes every same-stratum run of an ascending row one destination
-    /// long, and `(i / 7) % 3` makes runs seven long, so every run kind
-    /// also reaches its 4-, 2- and 1-lane groups.
+    /// Two stratum assignments for the stratified sweep tests:
+    /// `i % strata` makes every same-stratum run of an ascending row one
+    /// destination long, and `(i / 7) % 3` makes runs seven long, so every
+    /// run kind also reaches its 4-, 2- and 1-lane groups.
     fn strata_assignments(n: usize, strata: usize) -> [Vec<u8>; 2] {
         [
             (0..n).map(|i| (i % strata) as u8).collect(),
@@ -1577,8 +1440,18 @@ mod tests {
         let sets: Vec<&[u32]> = (0..g.num_vertices())
             .map(|v| g.neighbors(v as u32))
             .collect();
-        for assign in strata_assignments(sets.len(), 3) {
-            let geom = SetGeometry::stratified(vec![8, 4, 2], assign);
+        let [by_three, by_sevens] = strata_assignments(sets.len(), 3);
+        let [by_two, _] = strata_assignments(sets.len(), 2);
+        // `[8, 4, 2]` halves the width from one stratum to the next;
+        // `[4, 1]` quarters it in one step, and `[4, 1, 2]` is not
+        // descending, so its narrowest stratum sits between wider ones.
+        for (widths, assign) in [
+            (vec![8, 4, 2], by_three),
+            (vec![8, 4, 2], by_sevens.clone()),
+            (vec![4, 1], by_two),
+            (vec![4, 1, 2], by_sevens),
+        ] {
+            let geom = SetGeometry::stratified(widths, assign);
             let col = BloomCollection::build_on(geom, 2, 7, |i| sets[i]);
             assert!(!col.geometry().is_uniform(), "expected a stratified build");
             let sizes: Vec<u32> = sets.iter().map(|s| s.len() as u32).collect();
@@ -1595,7 +1468,6 @@ mod tests {
             row: &mut Vec<f64>,
         ) {
             let o = BloomOracle::<S>::new(col, sizes);
-            assert_eq!(o.dest_window_bytes(), None);
             for v in 0..sizes.len() as u32 {
                 o.estimate_row(v, us, row);
                 for (t, &u) in us.iter().enumerate() {
@@ -1605,6 +1477,10 @@ mod tests {
         }
     }
 
+    /// A source's destinations swept in blocks (segments of odd length,
+    /// so every segment starts its 4 → 2 → 1 lane split at a different
+    /// offset of the row) give the whole-row sweep's values, and both
+    /// match pairwise, for a source in each stratum.
     #[test]
     fn stratified_bloom_block_path_matches_row_path() {
         let g = gen::erdos_renyi_gnm(120, 2000, 11);
@@ -1623,16 +1499,17 @@ mod tests {
             let col = BloomCollection::build_on(geom, 2, 3, |i| sets[i]);
             let o = BloomOracle::<BloomAnd>::new(&col, &sizes);
             let us: Vec<u32> = (0..40u32).chain(50..70).chain(10..30).collect();
-            let seg_offsets = [0usize, 40, 60, us.len()];
-            let mut block = Vec::new();
-            o.estimate_block(&sources, &seg_offsets, &us, &mut block);
-            let mut row = Vec::new();
-            for (s, &v) in sources.iter().enumerate() {
-                let (lo, hi) = (seg_offsets[s], seg_offsets[s + 1]);
-                o.estimate_row(v, &us[lo..hi], &mut row);
-                assert_eq!(&block[lo..hi], &row[..], "source {v}");
-                for (t, &u) in us[lo..hi].iter().enumerate() {
-                    assert_eq!(row[t], o.estimate(v, u), "v={v} u={u}");
+            let seg_offsets = [0usize, 13, 42, 61, us.len()];
+            let (mut whole, mut block) = (Vec::new(), Vec::new());
+            for &v in &sources {
+                o.estimate_row(v, &us, &mut whole);
+                for w in seg_offsets.windows(2) {
+                    let (lo, hi) = (w[0], w[1]);
+                    o.estimate_row(v, &us[lo..hi], &mut block);
+                    assert_eq!(&block[..], &whole[lo..hi], "source {v}, block {lo}..{hi}");
+                }
+                for (t, &u) in us.iter().enumerate() {
+                    assert_eq!(whole[t], o.estimate(v, u), "v={v} u={u}");
                 }
             }
         }
@@ -1667,7 +1544,6 @@ mod tests {
             let hll = HyperLogLogCollection::build_on(geom, 5, |i| sets[i]);
             assert!(!hll.geometry().is_uniform(), "expected a stratified build");
             let o = HllOracle::new(&hll, &sizes);
-            assert_eq!(o.dest_window_bytes(), None);
             for v in 0..sizes.len() as u32 {
                 o.estimate_row(v, &us, &mut row);
                 for (t, &u) in us.iter().enumerate() {

@@ -43,9 +43,9 @@
 //! Shard count resolves through [`pg_parallel::current_shards`]
 //! (`PG_SHARDS` env → one lane per hardware thread), then
 //! [`ShardedProbGraph::new`] caps it against the cache-topology probe: a
-//! lane should own at least one destination tile's worth of sketch bytes
-//! ([`pg_parallel::tile_bytes`]), so tiny stores don't pay fan-out
-//! overheads for parallelism they cannot use.
+//! lane should own at least [`pg_parallel::tile_bytes`] (half the L2) of
+//! sketch bytes, so tiny stores don't pay fan-out overheads for
+//! parallelism they cannot use.
 //!
 //! ```
 //! use pg_graph::gen;
@@ -137,7 +137,7 @@ impl ShardedProbGraph {
     /// Creates an empty sharded graph over `n_vertices` with the resolved
     /// default shard count: [`pg_parallel::current_shards`] (`PG_SHARDS`
     /// env → one lane per hardware thread), capped so each lane owns at
-    /// least one cache tile ([`pg_parallel::tile_bytes`]) of sketch bytes.
+    /// least [`pg_parallel::tile_bytes`] (half the L2) of sketch bytes.
     /// `base_bytes` is the CSR footprint the budget is measured against,
     /// exactly as in [`ProbGraph::stream_from`].
     pub fn new(n_vertices: usize, base_bytes: usize, cfg: &PgConfig) -> Self {
@@ -555,8 +555,8 @@ impl ServingReader {
 }
 
 /// Rough sketch-store footprint for `params` over `n` sets — used only to
-/// cap the default shard count against the cache-tile budget, so it can
-/// stay an estimate (word-granularity rounding ignored).
+/// cap the default shard count against [`pg_parallel::tile_bytes`], so it
+/// can stay an estimate (word-granularity rounding ignored).
 fn store_bytes_estimate(params: SketchParams, n: usize) -> usize {
     let per_set = match params {
         SketchParams::Bloom { bits_per_set, .. } => bits_per_set.div_ceil(8),

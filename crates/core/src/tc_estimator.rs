@@ -17,28 +17,8 @@ use pg_parallel::{map_reduce, map_reduce_scratch, weighted_grain};
 /// [`IntersectionOracle::estimate_row`] into worker-local scratch — the
 /// source-side sketch state is pinned once per vertex instead of being
 /// re-fetched (and the representation re-dispatched) per edge.
-///
-/// When the oracle's destinations tile ([`crate::grain::plan_for`]), the
-/// sweep reroutes through the blocked source-batch × destination-tile
-/// traversal: per-edge estimates are bit-identical either way, only the
-/// `f64` summation order changes (as it already does across thread
-/// counts).
 pub fn tc_estimate_with<O: IntersectionOracle>(g: &CsrGraph, oracle: &O) -> f64 {
     let n = g.num_vertices();
-    if let Some(plan) = crate::grain::plan_for(oracle, n) {
-        let sum = crate::grain::tiled_block_sweep(
-            n,
-            n,
-            oracle,
-            &plan,
-            crate::grain::BlockKind::Estimate,
-            |u| g.forward_neighbors(u),
-            || 0f64,
-            |acc, _u, _lo, _dests, vals| acc + vals.iter().fold(0.0f64, |s, &e| s + e.max(0.0)),
-            |a, b| a + b,
-        );
-        return sum / 3.0;
-    }
     let (total_fwd, max_fwd) = map_reduce(
         n,
         || (0u64, 0u64),

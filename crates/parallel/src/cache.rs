@@ -1,31 +1,17 @@
-//! Host cache-topology probe and destination-tile sizing.
+//! Host cache-topology probe.
 //!
-//! The row-sweep hot path tiles destination sketches into cache-resident
-//! blocks (see `pg-core`'s tiling planner). The tile byte budget is resolved,
-//! in order:
-//!
-//! 1. the innermost active [`with_tile_bytes`] override on the calling thread,
-//! 2. the `PG_TILE_BYTES` environment variable,
-//! 3. half the probed L2 capacity (clamped to `[64 KiB, 4 MiB]`), so a
-//!    destination tile and the streamed source-window batch can coexist in
-//!    L2 without thrashing each other.
-//!
-//! The budget targets **L2**, not L1d: sketch windows are a few hundred
-//! bytes, so an L1-sized tile holds only a few dozen destinations and each
-//! source's in-tile segment shrinks to a handful of ids — too short for the
-//! 4-lane kernels to amortize the pinned source row, which costs more than
-//! the L1 residency saves. An L2-sized tile keeps segments tens of ids long
-//! while still cutting the per-edge fill cost from last-level-cache/DRAM
-//! latency to an L2 hit.
+//! Row sweeps read it for their prefetch distances (a store that fits L2
+//! is not prefetched), the exchange resolves it before forking workers,
+//! and [`tile_bytes`] derives the serving layer's per-lane byte floor
+//! from it.
 //!
 //! Topology is probed once from Linux sysfs
 //! (`/sys/devices/system/cpu/cpu0/cache/index*/`). When sysfs is absent
 //! (non-Linux hosts, stripped containers) the fallback is a documented
 //! conservative modern-x86/ARM shape: 32 KiB L1d, 1 MiB L2, 32 MiB L3,
 //! 64-byte lines — every mainstream server core since ~2015 has at least
-//! this much, so the derived tile never exceeds a real L1.
+//! this much.
 
-use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Per-core data-cache sizes and the line size, in bytes.
@@ -134,52 +120,12 @@ pub fn cache_line_bytes() -> usize {
     cache_topology().line_bytes.max(16)
 }
 
-thread_local! {
-    /// Innermost `with_tile_bytes` override on this thread; 0 = none.
-    static LOCAL_TILE_OVERRIDE: Cell<usize> = const { Cell::new(0) };
-}
-
-fn env_tile_bytes() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PG_TILE_BYTES")
-            .ok()
-            .and_then(|v| parse_size(&v))
-            .filter(|&n| n > 0)
-    })
-}
-
-/// Derived default: half of L2 so the destination tile shares L2 with the
-/// streamed source windows, clamped to a sane range (see the module doc for
-/// why L1-sized tiles lose on sub-KiB sketch windows).
-fn derived_tile_bytes() -> usize {
-    (cache_topology().l2_bytes / 2).clamp(64 * 1024, 4 * 1024 * 1024)
-}
-
-/// The destination-tile byte budget the *calling thread* would use for a
-/// tiled sweep started right now. Always ≥ 1.
+/// Half the probed L2, clamped to 64 KiB–4 MiB. `probgraph::serving`
+/// caps its default shard count so that each lane owns at least this
+/// many sketch bytes. perfbench reports it as `grain.tile_bytes`, under
+/// the name of the tiled sweep it once sized.
 pub fn tile_bytes() -> usize {
-    let local = LOCAL_TILE_OVERRIDE.with(|c| c.get());
-    if local > 0 {
-        return local;
-    }
-    env_tile_bytes().unwrap_or_else(derived_tile_bytes).max(1)
-}
-
-/// Runs `f` with the calling thread's tiled sweeps using an `n`-byte tile
-/// budget, restoring the previous setting afterwards (also on panic).
-/// The tiled-equivalence tests use tiny budgets to force tiling on graphs
-/// that would otherwise fit in cache.
-pub fn with_tile_bytes<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            LOCAL_TILE_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = LOCAL_TILE_OVERRIDE.with(|c| c.replace(n.max(1)));
-    let _restore = Restore(prev);
-    f()
+    (cache_topology().l2_bytes / 2).clamp(64 * 1024, 4 * 1024 * 1024)
 }
 
 #[cfg(test)]
@@ -206,31 +152,7 @@ mod tests {
 
     #[test]
     fn tile_bytes_default_is_positive_and_l2_scaled() {
-        // No override active in this test thread: the derived default must
-        // leave room in L2 for the streamed source windows alongside the
-        // tile (unless PG_TILE_BYTES is set).
-        let t = with_tile_bytes_cleared(tile_bytes);
+        let t = tile_bytes();
         assert!(t >= 1);
-    }
-
-    /// Helper: read the resolved budget without a local override.
-    fn with_tile_bytes_cleared<R>(f: impl FnOnce() -> R) -> R {
-        f()
-    }
-
-    #[test]
-    fn with_tile_bytes_nests_and_restores() {
-        let outer = tile_bytes();
-        with_tile_bytes(4096, || {
-            assert_eq!(tile_bytes(), 4096);
-            with_tile_bytes(1024, || assert_eq!(tile_bytes(), 1024));
-            assert_eq!(tile_bytes(), 4096);
-        });
-        assert_eq!(tile_bytes(), outer);
-    }
-
-    #[test]
-    fn with_tile_bytes_clamps_zero_to_one() {
-        with_tile_bytes(0, || assert_eq!(tile_bytes(), 1));
     }
 }

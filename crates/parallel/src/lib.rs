@@ -48,7 +48,7 @@ mod par;
 mod reduce;
 pub mod shard;
 
-pub use cache::{cache_line_bytes, cache_topology, tile_bytes, with_tile_bytes, CacheTopology};
+pub use cache::{cache_line_bytes, cache_topology, tile_bytes, CacheTopology};
 pub use config::{available_threads, current_threads, with_threads};
 pub use epoch::{EpochCell, EpochGuard};
 pub use init::{parallel_fill_with, parallel_init, parallel_init_scratch};

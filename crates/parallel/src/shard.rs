@@ -7,12 +7,12 @@
 //! 3. [`crate::available_threads`], clamped to `[1, 64]` — one
 //!    single-writer ingest lane per hardware thread.
 //!
-//! This mirrors the `PG_THREADS` / `PG_TILE_BYTES` resolution chains in
-//! [`crate::config`] and [`crate::cache`]. The serving layer additionally
-//! caps the resolved count against the cache-topology probe (a shard
-//! should own at least one destination tile's worth of sketch bytes —
-//! see `probgraph::serving`), so `PG_SHARDS` is a request, not a promise,
-//! on stores too small to split that far.
+//! This mirrors the `PG_THREADS` resolution chain in [`crate::config`].
+//! The serving layer additionally caps the resolved count against the
+//! cache-topology probe (a shard should own at least
+//! [`crate::tile_bytes`], half the L2, of sketch bytes — see
+//! `probgraph::serving`), so `PG_SHARDS` is a request, not a promise, on
+//! stores too small to split that far.
 
 use std::cell::Cell;
 

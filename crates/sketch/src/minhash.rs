@@ -20,7 +20,7 @@ use crate::cowvec::cow_clear;
 use crate::estimators;
 use crate::geometry::SetGeometry;
 use pg_hash::HashFamily;
-use pg_parallel::parallel_for;
+use pg_parallel::{auto_grain, parallel_for_scratch};
 use std::borrow::Cow;
 
 /// Sentinel signature entry for "set was empty under this function".
@@ -149,26 +149,36 @@ impl<'a> MinHashCollectionIn<'a> {
             let base = SendPtr(sigs.as_mut_ptr());
             let base = &base;
             let (families, geom) = (&families, &geom);
-            parallel_for(geom.len(), |s| {
-                let r = geom.range(s);
-                let k = r.len();
-                let family = &families[geom.stratum_of(s)];
-                // SAFETY: the geometry tiles the array, so window `r` is
-                // exclusive to set s.
-                let window = unsafe { std::slice::from_raw_parts_mut(base.0.add(r.start), k) };
-                let mut best = vec![u32::MAX; k];
-                let mut hashes = vec![0u32; k];
-                for &x in set(s) {
-                    family.hashes_into(x as u64, &mut hashes);
-                    for i in 0..k {
-                        let h = hashes[i];
-                        if h < best[i] || (h == best[i] && x < window[i]) {
-                            best[i] = h;
-                            window[i] = x;
+            let n = geom.len();
+            // Per-worker `(best, hashes)` slot buffers: they grow to the
+            // widest signature once, so the build allocates per worker,
+            // not per set.
+            parallel_for_scratch(
+                n,
+                auto_grain(n),
+                || (Vec::new(), Vec::new()),
+                |(best, hashes): &mut (Vec<u32>, Vec<u32>), s| {
+                    let r = geom.range(s);
+                    let k = r.len();
+                    let family = &families[geom.stratum_of(s)];
+                    // SAFETY: the geometry tiles the array, so window `r`
+                    // is exclusive to set s.
+                    let window = unsafe { std::slice::from_raw_parts_mut(base.0.add(r.start), k) };
+                    best.clear();
+                    best.resize(k, u32::MAX);
+                    hashes.resize(k, 0);
+                    for &x in set(s) {
+                        family.hashes_into(x as u64, hashes);
+                        for i in 0..k {
+                            let h = hashes[i];
+                            if h < best[i] || (h == best[i] && x < window[i]) {
+                                best[i] = h;
+                                window[i] = x;
+                            }
                         }
                     }
-                }
-            });
+                },
+            );
         }
         MinHashCollectionIn {
             sigs: Cow::Owned(sigs),

@@ -1,14 +1,15 @@
 //! The row reuse contract, counted. After one warm sweep, a second
 //! `estimate_row` + `jaccard_row` sweep over every vertex's neighborhood
 //! makes no heap allocation, for every store, uniform and under
-//! `StrataSpec::skewed_default()` strata.
+//! `StrataSpec::skewed_default()` strata. A k-hash build, too, allocates
+//! per worker and not per set.
 //!
 //! This binary installs a counting global allocator. The count is kept
 //! per thread, so allocations on the harness's other threads do not
 //! disturb it.
 
 use pg_graph::{CsrGraph, VertexId};
-use pg_sketch::StrataSpec;
+use pg_sketch::{MinHashCollection, StrataSpec};
 use probgraph::oracle::{IntersectionOracle, OracleVisitor};
 use probgraph::{BfEstimator, PgConfig, ProbGraph, Representation};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -142,5 +143,29 @@ fn warm_row_sweeps_allocate_nothing() {
     assert!(
         failures.is_empty(),
         "warm row sweeps allocated: {failures:?}"
+    );
+}
+
+/// Allocations made by a one-thread k-hash build over `sets`.
+fn khash_build_allocs(sets: &[Vec<u32>]) -> u64 {
+    pg_parallel::with_threads(1, || {
+        let before = allocs();
+        let col = MinHashCollection::build(sets.len(), 16, 7, |i| &sets[i]);
+        let n = allocs() - before;
+        std::hint::black_box(col);
+        n
+    })
+}
+
+#[test]
+fn khash_build_allocations_do_not_grow_with_set_count() {
+    let sets: Vec<Vec<u32>> = (0..4096u32)
+        .map(|i| (0..8).map(|t| i * 8 + t).collect())
+        .collect();
+    let small = khash_build_allocs(&sets[..1024]);
+    let large = khash_build_allocs(&sets);
+    assert!(
+        large <= small,
+        "a k-hash build over 4096 sets made {large} allocations, over 1024 sets {small}"
     );
 }

@@ -9,7 +9,8 @@
 //!   has its own lane-parallel harmonic sums);
 //! * the rerouted clustering, `tc_estimator`, and `baselines::*`
 //!   kernels reproduce their pre-refactor per-pair references on seed
-//!   graphs;
+//!   graphs — a row sweep per source is the only path those kernels
+//!   take;
 //! * the row-buffer reuse contract: a warm buffer is resized, never
 //!   reallocated.
 
@@ -17,10 +18,7 @@ use probgraph::algorithms::clustering::{self, SimilarityKind};
 use probgraph::baselines::heuristics;
 use probgraph::intersect::intersect_card;
 use probgraph::oracle::{ExactOracle, IntersectionOracle, OracleVisitor};
-use probgraph::{
-    tc_estimator, tiled_block_sweep, BfEstimator, BlockKind, PgConfig, ProbGraph, Representation,
-    TilePlan,
-};
+use probgraph::{tc_estimator, BfEstimator, PgConfig, ProbGraph, Representation};
 use proptest::prelude::*;
 
 use pg_sketch::bitvec::{and_count_words, and_count_words_multi};
@@ -381,106 +379,6 @@ proptest! {
         let pp_reference = pp_total as f64 / (rho * rho * rho);
         prop_assert_eq!(heuristics::partial_processing_tc(&g, rho, seed), pp_reference);
     }
-
-    /// `tiled_block_sweep` is **bit-identical** per destination to the
-    /// untiled `estimate_row` / `jaccard_row` sweep for every
-    /// representation and for adversarial tile plans: one-id tiles, odd
-    /// tiles with ragged tails, tiles larger than the id space, and
-    /// exact-boundary tiles — each crossed with degenerate and odd source
-    /// batches. Every edge must be visited exactly once (empty segments
-    /// skipped, none double-counted).
-    #[test]
-    fn tiled_block_sweep_matches_row_sweep_for_adversarial_plans(
-        n in 20usize..70,
-        edge_factor in 2usize..8,
-        seed in 0u64..100,
-    ) {
-        let g = pg_graph::gen::erdos_renyi_gnm(n, n * edge_factor, seed);
-        struct TiledCheck<'a>(&'a pg_graph::CsrGraph);
-        impl OracleVisitor for TiledCheck<'_> {
-            type Output = Result<(), String>;
-            fn visit<O: IntersectionOracle>(self, o: &O) -> Self::Output {
-                let g = self.0;
-                let n = g.num_vertices();
-                // Flat per-edge offsets so fold sinks can address
-                // `offs[v] + seg_row_start + t`, like the production sinks.
-                let mut offs = vec![0usize; n + 1];
-                for v in 0..n {
-                    offs[v + 1] = offs[v] + g.neighbors(v as u32).len();
-                }
-                let m = offs[n];
-                let plans = [
-                    TilePlan { tile_ids: 1, batch: 1 },
-                    TilePlan { tile_ids: 3, batch: 2 },
-                    TilePlan { tile_ids: 7, batch: n },         // ragged tail tile
-                    TilePlan { tile_ids: n + 5, batch: 5 },     // tile > id space
-                    TilePlan { tile_ids: n, batch: 3 },         // exact boundary
-                    TilePlan { tile_ids: n.div_ceil(2), batch: 1 },
-                ];
-                for kind in [BlockKind::Estimate, BlockKind::Jaccard] {
-                    // Untiled reference, fresh per kind.
-                    let mut row = Vec::new();
-                    let mut want = vec![0.0f64; m];
-                    for v in 0..n as u32 {
-                        let us = g.neighbors(v);
-                        match kind {
-                            BlockKind::Estimate => o.estimate_row(v, us, &mut row),
-                            BlockKind::Jaccard => o.jaccard_row(v, us, &mut row),
-                        }
-                        want[offs[v as usize]..offs[v as usize + 1]]
-                            .copy_from_slice(&row);
-                    }
-                    for plan in &plans {
-                        let got = tiled_block_sweep(
-                            n,
-                            n,
-                            o,
-                            plan,
-                            kind,
-                            |v| g.neighbors(v),
-                            || vec![f64::NAN; m],
-                            |mut acc: Vec<f64>, v, lo, us, vals| {
-                                let base = offs[v as usize] + lo;
-                                for (t, &val) in vals.iter().enumerate() {
-                                    assert!(
-                                        acc[base + t].is_nan(),
-                                        "edge visited twice: v={v} slot={}",
-                                        lo + t
-                                    );
-                                    assert_eq!(g.neighbors(v)[lo + t], us[t]);
-                                    acc[base + t] = val;
-                                }
-                                acc
-                            },
-                            |mut a, b| {
-                                for (x, y) in a.iter_mut().zip(b) {
-                                    if !y.is_nan() {
-                                        assert!(x.is_nan(), "edge visited twice across workers");
-                                        *x = y;
-                                    }
-                                }
-                                a
-                            },
-                        );
-                        for i in 0..m {
-                            if got[i].to_bits() != want[i].to_bits() {
-                                return Err(format!(
-                                    "{kind:?} {plan:?} slot {i}: tiled {} != untiled {}",
-                                    got[i], want[i]
-                                ));
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            }
-        }
-        for (cfg, label) in all_reps() {
-            let pg = ProbGraph::build(&g, &cfg);
-            let res = pg.with_oracle(TiledCheck(&g));
-            prop_assert!(res.is_ok(), "{}: {:?}", label, res);
-        }
-    }
 }
 
 /// The heuristics' ProbGraph-composed forms run end-to-end for every
@@ -525,131 +423,6 @@ fn row_buffer_reuse_contract_holds() {
         o.estimate_row(v, g.neighbors(v), &mut row);
         assert_eq!(row.capacity(), cap);
         assert!(std::ptr::eq(ptr, row.as_ptr()));
-    }
-}
-
-/// The block-buffer reuse contract: a warm `estimate_block` /
-/// `jaccard_block` buffer is truncated or grown in place, never
-/// reallocated, across blocks of varying width (the tile boundaries of a
-/// blocked sweep shrink and stretch the flattened segment layout
-/// constantly — reallocation there would dwarf the kernels).
-#[test]
-fn block_buffer_reuse_contract_holds_across_tile_boundaries() {
-    let g = pg_graph::gen::erdos_renyi_gnm(150, 150 * 10, 3);
-    let o = ExactOracle::new(&g);
-    let n = g.num_vertices() as u32;
-    // Build block layouts of decreasing batch width so `out` must shrink
-    // (truncate, not zero) and then grow again within warm capacity.
-    let layout = |s0: u32, s1: u32| {
-        let mut sources = Vec::new();
-        let mut offs = vec![0usize];
-        let mut us = Vec::new();
-        for v in s0..s1 {
-            let nv = g.neighbors(v);
-            if nv.is_empty() {
-                continue;
-            }
-            sources.push(v);
-            us.extend_from_slice(nv);
-            offs.push(us.len());
-        }
-        (sources, offs, us)
-    };
-    let mut out = Vec::new();
-    // Warm-up: the widest block pins the allocation.
-    let (sources, offs, us) = layout(0, n);
-    o.estimate_block(&sources, &offs, &us, &mut out);
-    assert_eq!(out.len(), us.len());
-    let cap = out.capacity();
-    let ptr = out.as_ptr();
-    for kind in [BlockKind::Estimate, BlockKind::Jaccard] {
-        for width in [1u32, 2, 7, 16, n / 2, n] {
-            let mut s0 = 0u32;
-            while s0 < n {
-                let s1 = (s0 + width).min(n);
-                let (sources, offs, us) = layout(s0, s1);
-                if !us.is_empty() {
-                    match kind {
-                        BlockKind::Estimate => o.estimate_block(&sources, &offs, &us, &mut out),
-                        BlockKind::Jaccard => o.jaccard_block(&sources, &offs, &us, &mut out),
-                    }
-                    assert_eq!(out.len(), us.len());
-                    assert_eq!(out.capacity(), cap, "block buffer reallocated");
-                    assert!(std::ptr::eq(ptr, out.as_ptr()));
-                    // Spot-check the narrow blocks match the pairwise path.
-                    for (k, &v) in sources.iter().enumerate() {
-                        let (a, b) = (offs[k], offs[k + 1]);
-                        for (t, &u) in us[a..b].iter().enumerate() {
-                            let want = match kind {
-                                BlockKind::Estimate => o.estimate(v, u),
-                                BlockKind::Jaccard => o.jaccard(v, u),
-                            };
-                            assert_eq!(out[a + t].to_bits(), want.to_bits());
-                        }
-                    }
-                }
-                s0 = s1;
-            }
-        }
-    }
-}
-
-/// The rerouted call sites (`tc_estimate`, Jarvis–Patrick, the heuristics
-/// baselines) produce the same numbers whether the blocked schedule is
-/// forced on (tile budget = one destination window, the most adversarial
-/// legal plan) or forced off (budget so large `plan_tiles` declines):
-/// clustering decisions exactly, triangle sums to float association order.
-#[test]
-fn forced_tiled_call_sites_match_untiled() {
-    let g = pg_graph::gen::erdos_renyi_gnm(250, 250 * 8, 11);
-    struct WindowBytes;
-    impl OracleVisitor for WindowBytes {
-        type Output = Option<usize>;
-        fn visit<O: IntersectionOracle>(self, o: &O) -> Self::Output {
-            o.dest_window_bytes()
-        }
-    }
-    for (cfg, label) in all_reps() {
-        let pg = ProbGraph::build(&g, &cfg);
-        // Budget of exactly one window forces one-id tiles for the Bloom
-        // oracles; the sketch families without a flat destination window
-        // (khash/kmv/hll) keep their row path either way — the equality
-        // then pins that the planner really declined.
-        let window = pg.with_oracle(WindowBytes).unwrap_or(64);
-        let tiled = pg_parallel::with_tile_bytes(window, || {
-            let tc = tc_estimator::tc_estimate(&g, &pg);
-            let c = clustering::jarvis_patrick_pg(&g, &pg, SimilarityKind::Jaccard, 0.2);
-            let re = heuristics::reduced_execution_tc_pg(&g, &cfg, 0.6, 7);
-            let pp = heuristics::partial_processing_tc_pg(&g, &cfg, 0.6, 7);
-            (tc, c.selected, re, pp)
-        });
-        let untiled = pg_parallel::with_tile_bytes(usize::MAX / 4, || {
-            let tc = tc_estimator::tc_estimate(&g, &pg);
-            let c = clustering::jarvis_patrick_pg(&g, &pg, SimilarityKind::Jaccard, 0.2);
-            let re = heuristics::reduced_execution_tc_pg(&g, &cfg, 0.6, 7);
-            let pp = heuristics::partial_processing_tc_pg(&g, &cfg, 0.6, 7);
-            (tc, c.selected, re, pp)
-        });
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(1.0);
-        assert!(
-            close(tiled.0, untiled.0),
-            "{label} tc: {} vs {}",
-            tiled.0,
-            untiled.0
-        );
-        assert_eq!(tiled.1, untiled.1, "{label} clustering selections diverge");
-        assert!(
-            close(tiled.2, untiled.2),
-            "{label} reduced: {} vs {}",
-            tiled.2,
-            untiled.2
-        );
-        assert!(
-            close(tiled.3, untiled.3),
-            "{label} partial: {} vs {}",
-            tiled.3,
-            untiled.3
-        );
     }
 }
 
