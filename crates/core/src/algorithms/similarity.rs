@@ -258,27 +258,46 @@ mod tests {
     #[test]
     fn batched_pair_estimates_match_pairwise() {
         let g = gen::erdos_renyi_gnm(150, 150 * 10, 5);
-        let pg = ProbGraph::build(&g, &PgConfig::new(Representation::Bloom { b: 2 }, 0.3));
-        let mut pairs: Vec<_> = g.edges().take(400).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        let per_pair: Vec<f64> = pairs
-            .iter()
-            .map(|&(u, v)| pg.estimate_intersection(u, v))
-            .collect();
+        // Pairs grouped by ascending source, as link prediction emits its
+        // candidates, and the same list shuffled with a quarter repeated.
+        let grouped: Vec<_> = g.edges().take(400).collect();
+        let mut shuffled = grouped.clone();
+        shuffled.extend_from_slice(&grouped[..grouped.len() / 4]);
+        let mut state = 5u64;
+        for t in (1..shuffled.len()).rev() {
+            let s = pg_hash::splitmix64(&mut state) % (t as u64 + 1);
+            shuffled.swap(t, s as usize);
+        }
         struct V<'a>(&'a [(VertexId, VertexId)]);
         impl OracleVisitor for V<'_> {
-            type Output = Vec<f64>;
-            fn visit<O: IntersectionOracle>(self, o: &O) -> Vec<f64> {
-                estimate_pairs_with(o, self.0)
+            type Output = ();
+            fn visit<O: IntersectionOracle>(self, o: &O) {
+                let per_pair: Vec<f64> = self.0.iter().map(|&(u, v)| o.estimate(u, v)).collect();
+                let clamped: Vec<f64> = self
+                    .0
+                    .iter()
+                    .map(|&(u, v)| common_neighbors_with(o, u, v))
+                    .collect();
+                assert_eq!(estimate_pairs_with(o, self.0), per_pair);
+                let scored = crate::algorithms::link_prediction::score_candidates_with(o, self.0);
+                assert_eq!(scored, per_pair);
+                assert_eq!(common_neighbors_scores_with(o, self.0), clamped);
             }
         }
-        assert_eq!(pg.with_oracle(V(&pairs)), per_pair);
-        // Pairs out of source order score the same.
-        let mut reversed = pairs.clone();
-        reversed.reverse();
-        let rev: Vec<f64> = per_pair.iter().rev().copied().collect();
-        assert_eq!(pg.with_oracle(V(&reversed)), rev);
+        for pairs in [&grouped, &shuffled] {
+            V(pairs).visit(&ExactOracle::new(&g));
+            for rep in [
+                Representation::Bloom { b: 1 },
+                Representation::Bloom { b: 2 },
+                Representation::CountingBloom { b: 2 },
+                Representation::KHash,
+                Representation::OneHash,
+                Representation::Kmv,
+                Representation::Hll,
+            ] {
+                ProbGraph::build(&g, &PgConfig::new(rep, 0.3)).with_oracle(V(pairs));
+            }
+        }
     }
 
     #[test]

@@ -721,10 +721,10 @@ pub fn run_exchange(
         coord.push(Some((a, b)));
     }
 
-    // The workers' row sweeps and prefetches read the probed cache
-    // topology, a `OnceLock`. Resolve it here: forking while another
-    // thread of this process runs the probe would leave the cell in
-    // progress in every child, and each worker would block on it forever.
+    // No worker step reads the probed cache topology today, but it is a
+    // `OnceLock`: forking while another thread of this process runs the
+    // probe would leave the cell in progress in every child, where a read
+    // would block forever. Resolve it before forking.
     pg_parallel::cache_topology();
 
     let mut pids: Vec<i32> = Vec::with_capacity(p);

@@ -20,16 +20,13 @@
 //! multi-lane sweep (Bloom uniform rows and the three stratified run
 //! kinds, HLL uniform and stratified rows) runs through
 //! one private driver, `sweep_lanes`, which holds the 4 → 2 → 1 lane
-//! split and its prefetch ramp; a sweep supplies only its kernel, window
-//! and estimator tail. A Bloom estimator is exactly that tail
-//! ([`BloomStrategy::tail`]), shared by the pairwise estimate and every
-//! sweep.
+//! split; a sweep supplies only its kernel, window and estimator tail. A
+//! Bloom estimator is exactly that tail ([`BloomStrategy::tail`]), shared
+//! by the pairwise estimate and every sweep.
 
 use crate::intersect::intersect_card;
 use pg_graph::{CsrGraph, OrientedDag, VertexId};
-use pg_sketch::bitvec::{
-    and_count_words, and_count_words_multi, prefetch_distance, prefetch_slice,
-};
+use pg_sketch::bitvec::{and_count_words, and_count_words_multi};
 use pg_sketch::{
     estimators, BloomCollectionIn, BloomFlatView, BloomStratum, BottomKCollectionIn,
     HyperLogLogCollection, HyperLogLogCollectionIn, KmvCollectionIn, MinHashCollectionIn,
@@ -549,8 +546,6 @@ trait LaneSweep {
     /// What the kernel yields per destination: a Bloom AND popcount, an
     /// HLL union estimate.
     type Stat: Copy;
-    /// Prefetches destination `j`'s window.
-    fn prefetch(&self, j: usize);
     /// The fused kernel over `L` destinations.
     fn lanes<const L: usize>(&self, js: [usize; L]) -> [Self::Stat; L];
     /// The scalar kernel over one destination.
@@ -562,24 +557,13 @@ trait LaneSweep {
 /// The one multi-lane sweep: `out[t]` receives destination `us[t]`'s
 /// estimate. Destinations go four per fused pass (the tails of a group
 /// stay adjacent, so their table lookups pipeline), then two, then one.
-/// With `dist > 0` every destination window is prefetched once, `dist`
-/// destinations ahead: uniform row sweeps pass [`l2_prefetch_distance`],
-/// while stratified sweeps pass 0.
+/// Nothing is prefetched: on the benchmark's BF2 stores a software
+/// prefetch ramp costs more instructions than it hides fill latency.
 #[inline]
-fn sweep_lanes<K: LaneSweep>(k: &K, us: &[VertexId], out: &mut [f64], dist: usize) {
+fn sweep_lanes<K: LaneSweep>(k: &K, us: &[VertexId], out: &mut [f64]) {
     debug_assert_eq!(us.len(), out.len());
-    for &p in us.iter().take(dist.min(us.len())) {
-        k.prefetch(p as usize);
-    }
     let mut t = 0;
     while t + 4 <= us.len() {
-        if dist > 0 {
-            // Each group prefetches exactly the windows entering the
-            // look-ahead horizon.
-            for &p in us.iter().take((t + dist + 4).min(us.len())).skip(t + dist) {
-                k.prefetch(p as usize);
-            }
-        }
         let js = [
             us[t] as usize,
             us[t + 1] as usize,
@@ -603,19 +587,6 @@ fn sweep_lanes<K: LaneSweep>(k: &K, us: &[VertexId], out: &mut [f64], dist: usiz
     if t < us.len() {
         let j = us[t] as usize;
         out[t] = k.finish(k.one(j), j);
-    }
-}
-
-/// How far ahead a flat row sweep prefetches the `window_bytes`-byte
-/// destination windows of an `n_sets`-window store: not at all when the
-/// store fits the probed L2 (every window is already a hit, and the ramp
-/// is pure instruction overhead, measurably slower at the scaled bench
-/// sizes), else [`prefetch_distance`] (~4 KiB of fills in flight).
-fn l2_prefetch_distance(window_bytes: usize, n_sets: usize) -> usize {
-    if window_bytes * n_sets <= pg_parallel::cache_topology().l2_bytes {
-        0
-    } else {
-        prefetch_distance(window_bytes)
     }
 }
 
@@ -748,11 +719,6 @@ where
     type Stat = usize;
 
     #[inline]
-    fn prefetch(&self, j: usize) {
-        prefetch_slice((self.window)(j));
-    }
-
-    #[inline]
     fn lanes<const L: usize>(&self, js: [usize; L]) -> [usize; L] {
         and_count_words_multi(self.row, js.map(|j| (self.window)(j)))
     }
@@ -846,7 +812,7 @@ impl<'a, S: BloomStrategy> BloomOracle<'a, S> {
                 let shadow = |j| cache.shadow(j, sj, si);
                 let at = col.stratum(si);
                 let k = self.lanes(i, src, at, |j| shadow(j).0, |j| shadow(j).1);
-                sweep_lanes(&k, us, out, 0);
+                sweep_lanes(&k, us, out);
             } else {
                 // Equal widths compare raw windows with the tail at the
                 // source's stratum — the pairwise tie-break.
@@ -857,7 +823,7 @@ impl<'a, S: BloomStrategy> BloomOracle<'a, S> {
                 };
                 let at = col.stratum(s);
                 let k = self.lanes(i, src, at, |j| col.words(j), |j| col.count_ones(j));
-                sweep_lanes(&k, us, out, 0);
+                sweep_lanes(&k, us, out);
             }
         }
     }
@@ -893,11 +859,10 @@ impl<S: BloomStrategy> IntersectionOracle for BloomOracle<'_, S> {
     /// destination at its own width, so the whole row is one flat pass
     /// over [`BloomCollectionIn::base_view`]: no run grouping (runs in
     /// hub-heavy destination lists are too short to fill lanes) and no
-    /// per-destination geometry resolution. A uniform store's windows are
-    /// prefetched by `l2_prefetch_distance`. A wider source walks the row
+    /// per-destination geometry resolution. A wider source walks the row
     /// in runs of equal destination stratum, each one equal-width sweep
-    /// at the narrower of the two widths, without prefetch. Cross-width
-    /// runs read *precomputed* folded shadows from the lazily built
+    /// at the narrower of the two widths. Cross-width runs read
+    /// *precomputed* folded shadows from the lazily built
     /// [`pg_sketch::BloomFoldCache`] — the source's shadow when the run
     /// is narrower, the destinations' shadows when it is wider — so no
     /// sweep folds per destination. Values are bit-identical to the
@@ -908,22 +873,19 @@ impl<S: BloomStrategy> IntersectionOracle for BloomOracle<'_, S> {
         let col = self.col;
         let i = v as usize;
         let src = (col.words(i), col.count_ones(i));
-        let ((view, at), dist) = match self.uniform {
-            Some(flat) => {
-                let dist = l2_prefetch_distance(col.words_per_set() * 8, self.sizes.len());
-                (flat, dist)
-            }
+        let (view, at) = match self.uniform {
+            Some(flat) => flat,
             None => {
                 let si = col.stratum_of(i);
                 let widths = col.geometry().widths();
                 if widths.iter().any(|&w| w < widths[si]) {
                     return self.sweep_runs(i, si, src, us, out);
                 }
-                ((col.base_view(), col.stratum(si)), 0)
+                (col.base_view(), col.stratum(si))
             }
         };
         let k = self.lanes(i, src, at, |j| view.window(j), |j| view.ones(j));
-        sweep_lanes(&k, us, out, dist);
+        sweep_lanes(&k, us, out);
     }
 
     #[inline]
@@ -1121,7 +1083,10 @@ impl IntersectionOracle for OneHashOracle<'_> {
     /// ([`BottomKCollectionIn::intersection_row_into`]): the source sample
     /// is pinned once in this thread's [`PositionTable`], and each
     /// destination then costs one independent table load per sample
-    /// element instead of a merge.
+    /// element instead of a merge. On an AVX-512 (`avx512f` +
+    /// `avx512vpopcntdq`) build a destination sample of 8 or more elements
+    /// takes those loads 16 at a time, as one gather per block; the
+    /// values are the scalar walk's, bit for bit.
     #[inline]
     fn estimate_row_into(&self, v: VertexId, us: &[VertexId], out: &mut [f64]) {
         with_row_scratch(|s| {
@@ -1229,11 +1194,6 @@ impl LaneSweep for HllLanes<'_> {
     type Stat = f64;
 
     #[inline]
-    fn prefetch(&self, j: usize) {
-        prefetch_slice(self.col.registers(j));
-    }
-
-    #[inline]
     fn lanes<const L: usize>(&self, js: [usize; L]) -> [f64; L] {
         self.col.union_estimates_multi(self.row, js)
     }
@@ -1296,8 +1256,7 @@ impl IntersectionOracle for HllOracle<'_> {
     /// are pinned once, then `sweep_lanes` runs destinations through
     /// the fused register-max kernel four at a time (four independent
     /// harmonic-sum chains pipeline where the scalar pass is `f64`-add
-    /// latency-bound). A uniform store's windows are prefetched by
-    /// `l2_prefetch_distance`.
+    /// latency-bound).
     ///
     /// On a stratified store, destinations are grouped into runs of equal
     /// stratum. The source window is folded down **once per narrower
@@ -1315,8 +1274,7 @@ impl IntersectionOracle for HllOracle<'_> {
         let i = v as usize;
         let raw_row = col.registers(i);
         if col.geometry().is_uniform() {
-            let dist = l2_prefetch_distance(raw_row.len(), self.sizes.len());
-            return sweep_lanes(&self.lanes(i, raw_row), us, out, dist);
+            return sweep_lanes(&self.lanes(i, raw_row), us, out);
         }
         let widths = col.geometry().widths();
         let p_i = col.precision_of(i) as u32;
@@ -1343,7 +1301,7 @@ impl IntersectionOracle for HllOracle<'_> {
                 } else {
                     raw_row
                 };
-                sweep_lanes(&self.lanes(i, row), us, out, 0);
+                sweep_lanes(&self.lanes(i, row), us, out);
             }
         });
     }

@@ -1,9 +1,8 @@
 //! Host cache-topology probe.
 //!
-//! Row sweeps read it for their prefetch distances (a store that fits L2
-//! is not prefetched), the exchange resolves it before forking workers,
-//! and [`tile_bytes`] derives the serving layer's per-lane byte floor
-//! from it.
+//! The 4-clique kernel's prefetch strides by its line size, the exchange
+//! resolves it before forking workers, and [`tile_bytes`] derives the
+//! serving layer's per-lane byte floor from it.
 //!
 //! Topology is probed once from Linux sysfs
 //! (`/sys/devices/system/cpu/cpu0/cache/index*/`). When sysfs is absent

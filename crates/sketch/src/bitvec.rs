@@ -250,13 +250,11 @@ fn and_count_words_multi_512<const L: usize>(a: &[u64], bs: [&[u64]; L]) -> [usi
     }
 }
 
-/// Prefetches a destination window (word, register, or signature slice)
-/// into L1 — issued by row sweeps some destinations ahead (see
-/// [`prefetch_distance`]) so the L2 fills overlap the current destinations'
-/// work (the row kernels are destination-bandwidth bound once the source is
-/// pinned in L1). Strides in cache-line units of `size_of::<T>()` using the
-/// probed line size, so one prefetch is issued per actual line regardless of
-/// the element type; no-op off x86-64.
+/// Prefetches a slice into L1 — the 4-clique kernel issues it for the
+/// next out-neighbor's adjacency row, so that row's fill overlaps the
+/// current one's work. Strides in cache-line units of `size_of::<T>()`
+/// using the probed line size, so one prefetch is issued per actual line
+/// regardless of the element type; no-op off x86-64.
 #[inline]
 pub fn prefetch_slice<T>(w: &[T]) {
     #[cfg(target_arch = "x86_64")]
@@ -274,26 +272,6 @@ pub fn prefetch_slice<T>(w: &[T]) {
     {
         let _ = w;
     }
-}
-
-/// How many destinations ahead a row sweep should issue [`prefetch_slice`]
-/// for windows of `window_bytes` each.
-///
-/// Targets ~4 KiB of fills in flight — enough to cover L2 latency at small
-/// windows (tiny windows need many outstanding destinations, large windows
-/// only one or two) without overrunning the L1 fill buffers. Returns 0 for
-/// windows past 32 KiB: software-prefetching whole huge filters evicts more
-/// than it hides and the hardware streamer already tracks a sequential
-/// window walk (the same size regime where `BloomCollection` skips its
-/// Swamidass lookup table).
-#[inline]
-pub fn prefetch_distance(window_bytes: usize) -> usize {
-    const IN_FLIGHT_BYTES: usize = 4096;
-    const MAX_WINDOW_BYTES: usize = 32 * 1024;
-    if window_bytes == 0 || window_bytes > MAX_WINDOW_BYTES {
-        return 0;
-    }
-    (IN_FLIGHT_BYTES / window_bytes).clamp(1, 16)
 }
 
 /// Fused OR + popcount of two word slices (must be equal length).

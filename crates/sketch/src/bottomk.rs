@@ -38,6 +38,19 @@
 //!   union-restricted match iff `pos[y] + q − c ≤ cap`. The draws seen are
 //!   `min(cap, |A| + |B| − hits)`. Every row estimate equals the pairwise
 //!   merge's bit for bit.
+//! * **The row walk at vector width.** A build whose target features
+//!   include `avx512f` and `avx512vpopcntdq` (the same gate as the Bloom
+//!   rows' `vpopcntq` kernel) walks `B` 16 elements per block: ids at or
+//!   past the table's end are masked off as misses, the other lanes gather
+//!   their positions, and each lane counts the block's earlier hits with
+//!   one `vpopcntd` of the broadcast hit mask ANDed with a constant
+//!   `lane_below` vector (lane `l` keeps bits `0..l`). A lane is a match
+//!   iff it hit and `pos + q − (c + earlier) ≤ cap`; the last block is
+//!   masked. A destination sample shorter than 8 elements, a position
+//!   table longer than `i32::MAX` entries (gather indices are signed) and
+//!   every other build keep the scalar loop, the portable path and the
+//!   reference the vector form is tested against. Counts are exact
+//!   integers, so both paths give the same bits.
 //!
 //! A collection may be **stratified**: its [`SetGeometry`] gives each
 //! set's sample cap `k` per stratum (the uniform layout is the
@@ -241,16 +254,129 @@ impl PinnedSample<'_> {
     /// same samples.
     #[inline]
     fn walk(&self, b: &[u32], cap: usize) -> PairWalk {
-        let (mut hits, mut matches) = (0usize, 0usize);
-        for (q, &y) in b.iter().enumerate() {
-            let p = self.pos.get(y as usize).map_or(0, |&p| p as usize);
-            let hit = p != 0;
-            // q ≥ hits always, so this never underflows.
-            matches += usize::from(hit & (p + q - hits <= cap));
-            hits += usize::from(hit);
-        }
+        let (hits, matches) = self.walk_counts(b, cap);
         let seen = cap.min(self.a.len() + b.len() - hits);
         PairWalk { matches, seen, cap }
+    }
+
+    /// The walk's `(hits, matches)`: the 16-lane form for a destination
+    /// sample of at least [`VECTOR_WALK_FLOOR`] elements where it is
+    /// compiled and its 32-bit lanes hold the inputs exactly, else the
+    /// scalar loop.
+    #[inline]
+    fn walk_counts(&self, b: &[u32], cap: usize) -> (usize, usize) {
+        #[cfg(all(
+            target_arch = "x86_64",
+            target_feature = "avx512f",
+            target_feature = "avx512vpopcntdq"
+        ))]
+        {
+            // The gather index is signed, and `pos + q` must not wrap.
+            let drawn = self.a.len() + b.len();
+            if b.len() >= VECTOR_WALK_FLOOR
+                && self.pos.len() <= i32::MAX as usize
+                && drawn <= u32::MAX as usize
+            {
+                // A common element is drawn before `|A| + |B|` draws, so
+                // the narrower cap takes the same elements.
+                // SAFETY: the table length was checked just above.
+                return unsafe { walk_counts_512(self.pos, b, cap.min(drawn) as u32) };
+            }
+        }
+        walk_counts_scalar(self.pos, b, cap)
+    }
+}
+
+/// The shortest destination sample the 16-lane walk takes. Shorter ones
+/// (every sample of a graph whose oriented degrees are tiny) keep the
+/// scalar loop, which the vector form's per-block setup loses to.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512vpopcntdq"
+))]
+const VECTOR_WALK_FLOOR: usize = 8;
+
+/// The position walk's `(hits, matches)`, one table load per element of
+/// `b`: `b[q]` is a match iff its position `p` is set and
+/// `p + q − hits ≤ cap`, `hits` counting the earlier elements whose
+/// position is set. Ids at or past the table's end are misses. The
+/// portable path, and the reference the vector form is tested against.
+#[inline]
+fn walk_counts_scalar(pos: &[u32], b: &[u32], cap: usize) -> (usize, usize) {
+    let (mut hits, mut matches) = (0usize, 0usize);
+    for (q, &y) in b.iter().enumerate() {
+        let p = pos.get(y as usize).map_or(0, |&p| p as usize);
+        let hit = p != 0;
+        // q ≥ hits always, so this never underflows.
+        matches += usize::from(hit & (p + q - hits <= cap));
+        hits += usize::from(hit);
+    }
+    (hits, matches)
+}
+
+/// AVX-512 form of [`walk_counts_scalar`], 16 elements of `b` per block:
+/// ids at or past the table's end are masked off, the rest gather their
+/// positions, each lane counts the block's earlier hits with one
+/// `vpopcntd` of the broadcast hit mask under a `lane_below` constant,
+/// and the lanes with `p + q − (hits + earlier) ≤ cap` count as matches.
+/// The last block is masked. Exact integer counts, so it returns the
+/// scalar loop's as long as `|A| + |b|` (which bounds `p + q`) fits in a
+/// `u32` lane.
+///
+/// # Safety
+///
+/// `pos.len()` must be at most `i32::MAX`: gather indices are signed, so
+/// a longer table would let an id past `i32::MAX` read before `pos`.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512vpopcntdq"
+))]
+#[inline]
+unsafe fn walk_counts_512(pos: &[u32], b: &[u32], cap: u32) -> (usize, usize) {
+    use std::arch::x86_64::*;
+    const LANE: [u32; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+    // Lane `l` keeps the hit-mask bits of lanes `0..l`: `(1 << l) − 1`.
+    const LANE_BELOW: [u32; 16] = [
+        0, 0x1, 0x3, 0x7, 0xf, 0x1f, 0x3f, 0x7f, 0xff, 0x1ff, 0x3ff, 0x7ff, 0xfff, 0x1fff, 0x3fff,
+        0x7fff,
+    ];
+    // SAFETY: avx512f/avx512vpopcntdq are compile-time target features
+    // here. Loads are masked to `b`'s live elements, and the gather only
+    // reads lanes whose id is below `pos.len() ≤ i32::MAX` (the caller's
+    // guarantee), so every index it reads is inside `pos`; masked-off
+    // lanes touch no memory.
+    unsafe {
+        let end = _mm512_set1_epi32(pos.len() as i32);
+        let cap = _mm512_set1_epi32(cap as i32);
+        let lane = _mm512_loadu_si512(LANE.as_ptr().cast());
+        let below = _mm512_loadu_si512(LANE_BELOW.as_ptr().cast());
+        let (mut hits, mut matches) = (0u32, 0u32);
+        let mut q = 0;
+        while q < b.len() {
+            let live: __mmask16 = u16::MAX >> (16 - (b.len() - q).min(16));
+            let y = _mm512_maskz_loadu_epi32(live, b.as_ptr().add(q).cast());
+            let inside = _mm512_mask_cmplt_epu32_mask(live, y, end);
+            let p = _mm512_mask_i32gather_epi32::<4>(
+                _mm512_setzero_si512(),
+                inside,
+                y,
+                pos.as_ptr().cast(),
+            );
+            let hit = _mm512_mask_test_epi32_mask(inside, p, p);
+            let earlier =
+                _mm512_popcnt_epi32(_mm512_and_si512(_mm512_set1_epi32(i32::from(hit)), below));
+            // q ≥ hits, and each hit lane's index in the block is at
+            // least its `earlier`, so no hit lane wraps.
+            let base = _mm512_set1_epi32((q as u32 - hits) as i32);
+            let drawn =
+                _mm512_sub_epi32(_mm512_add_epi32(p, _mm512_add_epi32(base, lane)), earlier);
+            matches += _mm512_mask_cmple_epu32_mask(hit, drawn, cap).count_ones();
+            hits += hit.count_ones();
+            q += 16;
+        }
+        (hits as usize, matches as usize)
     }
 }
 
@@ -1372,6 +1498,80 @@ mod tests {
                 assert_eq!(jacc[j], col.estimate_jaccard(i, j), "({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn walk_paths_agree_at_lane_boundaries() {
+        // A holds the 48 even ids below 96, so its table ends at 95. B
+        // mixes hits, misses below the table's end, the id at its end and
+        // ids past it, up to ones the signed gather index would read as
+        // negative.
+        let key = |e: u32| (pg_hash::splitmix64_at(u64::from(e)) as u32 as u64) << 32 | e as u64;
+        let split = |keys: &[u64]| -> (Vec<u32>, Vec<u32>) {
+            keys.iter()
+                .map(|&key| (key as u32, (key >> 32) as u32))
+                .unzip()
+        };
+        let k = 48;
+        let mut a_keys: Vec<u64> = (0..96).step_by(2).map(key).collect();
+        a_keys.sort_unstable();
+        let (a, ah) = split(&a_keys);
+        let mut table = PositionTable::default();
+        let pinned = table.pin(&a);
+        let end = pinned.pos.len() as u32;
+        assert_eq!(end, 95);
+        // The table the two walks read directly, with a set position just
+        // past its end: an id read there would count as a hit.
+        let guarded: Vec<u32> = pinned.pos.iter().copied().chain([1]).collect();
+        let pos = &guarded[..end as usize];
+        let pool: Vec<u32> = (0..end)
+            .chain([end, end + 1, 1000, 1 << 31, u32::MAX - 1, u32::MAX])
+            .collect();
+        let mut state = 5u64;
+        let (mut capped, mut past_end) = (0, 0);
+        for len in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48] {
+            for _ in 0..4 {
+                let mut ids = pool.clone();
+                for t in 0..len {
+                    let pick = t + (pg_hash::splitmix64(&mut state) as usize) % (ids.len() - t);
+                    ids.swap(t, pick);
+                }
+                let mut b_keys: Vec<u64> = ids[..len].iter().map(|&e| key(e)).collect();
+                b_keys.sort_unstable();
+                let (b, bh) = split(&b_keys);
+                past_end += b.iter().filter(|&&y| y >= end).count();
+                for cap in [1, 8, k, usize::MAX] {
+                    let merge = PairWalk::merge(&a, &ah, &b, &bh, cap);
+                    let walk = pinned.walk(&b, cap);
+                    let msg = format!("len {len} cap {cap} b {b:?}");
+                    assert_eq!(
+                        (walk.matches, walk.seen),
+                        (merge.matches, merge.seen),
+                        "{msg}"
+                    );
+                    let (hits, matches) = walk_counts_scalar(pos, &b, cap);
+                    assert_eq!(matches, merge.matches, "scalar {msg}");
+                    assert_eq!(
+                        cap.min(a.len() + b.len() - hits),
+                        merge.seen,
+                        "scalar {msg}"
+                    );
+                    #[cfg(all(
+                        target_arch = "x86_64",
+                        target_feature = "avx512f",
+                        target_feature = "avx512vpopcntdq"
+                    ))]
+                    // SAFETY: the table has 95 entries.
+                    assert_eq!(
+                        unsafe { walk_counts_512(pos, &b, cap.min(a.len() + b.len()) as u32) },
+                        (hits, matches),
+                        "vector {msg}"
+                    );
+                    capped += usize::from(matches < hits);
+                }
+            }
+        }
+        assert!(capped > 0 && past_end > 0, "{capped} {past_end}");
     }
 
     #[test]
